@@ -7,6 +7,7 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -346,13 +347,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{elapsed:.4f}",
                 ]
             )
-    writer = csv.writer(
-        open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    )
-    writer.writerow(
-        ["instance", "algo", "n", "k", "value", "oracle", "ratio", "seconds"]
-    )
-    writer.writerows(rows)
+    with (
+        open(args.out, "w", newline="", encoding="utf-8")
+        if args.out
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["instance", "algo", "n", "k", "value", "oracle", "ratio", "seconds"]
+        )
+        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from .model import (
     candidate_radii,
     clustering,
     clustering_cost,
+    dedup_radii,
     dist_leq,
     dist_leq_arr,
     make_report,
@@ -517,19 +518,13 @@ def _assign_component(
 def solve_tree_assignment(
     inst: Instance, C: Sequence[int]
 ) -> tuple[SolveReport, Clustering]:
-    """Smallest radius at which the fixed centers admit a connected
-    disjoint assignment on the tree."""
+    """Smallest radius at which the fixed centers, at most k of them,
+    admit a connected disjoint assignment on the tree."""
     C = sorted(int(c) for c in C)
-    vals = {0.0}
-    for c in C:
-        vals.update(float(x) for x in inst.dist[:, c])
-    cands = sorted(vals)
-    merged = [cands[0]]
-    for v in cands[1:]:
-        if not dist_leq(v, merged[-1]):
-            merged.append(v)
-
-    found = binary_search_min_feasible(merged, lambda r: tree_assignment(inst, C, r))
+    if len(C) > inst.k:
+        raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={inst.k}")
+    cands = dedup_radii(inst.dist[:, C], leq=True)
+    found = binary_search_min_feasible(cands, lambda r: tree_assignment(inst, C, r))
     if found is None:
         raise InfeasibleError("the given centers cannot serve every point")
     r, result = found

@@ -204,6 +204,8 @@ def make_instance(
         raise InstanceFormatError("instance needs at least one point")
     if not (1 <= k <= n):
         raise InstanceFormatError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if not np.isfinite(m).all():
+        raise InstanceFormatError("distance matrix has non-finite entries")
     if not np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL):
         raise InstanceFormatError("distance matrix is not symmetric")
     if np.any(np.diag(m) != 0.0):
@@ -544,16 +546,42 @@ def make_report(
 # candidate radii and the radius search driver
 
 
+def dedup_radii(values: np.ndarray, *, leq: bool = False) -> list[float]:
+    """Ascending, tolerance-deduplicated ``values`` with 0.0 first.
+
+    ``values`` are finite and nonnegative.  Walking them in ascending
+    order, each value is compared with the last value *kept*, not with
+    its predecessor, and dropped when ``dist_eq(v, last)`` holds, or
+    ``dist_leq(v, last)`` with ``leq``, the rule of the fixed-center
+    searches.  The two rules differ only in rounding, for a v at
+    last + tolerance.
+
+    A value not within tolerance of its predecessor is always kept: the
+    last kept value is no larger than the predecessor and float
+    arithmetic rounds monotonically, so its gap is no smaller.  Only the
+    values within tolerance of their predecessor take the Python pass.
+    """
+    v = np.unique(np.concatenate(([0.0], np.ravel(values))))
+    v[0] = 0.0  # the zero np.unique keeps may be a -0.0 entry
+    prev, cur = v[:-1], v[1:]
+    tol = REL_TOL * np.maximum(1.0, cur)  # = max(1, |cur|, |prev|) on ascending values >= 0
+    near = cur <= prev + tol if leq else cur - prev <= tol
+    same = dist_leq if leq else dist_eq
+    keep = np.concatenate(([True], ~near))
+    last = 0.0
+    for i in np.flatnonzero(near) + 1:
+        if keep[i - 1]:
+            last = float(v[i - 1])
+        if not same(float(v[i]), last):
+            keep[i] = True
+    return v[keep].tolist()
+
+
 def candidate_radii(inst: Instance) -> list[float]:
-    """Ascending, tolerance-deduplicated pairwise distances, 0 included."""
-    iu = np.triu_indices(inst.n, k=1)
-    values = np.sort(inst.dist[iu]) if iu[0].size else np.empty(0)
-    out = [0.0]
-    for v in values:
-        v = float(v)
-        if not dist_eq(v, out[-1]):
-            out.append(v)
-    return out
+    """Ascending pairwise distances, 0 included, deduplicated by
+    ``dedup_radii``: each distance is dropped when ``dist_eq`` holds
+    between it and the last distance kept (not its predecessor)."""
+    return dedup_radii(inst.dist[np.triu_indices(inst.n, k=1)])
 
 
 T = TypeVar("T")

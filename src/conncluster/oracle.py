@@ -29,6 +29,7 @@ from .model import (
     binary_search_min_feasible,
     candidate_radii,
     clustering,
+    dedup_radii,
     dist_leq,
 )
 
@@ -402,15 +403,7 @@ def exact_assignment(
         if not any(c in comp for c in C):
             return None
     if objective == CENTER:
-        vals = {0.0}
-        for c in C:
-            vals.update(float(x) for x in inst.dist[:, c])
-        cands = sorted(vals)
-        merged = [cands[0]]
-        for v in cands[1:]:
-            if not dist_leq(v, merged[-1]):
-                merged.append(v)
-        cands = merged
+        cands = dedup_radii(inst.dist[:, C], leq=True)
     else:
         cands = candidate_radii(inst)
     deadline = time.monotonic() + limits.time_budget_s

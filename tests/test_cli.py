@@ -249,3 +249,50 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["n"] == 4
+
+
+def test_exit_code_non_finite_distance(tmp_path, capsys):
+    inst = {
+        "n": 3,
+        "k": 1,
+        "metric": {
+            "type": "explicit",
+            "matrix": [[0, 1, float("inf")], [1, 0, 1], [float("inf"), 1, 0]],
+        },
+        "edges": [[0, 1], [1, 2]],
+    }
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(inst))  # writes the JSON token Infinity
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "general"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_tree_assign_rejects_more_centers_than_k(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    run_cli(
+        ["gen", "--family", "tree", "--n", "8", "--k", "2", "--seed", "3",
+         "--out", str(path)],
+        capsys,
+    )
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", "tree-assign", "--centers", "0,3,5,7"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "k=2" in err
+
+
+def test_bench_csv_out_file(line_file, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code, stdout, _ = run_cli(
+        ["bench", "--in", line_file, "--algos", "auto,greedy", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert stdout == ""
+    lines = out.read_text().splitlines()
+    assert lines[0] == "instance,algo,n,k,value,oracle,ratio,seconds"
+    assert len(lines) == 3
