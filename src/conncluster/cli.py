@@ -34,6 +34,7 @@ from .model import (
     DIAMETER,
     DISJOINT,
     NON_DISJOINT,
+    OBJECTIVES,
     AlgorithmPreconditionError,
     Clustering,
     InfeasibleError,
@@ -108,6 +109,32 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             raise InstanceFormatError(f"cannot parse pair {part!r}")
         out.append((int(bits[0]), int(bits[1])))
     return out
+
+
+def _parse_centers(text: str, inst: Instance) -> list[int]:
+    try:
+        centers = [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise InstanceFormatError(f"cannot parse centers {text!r}") from exc
+    bad = [c for c in centers if not 0 <= c < inst.n]
+    if bad:
+        raise InstanceFormatError(f"center ids {bad} out of range for n={inst.n}")
+    return centers
+
+
+def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
+    """Read a clustering document whose point ids are points of ``inst``
+    and whose ``objective``, if present, is a known one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    result = clustering_from_doc(doc)
+    # centers lie inside their clusters, so the clusters hold every id
+    bad = sorted(x for x in set().union(*result.clusters) if not 0 <= x < inst.n)
+    if bad:
+        raise InstanceFormatError(f"point ids {bad} out of range for n={inst.n}")
+    if doc.get("objective", CENTER) not in OBJECTIVES:
+        raise InstanceFormatError(f"unknown objective {doc['objective']!r}")
+    return doc, result
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -240,7 +267,7 @@ def _run_algo(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
-    centers = [int(t) for t in args.centers.split(",")] if args.centers else None
+    centers = _parse_centers(args.centers, inst) if args.centers else None
     report, result = _run_algo(
         inst, args.algo, args.objective, args.mode, centers, args.dim, args.seed
     )
@@ -261,9 +288,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
-    with open(args.clustering, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    result = clustering_from_doc(doc)
+    _, result = _load_clustering(args.clustering, inst)
     verdict = validate_clustering(inst, result)
     _emit(
         {"feasible": verdict.feasible, "violations": list(verdict.violations)},
@@ -274,9 +299,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
-    with open(args.clustering, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    result = clustering_from_doc(doc)
+    doc, result = _load_clustering(args.clustering, inst)
     objective = doc.get("objective", args.objective)
     value = clustering_cost(inst, result, objective)
     declared = doc.get("value")
@@ -297,8 +320,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
     result = None
     if args.clustering:
-        with open(args.clustering, "r", encoding="utf-8") as fh:
-            result = clustering_from_doc(json.load(fh))
+        _, result = _load_clustering(args.clustering, inst)
     text = to_dot(inst, result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

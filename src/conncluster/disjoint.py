@@ -21,7 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .greedy import GreedyOutput, greedy_clustering, greedy_with_given_centers
+from .greedy import (
+    GreedyOutput,
+    adjacency_matrix,
+    greedy_clustering,
+    greedy_with_given_centers,
+    grow_all_clusters,
+)
 from .model import (
     CENTER,
     DISJOINT,
@@ -298,34 +304,47 @@ def solve_disjoint(
     return report, result
 
 
-def solve_two_center_disjoint(
-    inst: Instance, *, sample_pairs: Optional[int] = None, seed: int = 0
-) -> tuple[SolveReport, Clustering]:
+def first_covering_pair(
+    inst: Instance, r: float, adj: np.ndarray
+) -> Optional[GreedyOutput]:
+    """The first center pair, in ``itertools.combinations`` order, whose
+    clusters grown with radius r cover every point; None if none does.
+
+    With U the complement of ``grow_all_clusters``, pair (a, b) covers
+    everything iff rows a and b of U share no point, i.e. iff
+    ``(U @ U.T)[a, b] == 0``; the first such entry of the strict upper
+    triangle in row-major order is the first pair in combinations order.
+    """
+    members = grow_all_clusters(inst, r, adj)
+    # float32 for BLAS: a sum of nonnegative terms is 0 iff every term is
+    uncovered = (~members).astype(np.float32)
+    covers = np.triu((uncovered @ uncovered.T) == 0, k=1)
+    hits = np.flatnonzero(covers)
+    if not hits.size:
+        return None
+    a, b = divmod(int(hits[0]), inst.n)
+    clusters = {c: frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b)}
+    return GreedyOutput((a, b), clusters, r)
+
+
+def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     """Exact-center search for k=2, then merge on overlap.
 
-    Scans all center pairs for the smallest radius whose grown clusters
-    cover everything (the non-disjoint optimum with the best centers).
-    Disjoint covers are returned as-is; overlapping ones are merged and
-    re-centered at a point of the intersection, doubling the radius at
-    most.  A 2-approximation of the disjoint optimum.
-
-    ``sample_pairs`` trades the guarantee for speed on large inputs by
-    probing only a seeded random sample of the center pairs.
+    Finds the smallest candidate radius at which some center pair's grown
+    clusters cover everything (the non-disjoint optimum with the best
+    centers), taking the first such pair in lexicographic order.  Each
+    probe grows all n clusters once and tests every pair with one matrix
+    product (``first_covering_pair``).  Disjoint covers are returned
+    as-is; overlapping ones are merged and re-centered at a point of the
+    intersection, doubling the radius at most.  A 2-approximation of the
+    disjoint optimum.
     """
     if inst.k != 2:
         raise AlgorithmPreconditionError("the two-center algorithm needs k=2")
-    pairs = list(itertools.combinations(range(inst.n), 2))
-    if sample_pairs is not None and sample_pairs < len(pairs):
-        import random
-
-        pairs = sorted(random.Random(seed).sample(pairs, sample_pairs))
+    adj = adjacency_matrix(inst)
 
     def probe(r: float) -> Optional[GreedyOutput]:
-        for a, b in pairs:
-            out = greedy_with_given_centers(inst, [a, b], r)
-            if out is not None:
-                return out
-        return None
+        return first_covering_pair(inst, r, adj)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import (
     CENTER,
     NON_DISJOINT,
@@ -24,6 +26,7 @@ from .model import (
     candidate_radii,
     clustering,
     dist_leq,
+    dist_leq_arr,
     make_report,
 )
 
@@ -73,6 +76,37 @@ def compute_cluster(inst: Instance, R: float, c: int) -> frozenset[int]:
                 members.add(u)
                 stack.append(u)
     return frozenset(members)
+
+
+def adjacency_matrix(inst: Instance) -> np.ndarray:
+    """The connectivity graph as a 0/1 float32 matrix, ready for BLAS."""
+    adj = np.zeros((inst.n, inst.n), dtype=np.float32)
+    if inst.edges:
+        u, v = np.asarray(inst.edges).T
+        adj[u, v] = adj[v, u] = 1.0
+    return adj
+
+
+def grow_all_clusters(inst: Instance, R: float, adj: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose row c is ``compute_cluster(inst, R, c)``.
+
+    All n clusters grow at once by frontier expansion: a row's next
+    frontier is the neighbours of its frontier that lie within R of its
+    center and are not yet members.  Rows stop once their frontier is
+    empty, so the loop runs as many times as the deepest cluster has
+    hops.  ``adj`` is ``adjacency_matrix(inst)``.
+    """
+    within = dist_leq_arr(inst.dist, R)
+    members = np.eye(inst.n, dtype=bool)
+    rows = np.arange(inst.n)
+    frontier = members.copy()
+    while rows.size:
+        reached = (frontier.astype(np.float32) @ adj) > 0
+        frontier = reached & within[rows] & ~members[rows]
+        members[rows] |= frontier
+        alive = frontier.any(axis=1)
+        rows, frontier = rows[alive], frontier[alive]
+    return members
 
 
 def greedy_clustering(

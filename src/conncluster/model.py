@@ -502,7 +502,10 @@ def clustering_from_doc(doc: dict) -> Clustering:
         raise InstanceFormatError('clustering document needs "mode" and "clusters"')
     if doc["mode"] not in MODES:
         raise InstanceFormatError(f'clustering mode must be one of {MODES}')
-    return clustering(doc["clusters"], doc.get("centers"), doc["mode"])
+    try:
+        return clustering(doc["clusters"], doc.get("centers"), doc["mode"])
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed clustering document: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from conncluster import load_instance, make_instance
+
+# Solver runs vary too much in time for a per-example deadline; print the
+# reproduction blob of any failing example.
+settings.register_profile("conncluster", deadline=None, print_blob=True)
+settings.load_profile("conncluster")
 
 
 @pytest.fixture

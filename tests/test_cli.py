@@ -296,3 +296,70 @@ def test_bench_csv_out_file(line_file, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "instance,algo,n,k,value,oracle,ratio,seconds"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("algo", ["tree-assign", "assign"])
+def test_solve_rejects_center_id_out_of_range(tmp_path, capsys, algo):
+    path = tmp_path / "tree.json"
+    run_cli(
+        ["gen", "--family", "tree", "--n", "8", "--k", "2", "--seed", "3",
+         "--out", str(path)],
+        capsys,
+    )
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", algo, "--centers", "0,8"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "center ids [8] out of range for n=8" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "export-dot"])
+def test_clustering_point_id_out_of_range(line_file, tmp_path, capsys, command):
+    cl = tmp_path / "cl.json"
+    cl.write_text(
+        json.dumps({"mode": "disjoint", "clusters": [[0, 1, 2], [3, 4, 5, 6]],
+                    "centers": [1, 4]})
+    )
+    code, out, err = run_cli(
+        [command, "--in", line_file, "--clustering", str(cl)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "point ids [6] out of range for n=6" in err
+
+
+@pytest.mark.parametrize(
+    "clusters, centers",
+    [
+        ([[0, 1, 2], []], None),  # empty cluster
+        ([[0, 1, 2], ["a", 3, 4, 5]], None),  # non-integer id
+        ([[0, 1, 2], [3, 4, 5]], [1, 2]),  # center outside its cluster
+    ],
+)
+def test_malformed_clustering_document_exits_2(
+    line_file, tmp_path, capsys, clusters, centers
+):
+    cl = tmp_path / "cl.json"
+    cl.write_text(
+        json.dumps({"mode": "disjoint", "clusters": clusters, "centers": centers})
+    )
+    for command in ("validate", "eval", "export-dot"):
+        code, out, err = run_cli(
+            [command, "--in", line_file, "--clustering", str(cl)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed clustering document" in err
+
+
+def test_eval_rejects_unknown_objective(line_file, tmp_path, capsys):
+    cl = tmp_path / "cl.json"
+    cl.write_text(
+        json.dumps({"mode": "disjoint", "clusters": [[0, 1, 2], [3, 4, 5]],
+                    "centers": [1, 4], "objective": "median"})
+    )
+    code, out, err = run_cli(["eval", "--in", line_file, "--clustering", str(cl)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown objective 'median'" in err

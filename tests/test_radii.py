@@ -95,14 +95,14 @@ def path_instances(draw):
     return make_instance(m, [(i, i + 1) for i in range(n - 1)], n)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(radius_values())
 def test_dedup_radii_matches_both_loops(values):
     assert_same(dedup_radii(np.asarray(values)), loop_candidate_radii(values))
     assert_same(dedup_radii(np.asarray(values), leq=True), loop_center_radii(values))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(path_instances())
 def test_candidate_radii_matches_loop(inst):
     want = loop_candidate_radii(inst.dist[np.triu_indices(inst.n, k=1)])
@@ -154,7 +154,7 @@ def searched_candidates(module, fn, *args):
     return seen[0]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(path_instances(), st.data())
 def test_fixed_center_candidates_match_loop(inst, data):
     C = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=3, unique=True))
