@@ -38,7 +38,6 @@ from .instances import (
     GadgetMeta,
     gen_random,
     gen_sat_gadget,
-    gen_star_gadget,
     gen_worstcase_I,
     gen_worstcase_Iprime,
     s_sequence,

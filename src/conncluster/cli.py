@@ -9,19 +9,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import instances as gens
 from .disjoint import (
+    DisjointInvariantError,
     pad_to_k,
     solve_assignment_given_centers,
     solve_disjoint,
     solve_two_center_disjoint,
 )
 from .exact import (
+    is_tree,
     path_order,
     solve_line_center_nondisjoint,
     solve_line_diameter,
@@ -82,10 +85,6 @@ def _is_path_graph(inst: Instance) -> bool:
         return True
     except AlgorithmPreconditionError:
         return False
-
-
-def _is_tree(inst: Instance) -> bool:
-    return len(inst.edges) == inst.n - 1 and inst.is_connected()
 
 
 def _parse_formula(text: str) -> list[list[int]]:
@@ -179,98 +178,100 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dispatch_auto(
-    inst: Instance, objective: str, mode: str
-) -> tuple[SolveReport, Clustering]:
-    if _is_path_graph(inst):
-        if objective == DIAMETER:
-            return solve_line_diameter(inst)
-        if mode == NON_DISJOINT:
-            return solve_line_center_nondisjoint(inst)
-    if mode == NON_DISJOINT:
-        return solve_nondisjoint(inst, objective)
-    if _is_tree(inst) and objective == CENTER:
-        return tree_dp_solve(inst)
-    if inst.k == 2 and objective == CENTER:
-        return solve_two_center_disjoint(inst)
-    return solve_disjoint(inst, objective, "auto")
+@dataclasses.dataclass(frozen=True)
+class _Query:
+    """What a solve asks for, besides the instance."""
+
+    objective: str
+    mode: str
+    dim: int
+    centers: Optional[list[int]] = None
+    seed: Optional[int] = None
 
 
-def _solve_oracle(
-    inst: Instance, objective: str, mode: str, centers: Optional[list[int]]
-) -> tuple[SolveReport, Clustering]:
-    if centers is not None:
-        res = exact_assignment(inst, centers, objective)
+Solved = tuple[SolveReport, Clustering]
+
+
+def _auto(inst: Instance, q: _Query) -> Solved:
+    if _is_path_graph(inst) and (q.objective == DIAMETER or q.mode == NON_DISJOINT):
+        return ALGORITHMS["line"](inst, q)
+    if q.mode == NON_DISJOINT:
+        return ALGORITHMS["greedy"](inst, dataclasses.replace(q, seed=None))
+    if is_tree(inst) and q.objective == CENTER:
+        return ALGORITHMS["tree-dp"](inst, q)
+    if inst.k == 2 and q.objective == CENTER:
+        return ALGORITHMS["two-center"](inst, q)
+    return solve_disjoint(inst, q.objective, "auto")
+
+
+def _line(inst: Instance, q: _Query) -> Solved:
+    if q.objective == DIAMETER:
+        return solve_line_diameter(inst)
+    if q.mode == NON_DISJOINT:
+        return solve_line_center_nondisjoint(inst)
+    raise AlgorithmPreconditionError(
+        "disjoint line center is solved by tree-dp; use --algo tree-dp"
+    )
+
+
+def _tree_dp(inst: Instance, q: _Query) -> Solved:
+    report, result = tree_dp_solve(inst)
+    if q.objective == DIAMETER:
+        report = make_report(
+            inst, result, DIAMETER, report.algorithm, bound=2 * report.objective
+        )
+    return report, result
+
+
+def _centers(q: _Query, algo: str) -> list[int]:
+    if q.centers is None:
+        raise AlgorithmPreconditionError(f"{algo} needs --centers")
+    return q.centers
+
+
+def _oracle(inst: Instance, q: _Query) -> Solved:
+    if q.centers is not None:
+        res = exact_assignment(inst, q.centers, q.objective)
         if res is None:
             raise InfeasibleError("no feasible assignment for the given centers")
         value, result = res
-        return make_report(inst, result, objective, "oracle-assign", bound=value), result
-    if mode == DISJOINT:
-        value, result = exact_disjoint(inst, objective)
-        return make_report(inst, result, objective, "oracle-disjoint", bound=value), result
-    if objective == CENTER:
+        return make_report(inst, result, q.objective, "oracle-assign", bound=value), result
+    if q.mode == DISJOINT:
+        value, result = exact_disjoint(inst, q.objective)
+        return make_report(inst, result, q.objective, "oracle-disjoint", bound=value), result
+    if q.objective == CENTER:
         value, result = exact_nondisjoint_center_with_witness(inst)
     else:
         value, result = exact_nondisjoint_diameter_with_witness(inst)
-    return make_report(inst, result, objective, "oracle-nondisjoint", bound=value), result
+    return make_report(inst, result, q.objective, "oracle-nondisjoint", bound=value), result
 
 
-def _run_algo(
-    inst: Instance,
-    algo: str,
-    objective: str,
-    mode: str,
-    centers: Optional[list[int]],
-    dim: int,
-    seed: Optional[int] = None,
-) -> tuple[SolveReport, Clustering]:
-    if algo == "auto":
-        return _dispatch_auto(inst, objective, mode)
-    if algo == "greedy":
-        return solve_nondisjoint(inst, objective, seed=seed)
-    if algo == "line":
-        if objective == DIAMETER:
-            return solve_line_diameter(inst)
-        if mode == NON_DISJOINT:
-            return solve_line_center_nondisjoint(inst)
-        raise AlgorithmPreconditionError(
-            "disjoint line center is solved by tree-dp; use --algo tree-dp"
-        )
-    if algo == "tree-dp":
-        report, result = tree_dp_solve(inst)
-        if objective == DIAMETER:
-            cost = clustering_cost(inst, result, DIAMETER)
-            report = SolveReport(
-                objective=cost,
-                clusters_used=report.clusters_used,
-                algorithm=report.algorithm,
-                bound=2.0 * report.objective,
-                feasible=report.feasible,
-            )
-        return report, result
-    if algo == "tree-assign":
-        if centers is None:
-            raise AlgorithmPreconditionError("tree-assign needs --centers")
-        return solve_tree_assignment(inst, centers)
-    if algo == "two-center":
-        return solve_two_center_disjoint(inst)
-    if algo in ("general", "lp", "doubling"):
-        return solve_disjoint(inst, objective, algo, dim=dim)
-    if algo == "assign":
-        if centers is None:
-            raise AlgorithmPreconditionError("assign needs --centers")
-        return solve_assignment_given_centers(inst, centers, objective)
-    if algo == "oracle":
-        return _solve_oracle(inst, objective, mode, centers)
-    raise InstanceFormatError(f"unknown algorithm {algo!r}")
+#: ``--algo`` name -> solver.  Every entry names its solver inside a
+#: function body, so the name is looked up in this module when the entry
+#: runs, and a solver rebound here (as perfbench/tracer.py does) is the
+#: one called.
+ALGORITHMS: dict[str, Callable[[Instance, _Query], Solved]] = {
+    "auto": _auto,
+    "greedy": lambda inst, q: solve_nondisjoint(inst, q.objective, seed=q.seed),
+    "line": _line,
+    "tree-dp": _tree_dp,
+    "tree-assign": lambda inst, q: solve_tree_assignment(inst, _centers(q, "tree-assign")),
+    "general": lambda inst, q: solve_disjoint(inst, q.objective, "general", dim=q.dim),
+    "lp": lambda inst, q: solve_disjoint(inst, q.objective, "lp", dim=q.dim),
+    "doubling": lambda inst, q: solve_disjoint(inst, q.objective, "doubling", dim=q.dim),
+    "two-center": lambda inst, q: solve_two_center_disjoint(inst),
+    "assign": lambda inst, q: solve_assignment_given_centers(
+        inst, _centers(q, "assign"), q.objective
+    ),
+    "oracle": _oracle,
+}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
     centers = _parse_centers(args.centers, inst) if args.centers else None
-    report, result = _run_algo(
-        inst, args.algo, args.objective, args.mode, centers, args.dim, args.seed
-    )
+    query = _Query(args.objective, args.mode, args.dim, centers, args.seed)
+    report, result = ALGORITHMS[args.algo](inst, query)
     if args.exact_k:
         if result.mode != DISJOINT:
             raise AlgorithmPreconditionError("--exact-k needs a disjoint result")
@@ -301,9 +302,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
     doc, result = _load_clustering(args.clustering, inst)
     objective = doc.get("objective", args.objective)
+    if objective == CENTER and result.centers is None:
+        raise InstanceFormatError("the center objective needs a clustering with centers")
     value = clustering_cost(inst, result, objective)
     declared = doc.get("value")
-    matches = declared is None or dist_eq(float(declared), value)
+    try:
+        matches = declared is None or dist_eq(float(declared), value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f'"value" must be a number, got {declared!r}') from exc
     _emit(
         {
             "objective": objective,
@@ -332,6 +338,10 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     algos = args.algos.split(",")
+    unknown = [algo for algo in algos if algo not in ALGORITHMS]
+    if unknown:
+        raise InstanceFormatError(f"unknown algorithm {unknown[0]!r}")
+    query = _Query(args.objective, args.mode, args.dim)
     rows = []
     for path in args.infiles:
         inst = load_instance_file(path)
@@ -348,9 +358,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 oracle_value = None
         for algo in algos:
             t0 = time.perf_counter()
-            report, _ = _run_algo(
-                inst, algo, args.objective, args.mode, None, args.dim
-            )
+            report, _ = ALGORITHMS[algo](inst, query)
             elapsed = time.perf_counter() - t0
             ratio = (
                 report.objective / oracle_value
@@ -410,23 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--objective", choices=[CENTER, DIAMETER], default=CENTER)
     s.add_argument("--mode", choices=[DISJOINT, NON_DISJOINT], default=DISJOINT)
-    s.add_argument(
-        "--algo",
-        default="auto",
-        choices=[
-            "auto",
-            "greedy",
-            "line",
-            "tree-dp",
-            "tree-assign",
-            "general",
-            "lp",
-            "doubling",
-            "two-center",
-            "assign",
-            "oracle",
-        ],
-    )
+    s.add_argument("--algo", default="auto", choices=list(ALGORITHMS))
     s.add_argument("--centers", default=None)
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--exact-k", action="store_true")
@@ -476,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AlgorithmPreconditionError as exc:
+    except (AlgorithmPreconditionError, DisjointInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (InfeasibleError, OracleLimitError) as exc:

@@ -121,15 +121,13 @@ def make_disjoint(
     g: GreedyOutput,
     p: WellSeparatedPartition,
     objective: str,
-    *,
-    check: bool = True,
 ) -> Clustering:
     """Merge-and-split transform from a greedy cover to disjoint clusters.
 
     ``p`` must partition exactly the cover's center set at the cover's
-    growth radius.  With ``check`` enabled (default) the per-layer
-    induction invariants and the final cost bounds are verified and a
-    ``DisjointInvariantError`` is raised on any violation.
+    growth radius.  The per-layer induction invariants and the final
+    cost bound are verified, and a ``DisjointInvariantError`` is raised
+    on any violation.
     """
     centers = set(g.centers)
     if p.center_set() != centers:
@@ -192,20 +190,19 @@ def make_disjoint(
                 forest.absorb(forest.owner[t.center], root_comp - {t.center})
             else:
                 forest.finalize(t.center, root_comp, li)
-        if check:
-            total = sum(len(f.points) for f in forest.finalized)
-            if total != len(forest.owner):
+        total = sum(len(f.points) for f in forest.finalized)
+        if total != len(forest.owner):
+            raise DisjointInvariantError(
+                f"finalized clusters overlap after layer {li + 1}"
+            )
+        bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
+        for f in forest.finalized:
+            rad = _radius(inst, f.points, f.center)
+            if not dist_leq(rad, bound):
                 raise DisjointInvariantError(
-                    f"finalized clusters overlap after layer {li + 1}"
+                    f"after layer {li + 1}: cluster of center {f.center} has "
+                    f"radius {rad} > {(2 * (li + 1) - 1)}r + h_1..h_{li + 1} = {bound}"
                 )
-            bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
-            for f in forest.finalized:
-                rad = _radius(inst, f.points, f.center)
-                if not dist_leq(rad, bound):
-                    raise DisjointInvariantError(
-                        f"after layer {li + 1}: cluster of center {f.center} has "
-                        f"radius {rad} > {(2 * (li + 1) - 1)}r + h_1..h_{li + 1} = {bound}"
-                    )
 
     order = sorted(range(len(forest.finalized)), key=lambda i: (forest.finalized[i].layer, forest.finalized[i].center))
     result = clustering(
@@ -213,25 +210,20 @@ def make_disjoint(
         [forest.finalized[i].center for i in order],
         DISJOINT,
     )
-    if check:
-        if result.clusters_used > len(g.centers):
-            raise DisjointInvariantError("more clusters than centers")
-        verdict = validate_clustering(inst, result)
-        structural = [
-            v for v in verdict.violations if "budget" not in v
-        ]  # budget is the caller's concern, not the transform's
-        if structural:
-            raise DisjointInvariantError("; ".join(structural))
-        ell = p.num_layers
-        if objective == CENTER:
-            limit = (2 * ell - 1) * r + sum(p.h)
-        else:
-            limit = (4 * ell - 2) * r + p.h[0] + 2 * sum(p.h[1:])
-        cost = clustering_cost(inst, result, objective)
-        if not dist_leq(cost, limit):
-            raise DisjointInvariantError(
-                f"{objective} cost {cost} exceeds the partition bound {limit}"
-            )
+    if result.clusters_used > len(g.centers):
+        raise DisjointInvariantError("more clusters than centers")
+    verdict = validate_clustering(inst, result)
+    structural = [
+        v for v in verdict.violations if "budget" not in v
+    ]  # budget is the caller's concern, not the transform's
+    if structural:
+        raise DisjointInvariantError("; ".join(structural))
+    limit = partition_bound(p, objective)
+    cost = clustering_cost(inst, result, objective)
+    if not dist_leq(cost, limit):
+        raise DisjointInvariantError(
+            f"{objective} cost {cost} exceeds the partition bound {limit}"
+        )
     return result
 
 

@@ -31,7 +31,7 @@ from .model import (
     dist_leq,
     dist_leq_arr,
     make_report,
-    validate_clustering,
+    validate_clustering,  # unused here; perfbench/tracer.py wraps it in each solver module
 )
 
 # ---------------------------------------------------------------------------
@@ -72,50 +72,26 @@ class LineReach:
     b: tuple[int, ...]
 
 
-def line_reach(
-    inst: Instance, order: Sequence[int], r: float, *, pairwise: bool = False
-) -> LineReach:
-    """Coverage intervals for every candidate center position.
-
-    Default rule: position j is coverable by center i iff d(v_j, v_i) <= r.
-    The ``pairwise`` variant additionally requires every pair inside the
-    stretch to be within r (a stricter reading kept for A/B testing).
-    """
+def line_reach(inst: Instance, order: Sequence[int], r: float) -> LineReach:
+    """Coverage intervals for every candidate center position: position j
+    is coverable by center i iff d(v_j, v_i) <= r."""
     n = len(order)
     d = inst.dist
     a = []
     b = []
     for i in range(n):
         lo = i
-        while lo - 1 >= 0:
-            cand = order[lo - 1]
-            if pairwise:
-                if not all(
-                    dist_leq(float(d[cand, order[t]]), r) for t in range(lo - 1, i + 1)
-                ):
-                    break
-            elif not dist_leq(float(d[cand, order[i]]), r):
-                break
+        while lo - 1 >= 0 and dist_leq(float(d[order[lo - 1], order[i]]), r):
             lo -= 1
         hi = i
-        while hi + 1 < n:
-            cand = order[hi + 1]
-            if pairwise:
-                if not all(
-                    dist_leq(float(d[cand, order[t]]), r) for t in range(i, hi + 2)
-                ):
-                    break
-            elif not dist_leq(float(d[cand, order[i]]), r):
-                break
+        while hi + 1 < n and dist_leq(float(d[order[hi + 1], order[i]]), r):
             hi += 1
         a.append(lo)
         b.append(hi)
     return LineReach(tuple(a), tuple(b))
 
 
-def line_center_nondisjoint(
-    inst: Instance, r: float, *, pairwise_reach: bool = False
-) -> Optional[Clustering]:
+def line_center_nondisjoint(inst: Instance, r: float) -> Optional[Clustering]:
     """Minimum-count cover of a path by radius-r center stretches.
 
     Greedy sweep: cover the first uncovered position with the candidate
@@ -126,7 +102,7 @@ def line_center_nondisjoint(
     also for non-metric distances.
     """
     order = path_order(inst)
-    reach = line_reach(inst, order, r, pairwise=pairwise_reach)
+    reach = line_reach(inst, order, r)
     n = len(order)
     clusters: list[list[int]] = []
     centers: list[int] = []
@@ -167,12 +143,9 @@ def line_diameter(inst: Instance, r: float) -> Optional[Clustering]:
     return clustering(segments, None, DISJOINT)
 
 
-def solve_line_center_nondisjoint(
-    inst: Instance, *, pairwise_reach: bool = False
-) -> tuple[SolveReport, Clustering]:
+def solve_line_center_nondisjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     found = binary_search_min_feasible(
-        candidate_radii(inst),
-        lambda r: line_center_nondisjoint(inst, r, pairwise_reach=pairwise_reach),
+        candidate_radii(inst), lambda r: line_center_nondisjoint(inst, r)
     )
     assert found is not None  # a path is connected, one cluster always works
     r, result = found
@@ -211,13 +184,14 @@ class _TreeContext:
     dprime: np.ndarray  # dprime[u, v] = max_{w on path u->v} dist[u, w]
 
 
-def _check_tree(inst: Instance) -> None:
-    if len(inst.edges) != inst.n - 1 or not inst.is_connected():
-        raise AlgorithmPreconditionError("connectivity graph is not a tree")
+def is_tree(inst: Instance) -> bool:
+    """Whether the connectivity graph is a tree: connected, n-1 edges."""
+    return len(inst.edges) == inst.n - 1 and inst.is_connected()
 
 
 def _tree_context(inst: Instance) -> _TreeContext:
-    _check_tree(inst)
+    if not is_tree(inst):
+        raise AlgorithmPreconditionError("connectivity graph is not a tree")
     n = inst.n
     pos_of: dict[int, int] = {}
     nodes: list[int] = []
@@ -371,13 +345,8 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     result = clustering(
         [by_center[b] for b in centers], [ctx.nodes[b] for b in centers], DISJOINT
     )
-    cost = clustering_cost(inst, result, CENTER)
-    report = SolveReport(
-        objective=cost,
-        clusters_used=result.clusters_used,
-        algorithm="tree-dp",
-        bound=cost,
-        feasible=validate_clustering(inst, result).feasible,
+    report = make_report(
+        inst, result, CENTER, "tree-dp", bound=clustering_cost(inst, result, CENTER)
     )
     return report, result
 
@@ -398,7 +367,8 @@ def tree_assignment(
     pass collecting reachable descendant centers and one top-down pass
     assigning along the chosen center paths.
     """
-    _check_tree(inst)
+    if not is_tree(inst):
+        raise AlgorithmPreconditionError("connectivity graph is not a tree")
     C = sorted(int(c) for c in C)
     if not C:
         raise AlgorithmPreconditionError("need at least one center")

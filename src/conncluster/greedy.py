@@ -137,15 +137,13 @@ def greedy_clustering(
 
 
 def greedy_with_given_centers(
-    inst: Instance, C: Sequence[int], r: float, growth: Optional[float] = None
+    inst: Instance, C: Sequence[int], r: float
 ) -> Optional[GreedyOutput]:
     """Grow one cluster per given center; None if the union misses points."""
     C = [int(c) for c in C]
     if len(set(C)) != len(C):
         raise ValueError("centers must be distinct")
-    if growth is None:
-        growth = r
-    clusters = {c: compute_cluster(inst, growth, c) for c in C}
+    clusters = {c: compute_cluster(inst, r, c) for c in C}
     out = GreedyOutput(tuple(C), clusters, r)
     if len(out.covered()) != inst.n:
         return None

@@ -500,18 +500,6 @@ def gen_star_multicut(
     return GadgetMeta(inst, ann)
 
 
-def gen_star_gadget(kind: str, **kwargs) -> GadgetMeta:
-    if kind == "clique_cover":
-        return gen_star_clique_cover(
-            kwargs["n_vertices"], kwargs["edges"], kwargs["k"]
-        )
-    if kind == "set_cover":
-        return gen_star_set_cover(kwargs["n_elements"], kwargs["sets"], kwargs["k"])
-    if kind == "multicut":
-        return gen_star_multicut(kwargs["n_leaves"], kwargs["pairs"], kwargs["k"])
-    raise InstanceFormatError(f"unknown star gadget kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # random families
 
@@ -561,15 +549,14 @@ def gen_random(
     max_distance: int = 9,
     edge_prob: float = 0.35,
     metric_repair: Optional[bool] = None,
-    connectivity: str = "mst",
 ) -> Instance:
     """Seed-deterministic instance families.
 
     line/tree build the respective connectivity graph over a random
     integer-grid distance matrix (non-metric unless repaired); general
     adds extra edges to a random spanning tree and repairs the metric by
-    default; lp samples unit-cube coordinates with MST or random
-    connectivity.
+    default; lp samples unit-cube coordinates and connects them by their
+    minimum spanning tree.
     """
     if not 1 <= k <= n:
         raise InstanceFormatError("need 1 <= k <= n")
@@ -600,18 +587,7 @@ def gen_random(
         from .model import LpMetric
 
         dist = LpMetric(coords, p).realize(n)
-        if connectivity == "mst" and n > 1:
-            edges = _prim_mst(dist)
-        else:
-            edges = [(rng.randrange(i), i) for i in range(1, n)]
-            extra = {
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < edge_prob
-            }
-            edges = sorted(set(tuple(sorted(e)) for e in edges) | extra)
         return make_instance(
-            dist, edges, k, coords=coords, p=p, metric_kind="lp"
+            dist, _prim_mst(dist), k, coords=coords, p=p, metric_kind="lp"
         )
     raise InstanceFormatError(f"unknown random family {family!r}")

@@ -12,8 +12,10 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -71,13 +73,7 @@ class ExplicitMetric:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (n, n):
             raise InstanceFormatError(f"metric matrix must be {n}x{n}, got {m.shape}")
-        if not np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL):
-            raise InstanceFormatError("explicit metric matrix is not symmetric")
-        if np.any(np.diag(m) != 0.0):
-            raise InstanceFormatError("explicit metric matrix has nonzero diagonal")
-        if np.any(m < 0.0):
-            raise InstanceFormatError("explicit metric matrix has negative entries")
-        return (m + m.T) / 2.0
+        return m  # make_instance checks and symmetrizes the entries
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,17 @@ class LpMetric:
             raise InstanceFormatError(f"coordinate list must have {n} rows")
         if not (self.p == math.inf or (self.p >= 1 and float(self.p).is_integer())):
             raise InstanceFormatError("norm exponent p must be a positive integer or inf")
-        diff = np.abs(c[:, None, :] - c[None, :, :])
-        if self.p == math.inf:
-            return diff.max(axis=2)
-        if self.p == 1:
-            return diff.sum(axis=2)
-        if self.p == 2:
-            return np.sqrt((diff**2).sum(axis=2))
-        return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
+        # overflowing or infinite coordinates give non-finite distances,
+        # which make_instance rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(c[:, None, :] - c[None, :, :])
+            if self.p == math.inf:
+                return diff.max(axis=2)
+            if self.p == 1:
+                return diff.sum(axis=2)
+            if self.p == 2:
+                return np.sqrt((diff**2).sum(axis=2))
+            return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,6 @@ class Instance:
     def d(self, x: int, y: int) -> float:
         return float(self.dist[x, y])
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self.adj[x]
-
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
 
@@ -204,10 +200,13 @@ def make_instance(
         raise InstanceFormatError("instance needs at least one point")
     if not (1 <= k <= n):
         raise InstanceFormatError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if not np.isfinite(m).all():
-        raise InstanceFormatError("distance matrix has non-finite entries")
-    if not np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL):
-        raise InstanceFormatError("distance matrix is not symmetric")
+    # an entry above half the float range overflows to inf here: rejected
+    with np.errstate(over="ignore"):
+        sym = (m + m.T) / 2.0
+        if not np.isfinite(sym).all():
+            raise InstanceFormatError("distance matrix has non-finite entries")
+        if not np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL):
+            raise InstanceFormatError("distance matrix is not symmetric")
     if np.any(np.diag(m) != 0.0):
         raise InstanceFormatError("distance matrix has nonzero diagonal")
     if np.any(m < 0.0):
@@ -230,7 +229,7 @@ def make_instance(
     if labels is not None and len(labels) != n:
         raise InstanceFormatError("labels length must equal n")
 
-    m = (m + m.T) / 2.0
+    m = sym
     m.setflags(write=False)
     if coords is not None:
         coords = np.asarray(coords, dtype=float)
@@ -269,6 +268,25 @@ def check_triangle_inequality(inst: Instance) -> list[tuple[int, int, int]]:
 # instance documents (JSON)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer, not a bool or a float."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _require_ids(values: Iterable) -> None:
+    """Raise a TypeError unless every point id read from a document is an integer."""
+    for x in values:
+        if type(x) is not int and not _is_int(x):  # JSON ids take the fast test
+            raise TypeError(f"point id {x!r} is not an integer")
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{what} must be numbers") from exc
+
+
 def _metric_from_doc(doc: dict) -> MetricSpec:
     if not isinstance(doc, dict) or "type" not in doc:
         raise InstanceFormatError('"metric" must be an object with a "type"')
@@ -276,19 +294,23 @@ def _metric_from_doc(doc: dict) -> MetricSpec:
     if kind == "explicit":
         if "matrix" not in doc:
             raise InstanceFormatError('explicit metric needs a "matrix"')
-        return ExplicitMetric(np.asarray(doc["matrix"], dtype=float))
+        return ExplicitMetric(_numbers(doc["matrix"], "explicit metric matrix entries"))
     if kind == "lp":
         if "coords" not in doc or "p" not in doc:
             raise InstanceFormatError('lp metric needs "coords" and "p"')
         p = doc["p"]
-        p = math.inf if p in ("inf", "infinity") else float(p)
-        return LpMetric(np.asarray(doc["coords"], dtype=float), p)
+        try:
+            p = math.inf if p in ("inf", "infinity") else float(p)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceFormatError('lp metric "p" must be a number or "inf"') from exc
+        return LpMetric(_numbers(doc["coords"], "lp metric coords"), p)
     if kind == "graph":
         if "edges" not in doc:
             raise InstanceFormatError('graph metric needs weighted "edges"')
         try:
-            edges = tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"])
-        except (TypeError, ValueError) as exc:
+            edges = tuple((u, v, float(w)) for u, v, w in doc["edges"])
+            _require_ids([x for u, v, _ in edges for x in (u, v)])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError("graph metric edges must be [u, v, weight] triples") from exc
         return GraphMetric(edges)
     raise InstanceFormatError(f"unknown metric type {kind!r}")
@@ -302,14 +324,20 @@ def instance_from_doc(doc: dict) -> Instance:
         if key not in doc:
             raise InstanceFormatError(f'instance document missing "{key}"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InstanceFormatError('"n" must be a positive integer')
-    if not isinstance(doc["k"], int):
+    if not _is_int(doc["k"]):
         raise InstanceFormatError('"k" must be an integer')
+    labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise InstanceFormatError('"labels" must be a list of strings')
     spec = _metric_from_doc(doc["metric"])
     matrix = spec.realize(n)
     try:
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        edges = [(u, v) for u, v in doc["edges"]]
+        _require_ids(itertools.chain.from_iterable(edges))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
     coords = spec.coords if isinstance(spec, LpMetric) else None
@@ -319,7 +347,7 @@ def instance_from_doc(doc: dict) -> Instance:
         matrix,
         edges,
         doc["k"],
-        labels=doc.get("labels"),
+        labels=labels,
         coords=coords,
         p=p,
         metric_kind=kind,
@@ -503,6 +531,7 @@ def clustering_from_doc(doc: dict) -> Clustering:
     if doc["mode"] not in MODES:
         raise InstanceFormatError(f'clustering mode must be one of {MODES}')
     try:
+        _require_ids(itertools.chain(*doc["clusters"], doc.get("centers") or ()))
         return clustering(doc["clusters"], doc.get("centers"), doc["mode"])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed clustering document: {exc}") from exc

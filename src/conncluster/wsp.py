@@ -45,9 +45,6 @@ class WellSeparatedPartition:
             out |= g
         return out
 
-    def h_sum(self) -> float:
-        return float(sum(self.h))
-
     def to_doc(self) -> dict:
         return {
             "r": self.r,

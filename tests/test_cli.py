@@ -363,3 +363,94 @@ def test_eval_rejects_unknown_objective(line_file, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unknown objective 'median'" in err
+
+
+def _line3(**changes):
+    doc = {
+        "n": 3,
+        "k": 2,
+        "metric": {"type": "explicit", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "edges": [[0, 1], [1, 2]],
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_line3(n=True), '"n" must be a positive integer'),
+        (_line3(k=True), '"k" must be an integer'),
+        (_line3(edges=[[0, 1], [0.7, 2]]), "connectivity edges must be [u, v] pairs"),
+        (
+            _line3(metric={"type": "graph", "edges": [[0, 1, 1.0], [1.5, 2, 1.0]]}),
+            "graph metric edges must be [u, v, weight] triples",
+        ),
+        (
+            _line3(metric={"type": "explicit", "matrix": "abc"}),
+            "explicit metric matrix entries must be numbers",
+        ),
+        (
+            _line3(metric={"type": "lp", "coords": [["a"], ["b"], ["c"]], "p": 2}),
+            "lp metric coords must be numbers",
+        ),
+        (
+            _line3(metric={"type": "explicit",
+                           "matrix": [[0, 1, float("nan")], [1, 0, 1], [float("nan"), 1, 0]]}),
+            "distance matrix has non-finite entries",
+        ),
+        (_line3(labels=5), '"labels" must be a list of strings'),
+    ],
+    ids=["n-bool", "k-bool", "float-edge-id", "float-metric-edge-id", "string-matrix",
+         "string-coords", "nan-matrix", "labels-not-a-list"],
+)
+def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_float_point_id_in_clustering_exits_2(line_file, tmp_path, capsys):
+    cl = tmp_path / "cl.json"
+    cl.write_text(json.dumps({"mode": "disjoint", "clusters": [[0.7, 1, 2], [3, 4, 5]]}))
+    for command in ("validate", "eval", "export-dot"):
+        code, out, err = run_cli(
+            [command, "--in", line_file, "--clustering", str(cl)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed clustering document: point id 0.7 is not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"centers": None}, "the center objective needs a clustering with centers"),
+        ({"value": "abc"}, "\"value\" must be a number, got 'abc'"),
+    ],
+)
+def test_eval_rejects_unusable_clustering(line_file, tmp_path, capsys, changes, message):
+    doc = {"mode": "disjoint", "clusters": [[0, 1, 2], [3, 4, 5]], "centers": [1, 4]}
+    cl = tmp_path / "cl.json"
+    cl.write_text(json.dumps({**doc, **changes}))
+    code, out, err = run_cli(["eval", "--in", line_file, "--clustering", str(cl)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_transform_invariant_failure_exits_3(tmp_path, capsys):
+    # a non-metric line: the fixed-center pipeline's transform needs the
+    # triangle inequality and reports the broken invariant
+    path = tmp_path / "line.json"
+    run_cli(["gen", "--family", "line", "--n", "9", "--k", "2", "--seed", "5",
+             "--out", str(path)], capsys)
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", "assign", "--centers", "0,4"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: after layer 1: cluster of center 0 has radius 9.0")

@@ -16,7 +16,6 @@ from conncluster import (
     exact_nondisjoint_diameter,
     gen_random,
     gen_sat_gadget,
-    gen_star_gadget,
     gen_worstcase_I,
     gen_worstcase_Iprime,
     s_sequence,
@@ -222,16 +221,10 @@ def test_star_set_cover_single():
 
 def test_star_multicut_one_pair():
     meta = gen_star_multicut(3, [(0, 1)], 1)
+    assert meta.annotations["family"] == "star-multicut"
     assert meta.instance.k == 2
     optimum, _ = exact_disjoint(meta.instance, DIAMETER)
     assert optimum == 1.0
-
-
-def test_star_gadget_dispatcher():
-    meta = gen_star_gadget("multicut", n_leaves=3, pairs=[(0, 1)], k=1)
-    assert meta.annotations["family"] == "star-multicut"
-    with pytest.raises(InstanceFormatError):
-        gen_star_gadget("unknown")
 
 
 def test_star_gadgets_agree_with_brute_force_small():
