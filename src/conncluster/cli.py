@@ -125,7 +125,10 @@ def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
     """Read a clustering document whose point ids are points of ``inst``
     and whose ``objective``, if present, is a known one."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also an integer literal over the digit limit
+            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     result = clustering_from_doc(doc)
     # centers lie inside their clusters, so the clusters hold every id
     bad = sorted(x for x in set().union(*result.clusters) if not 0 <= x < inst.n)
@@ -465,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (AlgorithmPreconditionError, DisjointInvariantError) as exc:

@@ -63,32 +63,64 @@ def path_order(inst: Instance) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
-class LineReach:
-    """Per position i: the leftmost/rightmost positions coverable together
-    with i by a center placed at position i."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+def _path_matrix(inst: Instance) -> tuple[list[int], np.ndarray]:
+    """Path order and the distance matrix permuted into it.  The matrix is
+    symmetric (``make_instance``), so its rows are also its columns."""
+    order = path_order(inst)
+    return order, inst.dist[np.ix_(order, order)]
 
 
-def line_reach(inst: Instance, order: Sequence[int], r: float) -> LineReach:
-    """Coverage intervals for every candidate center position: position j
-    is coverable by center i iff d(v_j, v_i) <= r."""
+def _reach(D: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per position i: the first and the last position of the stretch
+    around i whose every position is within r of i.  Each side ends just
+    before the nearest position that is not."""
+    n = len(D)
+    rows = np.arange(n)
+    blocked = ~dist_leq_arr(D, r)
+    before = np.tri(n, k=-1, dtype=bool)  # j < i
+    left = (blocked & before)[:, ::-1]  # column n-1-j holds j
+    last = left.argmax(axis=1)
+    right = blocked & before.T
+    first = right.argmax(axis=1)
+    return (
+        np.where(left[rows, last], n - last, 0),
+        np.where(right[rows, first], first - 1, n - 1),
+    )
+
+
+def _center_sweep(order: list[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
     n = len(order)
-    d = inst.dist
-    a = []
-    b = []
-    for i in range(n):
-        lo = i
-        while lo - 1 >= 0 and dist_leq(float(d[order[lo - 1], order[i]]), r):
-            lo -= 1
-        hi = i
-        while hi + 1 < n and dist_leq(float(d[order[hi + 1], order[i]]), r):
-            hi += 1
-        a.append(lo)
-        b.append(hi)
-    return LineReach(tuple(a), tuple(b))
+    a, b = _reach(D, r)
+    clusters: list[list[int]] = []
+    centers: list[int] = []
+    u = 0
+    while u < n:
+        if len(clusters) == k:
+            return None
+        # farthest right reach among the centers covering u, leftmost on ties
+        i = int(np.where((a <= u) & (b >= u), b, -1).argmax())
+        hi = int(b[i])
+        clusters.append(order[min(i, u) : hi + 1])
+        centers.append(order[i])
+        u = hi + 1
+    return clustering(clusters, centers, NON_DISJOINT)
+
+
+def _diameter_sweep(order: list[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
+    n = len(order)
+    # a segment [i, h] has every pairwise distance within r iff every
+    # h' in (i, h] reaches i leftwards
+    a, _ = _reach(D, r)
+    segments: list[list[int]] = []
+    i = 0
+    while i < n:
+        if len(segments) == k:
+            return None
+        cut = np.flatnonzero(a[i + 1 :] > i)
+        h = i + int(cut[0]) if len(cut) else n - 1
+        segments.append(order[i : h + 1])
+        i = h + 1
+    return clustering(segments, None, DISJOINT)
 
 
 def line_center_nondisjoint(inst: Instance, r: float) -> Optional[Clustering]:
@@ -101,51 +133,20 @@ def line_center_nondisjoint(inst: Instance, r: float) -> Optional[Clustering]:
     clusters are needed.  Exact for the non-disjoint center objective,
     also for non-metric distances.
     """
-    order = path_order(inst)
-    reach = line_reach(inst, order, r)
-    n = len(order)
-    clusters: list[list[int]] = []
-    centers: list[int] = []
-    next_uncovered = 0
-    while next_uncovered < n:
-        u = next_uncovered
-        candidates = [i for i in range(n) if reach.a[i] <= u <= reach.b[i]]
-        i = max(candidates, key=lambda t: (reach.b[t], -t))
-        lo = min(i, u)
-        hi = reach.b[i]
-        clusters.append([order[t] for t in range(lo, hi + 1)])
-        centers.append(order[i])
-        next_uncovered = hi + 1
-    if len(clusters) > inst.k:
-        return None
-    return clustering(clusters, centers, NON_DISJOINT)
+    return _center_sweep(*_path_matrix(inst), inst.k, r)
 
 
 def line_diameter(inst: Instance, r: float) -> Optional[Clustering]:
     """Minimum number of contiguous segments with all pairwise distances
     at most r.  Greedy left-to-right cut; exact for both the disjoint and
     the non-disjoint problem, also for non-metric distances."""
-    order = path_order(inst)
-    n = len(order)
-    d = inst.dist
-    segments: list[list[int]] = []
-    i = 0
-    while i < n:
-        h = i
-        while h + 1 < n and all(
-            dist_leq(float(d[order[h + 1], order[t]]), r) for t in range(i, h + 1)
-        ):
-            h += 1
-        segments.append([order[t] for t in range(i, h + 1)])
-        i = h + 1
-    if len(segments) > inst.k:
-        return None
-    return clustering(segments, None, DISJOINT)
+    return _diameter_sweep(*_path_matrix(inst), inst.k, r)
 
 
 def solve_line_center_nondisjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
+    order, D = _path_matrix(inst)
     found = binary_search_min_feasible(
-        candidate_radii(inst), lambda r: line_center_nondisjoint(inst, r)
+        candidate_radii(inst), lambda r: _center_sweep(order, D, inst.k, r)
     )
     assert found is not None  # a path is connected, one cluster always works
     r, result = found
@@ -154,8 +155,9 @@ def solve_line_center_nondisjoint(inst: Instance) -> tuple[SolveReport, Clusteri
 
 
 def solve_line_diameter(inst: Instance) -> tuple[SolveReport, Clustering]:
+    order, D = _path_matrix(inst)
     found = binary_search_min_feasible(
-        candidate_radii(inst), lambda r: line_diameter(inst, r)
+        candidate_radii(inst), lambda r: _diameter_sweep(order, D, inst.k, r)
     )
     assert found is not None
     r, result = found
@@ -254,28 +256,37 @@ def _tree_tables(
     is assigned to center b.  F-with-zeros rows Fz[a, b] (b outside):
     minimum clusters when a's parent is assigned to b; entries inside
     the subtree are zeroed so that child rows can be summed blindly.
+
+    Counts are whole numbers or inf, so adding ``miss`` (0 where the host
+    is feasible, inf where not) masks them exactly.  Each row is written
+    in place, over its subtree only.
     """
     n = len(ctx.nodes)
+    out = ctx.out
     feas = dist_leq_arr(ctx.dprime, r)  # feas[b, a]: center b can host a
+    miss = np.where(feas.T, 0.0, np.inf)  # miss[a, b]: 0 where b can host a
     I = np.full((n, n), np.inf)
     Fz = np.zeros((n, n))
     Ia = np.zeros(n)
     for a in range(n - 1, -1, -1):
-        s, e = a, ctx.out[a]
-        if ctx.children[a]:
-            S = Fz[ctx.children[a]].sum(axis=0)
-        else:
-            S = np.zeros(n)
-        row = np.full(n, np.inf)
-        row[a] = 1.0 + S[a]
-        for c in ctx.children[a]:
-            row[c : ctx.out[c]] = I[c, c : ctx.out[c]] + S[c : ctx.out[c]]
-        row[~feas[:, a]] = np.inf
-        I[a, s:e] = row[s:e]
-        Ia[a] = row[s:e].min()
-        f = np.where(feas[:, a], np.minimum(S, Ia[a]), Ia[a])
-        f[s:e] = 0.0
-        Fz[a] = f
+        children = ctx.children[a]
+        if not children:
+            Ia[a] = I[a, a] = ia = 1.0 + miss[a, a]
+            np.minimum(miss[a], ia, out=Fz[a])
+            Fz[a, a] = 0.0
+            continue
+        # f = S + miss[a], where S sums the children's Fz rows
+        f = Fz[a]
+        np.add(Fz[children[0]], miss[a], out=f)
+        for c in children[1:]:
+            f += Fz[c]
+        row = I[a]
+        row[a] = 1.0 + f[a]
+        for c in children:
+            np.add(I[c, c : out[c]], f[c : out[c]], out=row[c : out[c]])
+        Ia[a] = ia = np.minimum.reduce(row[a : out[a]])
+        np.minimum(f, ia, out=f)
+        f[a : out[a]] = 0.0
     return I, Fz, Ia, feas
 
 

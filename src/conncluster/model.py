@@ -57,8 +57,16 @@ def dist_leq(a: float, b: float) -> bool:
 
 
 def dist_leq_arr(a: np.ndarray, b: float) -> np.ndarray:
-    """Vectorized tolerant a <= b."""
-    return a <= b + REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), abs(b)))
+    """Vectorized tolerant a <= b, elementwise equal to ``dist_leq``.
+
+    The bound is built in one buffer: a fresh temporary per step costs
+    more than the arithmetic on an n x n matrix.
+    """
+    bound = np.abs(a, dtype=float)
+    np.maximum(bound, max(1.0, abs(b)), out=bound)
+    bound *= REL_TOL
+    bound += b
+    return a <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +116,28 @@ class GraphMetric:
 
     def realize(self, n: int) -> np.ndarray:
         from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
+        from scipy.sparse.csgraph import connected_components, dijkstra
 
-        rows, cols, vals = [], [], []
+        # parallel edges: the first one's place, the shortest one's weight
+        shortest: dict[frozenset[int], tuple[int, int, float]] = {}
         for u, v, w in self.edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InstanceFormatError(f"bad metric-graph edge ({u}, {v})")
-            if w < 0:
-                raise InstanceFormatError("metric-graph edge weights must be nonnegative")
+            if not 0 <= w < math.inf:
+                raise InstanceFormatError("metric-graph edge weights must be finite and nonnegative")
+            key = frozenset((u, v))
+            u, v, w0 = shortest.get(key, (u, v, w))
+            shortest[key] = (u, v, min(w, w0))
+        rows, cols, vals = [], [], []
+        for u, v, w in shortest.values():
             rows += [u, v]
             cols += [v, u]
             vals += [w, w]
         g = coo_matrix((vals, (rows, cols)), shape=(n, n))
-        d = dijkstra(g, directed=False)
-        if np.isinf(d).any():
+        # on the sparse graph, before the n x n distance matrix exists
+        if connected_components(g, directed=False, return_labels=False) > 1:
             raise InstanceFormatError("metric graph is disconnected")
-        return d
+        return dijkstra(g, directed=False)  # overflow to inf: make_instance rejects it
 
 
 MetricSpec = ExplicitMetric | LpMetric | GraphMetric
@@ -359,7 +373,7 @@ def load_instance(source: str | bytes | dict) -> Instance:
     if isinstance(source, (str, bytes)):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal over the digit limit
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = source

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import conncluster
 from conncluster.cli import main
 
 
@@ -240,11 +242,15 @@ def test_bench_csv(line_file, capsys):
 
 
 def test_console_entry_point():
+    # the child finds the package where this process found it
+    src = os.path.dirname(os.path.dirname(conncluster.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conncluster.cli", "gen", "--family", "line",
          "--n", "4", "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -400,9 +406,15 @@ def _line3(**changes):
             "distance matrix has non-finite entries",
         ),
         (_line3(labels=5), '"labels" must be a list of strings'),
+        (
+            # a NaN would make the kept parallel edge depend on edge order
+            _line3(metric={"type": "graph",
+                           "edges": [[0, 1, 1.0], [1, 0, float("nan")], [1, 2, 1.0]]}),
+            "metric-graph edge weights must be finite and nonnegative",
+        ),
     ],
     ids=["n-bool", "k-bool", "float-edge-id", "float-metric-edge-id", "string-matrix",
-         "string-coords", "nan-matrix", "labels-not-a-list"],
+         "string-coords", "nan-matrix", "labels-not-a-list", "nan-graph-weight"],
 )
 def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
     path = tmp_path / "inst.json"
@@ -454,3 +466,62 @@ def test_transform_invariant_failure_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: after layer 1: cluster of center 0 has radius 9.0")
+
+
+def test_parallel_metric_graph_edges_keep_the_shortest(tmp_path, capsys):
+    doc = {
+        "n": 3,
+        "k": 1,
+        "metric": {
+            "type": "graph",
+            "edges": [[0, 1, 1.0], [0, 1, 2.0], [1, 2, 5.0], [2, 1, 4.0]],
+        },
+        "edges": [[0, 1], [1, 2]],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        ["solve", "--in", str(path), "--algo", "oracle", "--objective", "diameter"], capsys
+    )
+    assert code == 0
+    # d(0, 2) = 1 + 4 over the shortest parallel edges, not (1 + 2) + (5 + 4)
+    assert json.loads(out)["report"]["objective"] == 5.0
+
+
+def test_disconnected_metric_graph_exits_2_before_the_matrix(tmp_path, capsys):
+    import tracemalloc
+
+    import scipy.sparse.csgraph  # noqa: F401  (imported outside the measurement)
+
+    n = 3000
+    doc = {"n": n, "k": 1, "metric": {"type": "graph", "edges": [[0, 1, 1.0]]},
+           "edges": [[0, 1]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: metric graph is disconnected\n")
+    assert peak < n * n  # an n x n float matrix takes 8 n^2 bytes
+
+
+DIGITS = "9" * 5000  # past the interpreter's limit on integer-string conversion
+
+
+def test_overlong_integer_literal_in_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": ' + DIGITS + ', "k": 1, "metric": {}, "edges": []}')
+    code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
+def test_overlong_integer_literal_in_clustering_exits_2(line_file, tmp_path, capsys):
+    cl = tmp_path / "cl.json"
+    cl.write_text('{"mode": "disjoint", "clusters": [[' + DIGITS + "]]}")
+    code, out, err = run_cli(["validate", "--in", line_file, "--clustering", str(cl)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")

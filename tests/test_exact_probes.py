@@ -1,0 +1,221 @@
+"""The vectorized exact probes against the loops they replaced.
+
+``loop_line_reach``, ``loop_line_center`` and ``loop_line_diameter`` are
+the line sweeps ``exact`` used to run, with scalar ``dist_leq`` tests
+per position pair; ``loop_tree_tables`` is the subtree DP table fill it
+used to run, one freshly allocated row per node.  The new probes must
+return the same clusterings (or both None) at every radius, and the
+tables must be equal entry for entry, so that the radius searches, the
+DP reconstruction and every CLI byte stay the same.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conncluster import exact
+from conncluster.exact import (
+    _tree_context,
+    _tree_tables,
+    line_center_nondisjoint,
+    line_diameter,
+    path_order,
+    solve_line_center_nondisjoint,
+    solve_line_diameter,
+    tree_dp_solve,
+)
+from conncluster.instances import gen_random
+from conncluster.model import (
+    CENTER,
+    DIAMETER,
+    DISJOINT,
+    NON_DISJOINT,
+    REL_TOL,
+    binary_search_min_feasible,
+    candidate_radii,
+    clustering,
+    dist_leq,
+    make_instance,
+    make_report,
+)
+
+
+def loop_line_reach(inst, order, r):
+    n = len(order)
+    d = inst.dist
+    a, b = [], []
+    for i in range(n):
+        lo = i
+        while lo - 1 >= 0 and dist_leq(float(d[order[lo - 1], order[i]]), r):
+            lo -= 1
+        hi = i
+        while hi + 1 < n and dist_leq(float(d[order[hi + 1], order[i]]), r):
+            hi += 1
+        a.append(lo)
+        b.append(hi)
+    return a, b
+
+
+def loop_line_center(inst, r):
+    order = path_order(inst)
+    a, b = loop_line_reach(inst, order, r)
+    n = len(order)
+    clusters, centers = [], []
+    next_uncovered = 0
+    while next_uncovered < n:
+        u = next_uncovered
+        candidates = [i for i in range(n) if a[i] <= u <= b[i]]
+        i = max(candidates, key=lambda t: (b[t], -t))
+        clusters.append([order[t] for t in range(min(i, u), b[i] + 1)])
+        centers.append(order[i])
+        next_uncovered = b[i] + 1
+    if len(clusters) > inst.k:
+        return None
+    return clustering(clusters, centers, NON_DISJOINT)
+
+
+def loop_line_diameter(inst, r):
+    order = path_order(inst)
+    n = len(order)
+    d = inst.dist
+    segments = []
+    i = 0
+    while i < n:
+        h = i
+        while h + 1 < n and all(
+            dist_leq(float(d[order[h + 1], order[t]]), r) for t in range(i, h + 1)
+        ):
+            h += 1
+        segments.append([order[t] for t in range(i, h + 1)])
+        i = h + 1
+    if len(segments) > inst.k:
+        return None
+    return clustering(segments, None, DISJOINT)
+
+
+def loop_tree_tables(ctx, r):
+    n = len(ctx.nodes)
+    a = ctx.dprime
+    feas = a <= r + REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), abs(r)))
+    I = np.full((n, n), np.inf)
+    Fz = np.zeros((n, n))
+    Ia = np.zeros(n)
+    for a in range(n - 1, -1, -1):
+        s, e = a, ctx.out[a]
+        if ctx.children[a]:
+            S = Fz[ctx.children[a]].sum(axis=0)
+        else:
+            S = np.zeros(n)
+        row = np.full(n, np.inf)
+        row[a] = 1.0 + S[a]
+        for c in ctx.children[a]:
+            row[c : ctx.out[c]] = I[c, c : ctx.out[c]] + S[c : ctx.out[c]]
+        row[~feas[:, a]] = np.inf
+        I[a, s:e] = row[s:e]
+        Ia[a] = row[s:e].min()
+        f = np.where(feas[:, a], np.minimum(S, Ia[a]), Ia[a])
+        f[s:e] = 0.0
+        Fz[a] = f
+    return I, Fz, Ia, feas
+
+
+def loop_solve_line(inst, objective):
+    probe = loop_line_diameter if objective == DIAMETER else loop_line_center
+    r, result = binary_search_min_feasible(candidate_radii(inst), lambda r: probe(inst, r))
+    algorithm = "line-diameter" if objective == DIAMETER else "line-center"
+    return make_report(inst, result, objective, algorithm=algorithm, bound=r), result
+
+
+def probe_radii(inst):
+    """Every candidate radius and the floats one ulp either side of it,
+    and a negative radius, at which no point can host even itself."""
+    out = [-1.0]
+    for r in candidate_radii(inst):
+        out += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+    return out
+
+
+def assert_same_tables(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+# Small integer distances make ties; each may sit exactly on, or one ulp
+# off, the tolerance boundary r * (1 + REL_TOL) of another radius.
+BASES = (0.0, 1.0, 2.0, 3.0, 5.0, 1e6)
+
+
+@st.composite
+def distance(draw):
+    base = draw(st.sampled_from(BASES))
+    shape = draw(st.sampled_from(("tie", "tol", "tol-ulp", "ulp")))
+    if shape == "tie":
+        return base
+    edge = base + REL_TOL * max(1.0, base)
+    if shape == "tol":
+        return edge
+    if shape == "tol-ulp":
+        return math.nextafter(edge, draw(st.sampled_from((0.0, math.inf))))
+    return math.nextafter(base, math.inf)
+
+
+@st.composite
+def instances(draw, family):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(distance())
+    perm = draw(st.permutations(range(n)))
+    if family == "line":
+        edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+    else:
+        edges = [(perm[draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)]
+    return make_instance(m, edges, k)
+
+
+@settings(max_examples=150)
+@given(instances("line"))
+def test_line_probes_match_loops(inst):
+    for r in probe_radii(inst):
+        assert line_center_nondisjoint(inst, r) == loop_line_center(inst, r)
+        assert line_diameter(inst, r) == loop_line_diameter(inst, r)
+    assert solve_line_center_nondisjoint(inst) == loop_solve_line(inst, CENTER)
+    assert solve_line_diameter(inst) == loop_solve_line(inst, DIAMETER)
+
+
+@settings(max_examples=150)
+@given(st.one_of(instances("tree"), instances("line")))
+def test_tree_tables_match_loop(inst):
+    ctx = _tree_context(inst)
+    for r in probe_radii(inst):
+        assert_same_tables(_tree_tables(ctx, r), loop_tree_tables(ctx, r))
+
+
+def test_seeded_instances_match_loops(monkeypatch):
+    """Larger seeded documents, and the whole tree DP solve with the old
+    tables swapped in."""
+    for seed in range(12):
+        n = 20 + 7 * seed
+        k = 1 + seed % 6
+        line = gen_random("line", n, k, seed=seed, max_distance=30)
+        tree = gen_random("tree", n, k, seed=seed, max_distance=30)
+        radii = candidate_radii(line)[:: max(1, n // 8)]
+        for r in radii:
+            assert line_center_nondisjoint(line, r) == loop_line_center(line, r)
+            assert line_diameter(line, r) == loop_line_diameter(line, r)
+        assert solve_line_center_nondisjoint(line) == loop_solve_line(line, CENTER)
+        assert solve_line_diameter(line) == loop_solve_line(line, DIAMETER)
+        for inst in (line, tree):
+            ctx = _tree_context(inst)
+            for r in candidate_radii(inst)[:: max(1, n // 4)]:
+                assert_same_tables(_tree_tables(ctx, r), loop_tree_tables(ctx, r))
+            got = tree_dp_solve(inst)
+            with monkeypatch.context() as m:
+                m.setattr(exact, "_tree_tables", loop_tree_tables)
+                assert got == tree_dp_solve(inst)

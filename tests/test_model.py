@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conncluster import (
     CENTER,
@@ -25,7 +27,7 @@ from conncluster import (
     tree_dp_solve,
     validate_clustering,
 )
-from conncluster.model import dist_eq, dist_leq, instance_to_doc
+from conncluster.model import REL_TOL, dist_eq, dist_leq, dist_leq_arr, instance_to_doc
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +226,23 @@ def test_distance_tolerance():
     assert not dist_eq(1.0, 1.0 + 1e-6)
     assert dist_leq(1.0 + 1e-12, 1.0)
     assert not dist_leq(1.1, 1.0)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.floats(0.0, 1e9), min_size=1, max_size=6),
+    st.floats(-2.0, 1e9),
+    st.sampled_from((-1, 0, 1)),
+)
+def test_dist_leq_arr_matches_dist_leq(bases, b, ulps):
+    # every base, its tolerance edge against b, and one ulp either side
+    values = list(bases)
+    for x in (b, *bases):
+        edge = b + REL_TOL * max(1.0, abs(x), abs(b))
+        values += [edge, math.nextafter(edge, ulps * math.inf) if ulps else edge]
+    a = np.array(values)
+    got = dist_leq_arr(a.reshape(1, -1), b)[0]
+    assert got.tolist() == [dist_leq(float(x), b) for x in a]
 
 
 # ---------------------------------------------------------------------------
