@@ -51,6 +51,7 @@ from .model import (
     instance_to_doc,
     load_instance_file,
     make_report,
+    read_json_file,
     to_dot,
     validate_clustering,
 )
@@ -124,11 +125,7 @@ def _parse_centers(text: str, inst: Instance) -> list[int]:
 def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
     """Read a clustering document whose point ids are points of ``inst``
     and whose ``objective``, if present, is a known one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also an integer literal over the digit limit
-            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    doc = read_json_file(path)
     result = clustering_from_doc(doc)
     # centers lie inside their clusters, so the clusters hold every id
     bad = sorted(x for x in set().union(*result.clusters) if not 0 <= x < inst.n)

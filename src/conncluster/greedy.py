@@ -25,7 +25,6 @@ from .model import (
     binary_search_min_feasible,
     candidate_radii,
     clustering,
-    dist_leq,
     dist_leq_arr,
     make_report,
 )
@@ -61,19 +60,24 @@ def compute_cluster(inst: Instance, R: float, c: int) -> frozenset[int]:
 
     Every vertex on the connecting paths (including the endpoints) must
     satisfy d(., c) <= R, so the result induces a connected subgraph.
+    The tolerant test runs once over c's row; the walk then clears a
+    vertex's entry as it admits it, so each scanned edge costs one list
+    lookup.
     """
     if not (0 <= c < inst.n):
         raise ValueError(f"center {c} out of range")
     if R < 0:
         raise ValueError("growth radius must be nonnegative")
-    row = inst.dist[c]
-    members = {c}
+    ok = dist_leq_arr(inst.dist[c], R).tolist()
+    ok[c] = False
+    adj = inst.adj
+    members = [c]
     stack = [c]
     while stack:
-        v = stack.pop()
-        for u in inst.adj[v]:
-            if u not in members and dist_leq(float(row[u]), R):
-                members.add(u)
+        for u in adj[stack.pop()]:
+            if ok[u]:
+                ok[u] = False
+                members.append(u)
                 stack.append(u)
     return frozenset(members)
 
@@ -122,17 +126,27 @@ def greedy_clustering(
     point when ``rng`` is given.  When ``max_centers`` is set, returns
     None as soon as more centers would be needed (probe early-exit).
     """
-    uncovered = set(range(inst.n))
+    covered = bytearray(inst.n)
     centers: list[int] = []
     clusters: dict[int, frozenset[int]] = {}
-    while uncovered:
+    c = 0
+    while True:
+        if rng is None:
+            c = covered.find(0, c)  # the smallest uncovered id never decreases
+            if c < 0:
+                break
+        else:
+            uncovered = [v for v, x in enumerate(covered) if not x]
+            if not uncovered:
+                break
+            c = rng.choice(uncovered)
         if max_centers is not None and len(centers) >= max_centers:
             return None
-        c = rng.choice(sorted(uncovered)) if rng is not None else min(uncovered)
         t = compute_cluster(inst, r, c)
         centers.append(c)
         clusters[c] = t
-        uncovered -= t
+        for v in t:
+            covered[v] = 1
     return GreedyOutput(tuple(centers), clusters, r)
 
 

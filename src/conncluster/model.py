@@ -98,14 +98,31 @@ class LpMetric:
         # overflowing or infinite coordinates give non-finite distances,
         # which make_instance rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.abs(c[:, None, :] - c[None, :, :])
-            if self.p == math.inf:
-                return diff.max(axis=2)
-            if self.p == 1:
-                return diff.sum(axis=2)
+            if c.shape[1] >= 8 and self.p != math.inf:
+                # NumPy sums 8 or more terms pairwise; a running sum would
+                # differ from that in the last bits, so keep its order
+                diff = np.abs(c[:, None, :] - c[None, :, :])
+                diff **= self.p
+                total = diff.sum(axis=2)
+            else:
+                # one coordinate at a time into one n x n buffer; below 8
+                # terms NumPy's sum is this running sum, bit for bit
+                total = np.zeros((n, n))
+                diff = np.empty((n, n))
+                for col in c.T:
+                    np.subtract(col[:, None], col[None, :], out=diff)
+                    np.abs(diff, out=diff)
+                    if self.p == math.inf:
+                        np.maximum(total, diff, out=total)
+                    else:
+                        diff **= self.p
+                        total += diff
+            if self.p in (1, math.inf):
+                return total
             if self.p == 2:
-                return np.sqrt((diff**2).sum(axis=2))
-            return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
+                return np.sqrt(total, out=total)
+            total **= 1.0 / self.p
+            return total
 
 
 @dataclass(frozen=True)
@@ -368,21 +385,39 @@ def instance_from_doc(doc: dict) -> Instance:
     )
 
 
+#: What ``json`` raises on a malformed document: ``ValueError`` also
+#: covers invalid UTF-8 and integer literals over the digit limit, and
+#: the decoder recurses once per nesting level.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def load_instance(source: str | bytes | dict) -> Instance:
     """Load an instance from a JSON string/bytes or an already-parsed dict."""
     if isinstance(source, (str, bytes)):
         try:
             doc = json.loads(source)
-        except ValueError as exc:  # also an integer literal over the digit limit
+        except _JSON_ERRORS as exc:
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = source
     return instance_from_doc(doc)
 
 
-def load_instance_file(path: str) -> Instance:
+def read_json_file(path: str) -> object:
+    """The JSON document in the UTF-8 file ``path``.
+
+    The file is read and decoded inside the check, so a byte that is not
+    UTF-8 is reported like any other malformed document.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+        try:
+            return json.load(fh)
+        except _JSON_ERRORS as exc:
+            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+
+
+def load_instance_file(path: str) -> Instance:
+    return instance_from_doc(read_json_file(path))
 
 
 def instance_to_doc(inst: Instance) -> dict:

@@ -525,3 +525,35 @@ def test_overlong_integer_literal_in_clustering_exits_2(line_file, tmp_path, cap
     code, out, err = run_cli(["validate", "--in", line_file, "--clustering", str(cl)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
+
+@pytest.mark.parametrize("kind", ["instance", "clustering"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"n": 1, "labels": ["a\xffb"]}', "error: invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "error: invalid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["non-utf8", "deep-nesting"],
+)
+def test_undecodable_document_exits_2(line_file, tmp_path, capsys, kind, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    if kind == "instance":
+        argv = ["solve", "--in", str(path)]
+    else:
+        argv = ["validate", "--in", line_file, "--clustering", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+def test_lp_coords_without_columns_give_zero_distances(tmp_path, capsys, p):
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(_line3(metric={"type": "lp", "p": p, "coords": [[], [], []]})))
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "general"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert (report["objective"], report["bound"]) == (0.0, 0.0)

@@ -3,6 +3,8 @@
 Every command exits with a documented code (0 success, 1 infeasible,
 2 bad input, 3 precondition) and no exception escapes.  A successful
 solve on a metric instance never reports a bound below its objective.
+Documents are mutated as JSON values and, to reach the decoder's own
+failures, as bytes.
 """
 
 import contextlib
@@ -129,3 +131,41 @@ def test_check_mutated_documents(data, inst_doc, mutate_instance, command):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         _run([command, "--in", inst_path, "--clustering", cl_path])
+
+
+# Bytes that are not UTF-8: a lone continuation byte, a truncated
+# two-byte sequence, an encoded surrogate and a byte never used.
+BAD_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"]
+
+
+def _mutate_bytes(data, doc):
+    """Splice invalid UTF-8 into a string, or nest the document in arrays."""
+    text = json.dumps(doc).encode()
+    if data.draw(st.booleans()):
+        quotes = [i for i, b in enumerate(text) if b == ord('"')]
+        at = data.draw(st.sampled_from(quotes)) + 1
+        return text[:at] + data.draw(st.sampled_from(BAD_UTF8)) + text[at:]
+    depth = data.draw(st.sampled_from([1, 50, 5000, 100000]))
+    return b"[" * depth + text + b"]" * depth
+
+
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from(INSTANCES), st.booleans(),
+       st.sampled_from(["solve", "validate", "eval", "export-dot"]))
+def test_undecodable_documents_exit_2(data, inst_doc, bad_instance, command):
+    inst_bytes = json.dumps(inst_doc).encode()
+    cl_bytes = json.dumps(CLUSTERING).encode()
+    if bad_instance or command == "solve":
+        inst_bytes = _mutate_bytes(data, inst_doc)
+    else:
+        cl_bytes = _mutate_bytes(data, CLUSTERING)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, cl_path = f"{tmp}/inst.json", f"{tmp}/cl.json"
+        for path, doc in ((inst_path, inst_bytes), (cl_path, cl_bytes)):
+            with open(path, "wb") as fh:
+                fh.write(doc)
+        argv = [command, "--in", inst_path]
+        if command != "solve":
+            argv += ["--clustering", cl_path]
+        code, _ = _run(argv)
+        assert code == 2

@@ -88,6 +88,14 @@ def test_load_rejects_bad_k():
         load_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "source", ["[" * 100000 + "]" * 100000, b'{"n": "\xff"}'], ids=["deep-nesting", "non-utf8"]
+)
+def test_load_rejects_undecodable_json(source):
+    with pytest.raises(InstanceFormatError, match="invalid JSON"):
+        load_instance(source)
+
+
 def test_make_instance_rejects_duplicate_edge():
     with pytest.raises(InstanceFormatError, match="duplicate"):
         make_instance(np.zeros((2, 2)), [(0, 1), (1, 0)], 1)
