@@ -15,8 +15,6 @@ returning an invalid clustering when it is violated.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,38 +57,6 @@ class DisjointInvariantError(RuntimeError):
     (typically because the distances are not a metric)."""
 
 
-@dataclass
-class _Pending:
-    center: int
-    points: set[int]
-
-
-@dataclass
-class _Final:
-    center: int
-    points: set[int]
-    layer: int
-
-
-@dataclass
-class LayeredForest:
-    """Working state of the transform: finalized clusters plus ownership."""
-
-    finalized: list[_Final] = field(default_factory=list)
-    owner: dict[int, int] = field(default_factory=dict)
-
-    def finalize(self, center: int, points: set[int], layer: int) -> None:
-        idx = len(self.finalized)
-        self.finalized.append(_Final(center, set(points), layer))
-        for x in points:
-            self.owner[x] = idx
-
-    def absorb(self, target: int, points: set[int]) -> None:
-        self.finalized[target].points |= points
-        for x in points:
-            self.owner[x] = target
-
-
 def _bfs_tree(inst: Instance, points: set[int], root: int) -> dict[int, list[int]]:
     """Children lists of a BFS spanning tree of the induced subgraph."""
     children: dict[int, list[int]] = {root: []}
@@ -129,8 +95,7 @@ def make_disjoint(
     cost bound are verified, and a ``DisjointInvariantError`` is raised
     on any violation.
     """
-    centers = set(g.centers)
-    if p.center_set() != centers:
+    if p.center_set() != set(g.centers):
         raise AlgorithmPreconditionError("partition does not cover the center set")
     if not dist_eq(p.r, g.radius_used):
         raise AlgorithmPreconditionError(
@@ -138,78 +103,71 @@ def make_disjoint(
         )
     r = g.radius_used
 
-    # step 1: merge overlapping clusters whose centers share a group
-    merged_layers: list[list[_Pending]] = []
-    for layer in p.layers:
-        pend: list[_Pending] = []
+    # Finalized clusters in (layer, center) order, and the index of the
+    # cluster that owns each point placed so far.
+    centers: list[int] = []
+    clusters: list[set[int]] = []
+    owner: dict[int, int] = {}
+    for li, layer in enumerate(p.layers):
+        # merge: within each group, the connected components of the
+        # clusters' overlap graph, each kept at its smallest center
+        pending: list[tuple[int, set[int]]] = []
         for group in layer:
-            items = [_Pending(c, set(g.clusters[c])) for c in sorted(group)]
-            changed = True
-            while changed:
-                changed = False
-                for i, j in itertools.combinations(range(len(items)), 2):
-                    if items[i].points & items[j].points:
-                        items[i].points |= items[j].points
-                        del items[j]
-                        changed = True
-                        break
-            pend.extend(items)
-        pend.sort(key=lambda t: t.center)
-        merged_layers.append(pend)
+            comps: list[tuple[int, set[int]]] = []
+            for c in sorted(group):
+                center, points = c, set(g.clusters[c])
+                rest = []
+                for other, other_points in comps:  # pairwise disjoint: one pass
+                    if other_points & points:
+                        center = min(center, other)
+                        points |= other_points
+                    else:
+                        rest.append((other, other_points))
+                comps = rest + [(center, points)]
+            pending += comps
+        pending.sort(key=lambda t: t[0])
 
-    # step 2: replay layers, splitting along spanning trees where needed
-    forest = LayeredForest()
-    for li, pend in enumerate(merged_layers):
-        for t in pend:
-            vstar = {v for v in t.points if v in forest.owner}
-            if not vstar:
-                forest.finalize(t.center, t.points, li)
-                continue
-            if len(vstar) == 1:
-                v = next(iter(vstar))
-                forest.absorb(forest.owner[v], t.points - {v})
-                continue
-            children = _bfs_tree(inst, t.points, t.center)
-            cuts = vstar - {t.center}
-
-            def component(start: int) -> set[int]:
-                comp = {start}
-                stack = [start]
-                while stack:
-                    x = stack.pop()
-                    for ch in children[x]:
-                        if ch not in cuts:
-                            comp.add(ch)
-                            stack.append(ch)
-                return comp
-
-            for v in sorted(cuts):
-                forest.absorb(forest.owner[v], component(v) - {v})
-            root_comp = component(t.center)
-            if t.center in vstar:
-                forest.absorb(forest.owner[t.center], root_comp - {t.center})
+        # split: cut each cluster into pieces, each anchored at an owned
+        # point or at the cluster's center; a piece whose anchor is owned
+        # joins the anchor's owner, any other piece is a new cluster
+        for center, points in pending:
+            owned = {v for v in points if v in owner}
+            if len(owned) < 2:
+                pieces = {min(owned, default=center): points}
             else:
-                forest.finalize(t.center, root_comp, li)
-        total = sum(len(f.points) for f in forest.finalized)
-        if total != len(forest.owner):
+                # along a spanning tree, each point joins the piece of its
+                # nearest owned ancestor (itself included), else the root's
+                anchor = {center: center}
+                for v, kids in _bfs_tree(inst, points, center).items():
+                    for u in kids:
+                        anchor[u] = u if u in owned else anchor[v]
+                pieces = {}
+                for v, a in anchor.items():
+                    pieces.setdefault(a, set()).add(v)
+            for a, piece in pieces.items():
+                if a in owner:
+                    idx = owner[a]
+                    clusters[idx] |= piece
+                else:
+                    idx = len(clusters)
+                    centers.append(center)
+                    clusters.append(piece)
+                for v in piece:
+                    owner[v] = idx
+        if sum(map(len, clusters)) != len(owner):
             raise DisjointInvariantError(
                 f"finalized clusters overlap after layer {li + 1}"
             )
         bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
-        for f in forest.finalized:
-            rad = _radius(inst, f.points, f.center)
+        for center, points in zip(centers, clusters):
+            rad = _radius(inst, points, center)
             if not dist_leq(rad, bound):
                 raise DisjointInvariantError(
-                    f"after layer {li + 1}: cluster of center {f.center} has "
+                    f"after layer {li + 1}: cluster of center {center} has "
                     f"radius {rad} > {(2 * (li + 1) - 1)}r + h_1..h_{li + 1} = {bound}"
                 )
 
-    order = sorted(range(len(forest.finalized)), key=lambda i: (forest.finalized[i].layer, forest.finalized[i].center))
-    result = clustering(
-        [forest.finalized[i].points for i in order],
-        [forest.finalized[i].center for i in order],
-        DISJOINT,
-    )
+    result = clustering(clusters, centers, DISJOINT)
     if result.clusters_used > len(g.centers):
         raise DisjointInvariantError("more clusters than centers")
     verdict = validate_clustering(inst, result)

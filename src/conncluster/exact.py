@@ -179,10 +179,8 @@ class _TreeContext:
     """
 
     nodes: list[int]  # position -> original id
-    parent: list[int]  # positions
     children: list[list[int]]
     out: list[int]
-    dist: np.ndarray  # permuted metric
     dprime: np.ndarray  # dprime[u, v] = max_{w on path u->v} dist[u, w]
 
 
@@ -222,7 +220,7 @@ def _tree_context(inst: Instance) -> _TreeContext:
             end = max(end, out[c])
         out[v] = end
 
-    dp = inst.dist[np.ix_(nodes, nodes)].copy()
+    dp = inst.dist[np.ix_(nodes, nodes)]  # permuted metric
     dprime = np.zeros((n, n))
     for v in range(n - 1, -1, -1):  # rows inside the subtree, bottom-up
         for c in children[v]:
@@ -233,7 +231,7 @@ def _tree_context(inst: Instance) -> _TreeContext:
         s, e = v, out[v]
         dprime[:s, v] = np.maximum(dprime[:s, p], dp[:s, v])
         dprime[e:, v] = np.maximum(dprime[e:, p], dp[e:, v])
-    return _TreeContext(nodes, parent, children, out, dp, dprime)
+    return _TreeContext(nodes, children, out, dprime)
 
 
 def path_max_table(inst: Instance) -> np.ndarray:
@@ -338,19 +336,18 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     the pairwise distances plus the subtree DP."""
     ctx = _tree_context(inst)
 
-    def probe(r: float) -> Optional[float]:
-        _, _, Ia, _ = _tree_tables(ctx, r)
-        return float(Ia[0]) if Ia[0] <= inst.k else None
+    def probe(r: float) -> Optional[tuple[np.ndarray, ...]]:
+        tables = _tree_tables(ctx, r)
+        return tables if tables[2][0] <= inst.k else None
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     assert found is not None  # a tree is connected, one cluster always works
-    r, count = found
-    I, Fz, Ia, feas = _tree_tables(ctx, r)
+    _, (I, Fz, Ia, feas) = found
     assign = _reconstruct(ctx, I, Fz, Ia, feas)
     by_center: dict[int, set[int]] = {}
     for a, b in assign.items():
         by_center.setdefault(b, set()).add(ctx.nodes[a])
-    if len(by_center) != int(count):
+    if len(by_center) != int(Ia[0]):
         raise RuntimeError("reconstruction disagrees with the DP count")
     centers = sorted(by_center, key=lambda b: ctx.nodes[b])
     result = clustering(

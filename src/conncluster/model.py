@@ -364,6 +364,10 @@ def instance_from_doc(doc: dict) -> Instance:
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
     ):
         raise InstanceFormatError('"labels" must be a list of strings')
+    try:  # JSON can escape a lone surrogate, which no output encoding accepts
+        "".join(labels or ()).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InstanceFormatError('"labels" must be valid Unicode') from exc
     spec = _metric_from_doc(doc["metric"])
     matrix = spec.realize(n)
     try:
@@ -392,9 +396,12 @@ _JSON_ERRORS = (ValueError, RecursionError)
 
 
 def load_instance(source: str | bytes | dict) -> Instance:
-    """Load an instance from a JSON string/bytes or an already-parsed dict."""
+    """Load an instance from a JSON string, UTF-8 bytes or an
+    already-parsed dict."""
     if isinstance(source, (str, bytes)):
         try:
+            if isinstance(source, bytes):
+                source = source.decode("utf-8")
             doc = json.loads(source)
         except _JSON_ERRORS as exc:
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
@@ -671,25 +678,16 @@ T = TypeVar("T")
 def binary_search_min_feasible(
     candidates: Sequence[float],
     probe: Callable[[float], Optional[T]],
-    *,
-    linear_scan: bool = False,
 ) -> Optional[tuple[float, T]]:
     """Find the leftmost-true boundary of ``probe`` over sorted candidates.
 
     The probe's success set must contain a suffix of the candidate list
     (exact probes are monotone; the greedy probes are guaranteed to
     succeed from some candidate on).  Returns None iff the probe fails
-    at the maximum candidate.  ``linear_scan`` scans left to right
-    instead, for diagnosing probes suspected of violating the contract.
+    at the maximum candidate.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    if linear_scan:
-        for r in candidates:
-            res = probe(r)
-            if res is not None:
-                return r, res
-        return None
     lo, hi = 0, len(candidates) - 1
     best = probe(candidates[hi])
     if best is None:
@@ -727,7 +725,8 @@ def to_dot(inst: Instance, c: Optional[Clustering] = None) -> str:
             centers = set(c.centers)
     lines = ["graph conncluster {", "  node [style=filled, fillcolor=white];"]
     for v in range(inst.n):
-        attrs = [f'label="{inst.label(v)}"']
+        label = inst.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in color_of:
             attrs.append(f'fillcolor="{color_of[v]}"')
         if v in centers:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +36,8 @@ class WellSeparatedPartition:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def all_groups(self) -> list[frozenset[int]]:
-        return [g for layer in self.layers for g in layer]
-
     def center_set(self) -> set[int]:
-        out: set[int] = set()
-        for g in self.all_groups():
-            out |= g
-        return out
+        return set().union(*(g for layer in self.layers for g in layer))
 
     def to_doc(self) -> dict:
         return {
@@ -131,8 +125,6 @@ def partition_general_metric(
     dist: np.ndarray,
     centers: Sequence[int],
     r: float,
-    *,
-    trace: Optional[list] = None,
 ) -> WellSeparatedPartition:
     """Layered ring growth for arbitrary metrics.
 
@@ -149,15 +141,12 @@ def partition_general_metric(
     unassigned = set(centers)
     layers: list[list[set[int]]] = []
     while unassigned:
-        entered = len(unassigned)
-        assigned_before = entered
         layer: list[set[int]] = []
         available = set(unassigned)
         while available:
             u = min(available)
             group = {u}
             ring = {u}
-            rings: list[int] = []
             available.discard(u)
             unassigned.discard(u)
             while available:
@@ -171,22 +160,11 @@ def partition_general_metric(
                     available -= nxt
                     unassigned -= nxt
                     ring = nxt
-                    rings.append(len(nxt))
                 else:
                     available -= nxt
                     break
             layer.append(group)
-            if trace is not None:
-                trace.append({"layer": len(layers), "seed": u, "rings": rings})
         layers.append(layer)
-        if trace is not None:
-            trace.append(
-                {
-                    "layer": len(layers) - 1,
-                    "entered": entered,
-                    "assigned": assigned_before - len(unassigned),
-                }
-            )
     return _finalize(dist, r, layers)
 
 

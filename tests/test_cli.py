@@ -557,3 +557,45 @@ def test_lp_coords_without_columns_give_zero_distances(tmp_path, capsys, p):
     assert (code, err) == (0, "")
     report = json.loads(out)["report"]
     assert (report["objective"], report["bound"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_lone_surrogate_label_exits_2(tmp_path, capsys, to_file):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_line3(labels=["a", "\ud800", "c"])))
+    argv = ["export-dot", "--in", str(path)]
+    if to_file:
+        argv += ["--out", str(tmp_path / "g.dot")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", 'error: "labels" must be valid Unicode\n')
+
+
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_line3(labels=['a"b', "c\\", "d\\n"])))
+    code, out, _ = run_cli(["export-dot", "--in", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[2:5] == [
+        '  0 [label="a\\"b"];',
+        '  1 [label="c\\\\"];',
+        '  2 [label="d\\\\n"];',
+    ]
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_load_instance_bytes_follow_the_cli_encoding(tmp_path, capsys, encoding):
+    """Instance bytes are UTF-8 without a byte-order mark, whether they
+    reach ``load_instance`` or ``solve --in``."""
+    doc = _line3(labels=["ä", "b", "c"])
+    path = tmp_path / "inst.json"
+    path.write_bytes(json.dumps(doc).encode(encoding))
+    code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    with pytest.raises(conncluster.InstanceFormatError) as exc:
+        conncluster.load_instance(path.read_bytes())
+    assert err == f"error: {exc.value}\n"
+
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    code, _, _ = run_cli(["solve", "--in", str(path)], capsys)
+    assert code == 0
+    assert conncluster.load_instance(path.read_bytes()).labels == ("ä", "b", "c")

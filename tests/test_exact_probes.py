@@ -197,6 +197,25 @@ def test_tree_tables_match_loop(inst):
         assert_same_tables(_tree_tables(ctx, r), loop_tree_tables(ctx, r))
 
 
+def test_tree_dp_fills_tables_once_per_probe(monkeypatch):
+    """The solve reconstructs from the last feasible probe's tables
+    instead of filling them again."""
+    inst = gen_random("tree", 30, 3, seed=4, max_distance=30)
+    fills, probes = [], []
+
+    def counting_tables(ctx, r):
+        fills.append(r)
+        return _tree_tables(ctx, r)
+
+    def counting_search(candidates, probe):
+        return binary_search_min_feasible(candidates, lambda r: probes.append(r) or probe(r))
+
+    monkeypatch.setattr(exact, "_tree_tables", counting_tables)
+    monkeypatch.setattr(exact, "binary_search_min_feasible", counting_search)
+    exact.tree_dp_solve(inst)
+    assert fills == probes and len(probes) > 1
+
+
 def test_seeded_instances_match_loops(monkeypatch):
     """Larger seeded documents, and the whole tree DP solve with the old
     tables swapped in."""

@@ -218,13 +218,6 @@ def test_binary_search_infeasible():
     assert binary_search_min_feasible([0, 1], lambda r: None) is None
 
 
-def test_binary_search_linear_scan_agrees():
-    probe = lambda r: "x" if r >= 3 else None
-    fast = binary_search_min_feasible([0, 1, 3, 4], probe)
-    slow = binary_search_min_feasible([0, 1, 3, 4], probe, linear_scan=True)
-    assert fast == slow
-
-
 # ---------------------------------------------------------------------------
 # tolerance helpers
 
