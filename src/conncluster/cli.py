@@ -104,10 +104,11 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     for part in text.split(";"):
         if not part.strip():
             continue
-        bits = part.split(",")
-        if len(bits) != 2:
-            raise InstanceFormatError(f"cannot parse pair {part!r}")
-        out.append((int(bits[0]), int(bits[1])))
+        try:
+            u, v = part.split(",")
+            out.append((int(u), int(v)))
+        except ValueError as exc:
+            raise InstanceFormatError(f"cannot parse pair {part!r}") from exc
     return out
 
 

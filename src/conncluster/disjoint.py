@@ -45,6 +45,7 @@ from .model import (
 )
 from .wsp import (
     WellSeparatedPartition,
+    lp_grid_fits,
     partition_doubling,
     partition_general_metric,
     partition_lp,
@@ -203,7 +204,7 @@ def _build_partition(
     if strategy == "lp":
         if inst.coords is None:
             raise AlgorithmPreconditionError("lp strategy needs an lp metric")
-        if r > 0:
+        if lp_grid_fits(inst.coords, centers, r):
             return partition_lp(inst.coords, inst.p, centers, r)
         return partition_general_metric(inst.dist, centers, r)
     if strategy == "doubling":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
+import orjson
 
 CENTER = "center"
 DIAMETER = "diameter"
@@ -145,6 +146,10 @@ class GraphMetric:
             key = frozenset((u, v))
             u, v, w0 = shortest.get(key, (u, v, w))
             shortest[key] = (u, v, min(w, w0))
+        # n points need n - 1 edges to connect; the test also keeps an
+        # n past what SciPy can index (or allocate) out of the sparse graph
+        if len(shortest) < n - 1:
+            raise InstanceFormatError("metric graph is disconnected")
         rows, cols, vals = [], [], []
         for u, v, w in shortest.values():
             rows += [u, v]
@@ -212,6 +217,65 @@ class Instance:
         return len(self.connected_components()) == 1
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _connectivity(
+    edges: Iterable[tuple[int, int]], n: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """Sorted adjacency lists and the sorted edge list of the connectivity
+    graph on 0..n-1.
+
+    Edges are checked in input order, each for its range, then for a
+    self-loop, then for repeating an earlier edge in either orientation;
+    the first edge that fails raises.
+    """
+    pairs = list(edges)
+    stop: Optional[Exception] = None
+    try:  # converts every id as int() does, and raises where int64 ends
+        e = np.array(pairs, dtype=np.int64)
+        if e.shape != (len(pairs), 2):
+            raise ValueError("not a list of pairs")
+    except (TypeError, ValueError, OverflowError):
+        # ids past int64 (out of range for any n, so -1 stands in for
+        # them), or a malformed or empty list: convert pair by pair up to
+        # the first pair that does not convert, which raises after the
+        # edges before it are checked
+        rows = []
+        try:
+            for u, v in pairs:
+                rows.append([x if _INT64.min <= x <= _INT64.max else -1 for x in (int(u), int(v))])
+        except (TypeError, ValueError, OverflowError) as exc:
+            stop = exc
+        e = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    # lo*n + hi tells the edges in range apart; an edge out of range may
+    # wrap onto another's key, but it is bad itself, and an edge that it
+    # makes a repeat comes after it
+    uniq, first = np.unique(lo * n + hi, return_index=True)
+    repeat = np.ones(len(e), dtype=bool)
+    repeat[first] = False
+    bad |= repeat
+    if bad.any():
+        u, v = pairs[int(np.argmax(bad))]
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceFormatError(f"connectivity edge ({u}, {v}) out of range")
+        if u == v:
+            raise InstanceFormatError(f"connectivity self-loop at {u}")
+        raise InstanceFormatError(f"duplicate connectivity edge ({min(u, v)}, {max(u, v)})")
+    if stop is not None:
+        raise stop
+    a, b = np.divmod(uniq, n)
+    # both orientations, keyed and sorted by (endpoint, neighbor)
+    arcs = np.sort(np.concatenate((uniq, b * n + a)))
+    ends = np.cumsum(np.bincount(arcs // n, minlength=n)).tolist()
+    nbrs = (arcs % n).tolist()
+    adj = tuple(tuple(nbrs[s:t]) for s, t in zip([0] + ends, ends))
+    return adj, tuple(zip(a.tolist(), b.tolist()))
+
+
 def make_instance(
     dist: np.ndarray | Sequence[Sequence[float]],
     edges: Iterable[tuple[int, int]],
@@ -236,27 +300,15 @@ def make_instance(
         sym = (m + m.T) / 2.0
         if not np.isfinite(sym).all():
             raise InstanceFormatError("distance matrix has non-finite entries")
-        if not np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL):
+        # the exact test is cheap and decides most documents; NaN fails
+        # it, but the finiteness check above has already rejected NaN
+        if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL)):
             raise InstanceFormatError("distance matrix is not symmetric")
     if np.any(np.diag(m) != 0.0):
         raise InstanceFormatError("distance matrix has nonzero diagonal")
     if np.any(m < 0.0):
         raise InstanceFormatError("distance matrix has negative entries")
-
-    adj: list[set[int]] = [set() for _ in range(n)]
-    edge_list: list[tuple[int, int]] = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise InstanceFormatError(f"connectivity edge ({u}, {v}) out of range")
-        if u == v:
-            raise InstanceFormatError(f"connectivity self-loop at {u}")
-        a, b = min(u, v), max(u, v)
-        if b in adj[a]:
-            raise InstanceFormatError(f"duplicate connectivity edge ({a}, {b})")
-        adj[a].add(b)
-        adj[b].add(a)
-        edge_list.append((a, b))
+    adj, edge_list = _connectivity(edges, n)
     if labels is not None and len(labels) != n:
         raise InstanceFormatError("labels length must equal n")
 
@@ -269,8 +321,8 @@ def make_instance(
         n=n,
         k=int(k),
         dist=m,
-        adj=tuple(tuple(sorted(s)) for s in adj),
-        edges=tuple(sorted(edge_list)),
+        adj=adj,
+        edges=edge_list,
         metric_kind=metric_kind,
         labels=tuple(labels) if labels is not None else None,
         coords=coords,
@@ -395,18 +447,60 @@ def instance_from_doc(doc: dict) -> Instance:
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
+#: The keys ``instance_from_doc`` reads: the document's, and each metric's.
+#: A key it reads but these miss only sends documents to ``json``.
+_DOC_KEYS = frozenset(("n", "k", "metric", "edges", "labels"))
+_METRIC_KEYS = {
+    "explicit": frozenset(("type", "matrix")),
+    "lp": frozenset(("type", "coords", "p")),
+    "graph": frozenset(("type", "edges")),
+}
+
+
+def _orjson_instance(data: bytes | str) -> Optional[Instance]:
+    """The instance in ``data`` as orjson decodes it, or None to leave
+    the document to ``json``.
+
+    Where both decoders take a document they give equal values, with two
+    exceptions.  orjson turns integers outside [-2**63, 2**64) into
+    floats, which ``instance_from_doc`` rejects wherever it needs an
+    integer.  And orjson takes nesting of any depth, while ``json``
+    recurses once per level and fails near the interpreter's recursion
+    limit; the values ``instance_from_doc`` reads nest a few levels at
+    most, so a document with a list or an object under a key it does not
+    read is left to ``json``.  So is every document that orjson or
+    ``instance_from_doc`` rejects: ``json``'s reading gives the message.
+    """
+    try:
+        doc = orjson.loads(data)
+        del data  # a file's bytes are not needed past the decode
+        inst = instance_from_doc(doc)
+    except Exception:  # the caller reads the document again with json
+        return None
+    metric = doc["metric"]
+    unread = itertools.chain(
+        (v for key, v in doc.items() if key not in _DOC_KEYS),
+        (v for key, v in metric.items() if key not in _METRIC_KEYS[metric["type"]]),
+    )
+    if any(isinstance(v, (list, dict)) for v in unread):
+        return None
+    return inst
+
+
 def load_instance(source: str | bytes | dict) -> Instance:
     """Load an instance from a JSON string, UTF-8 bytes or an
     already-parsed dict."""
-    if isinstance(source, (str, bytes)):
-        try:
-            if isinstance(source, bytes):
-                source = source.decode("utf-8")
-            doc = json.loads(source)
-        except _JSON_ERRORS as exc:
-            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = source
+    if not isinstance(source, (str, bytes)):
+        return instance_from_doc(source)
+    inst = _orjson_instance(source)
+    if inst is not None:
+        return inst
+    try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        doc = json.loads(source)
+    except _JSON_ERRORS as exc:
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_doc(doc)
 
 
@@ -424,7 +518,17 @@ def read_json_file(path: str) -> object:
 
 
 def load_instance_file(path: str) -> Instance:
-    return instance_from_doc(read_json_file(path))
+    """The instance in the UTF-8 JSON file ``path``.
+
+    orjson decodes the file; a document that ``_orjson_instance`` leaves
+    to ``json`` is read again by ``read_json_file``, which gives the
+    result or the error."""
+    try:
+        with open(path, "rb") as fh:
+            inst = _orjson_instance(fh.read())
+    except OSError:  # read_json_file meets it again
+        inst = None
+    return inst if inst is not None else instance_from_doc(read_json_file(path))
 
 
 def instance_to_doc(inst: Instance) -> dict:

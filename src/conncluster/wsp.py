@@ -230,6 +230,23 @@ def _lp_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
     return float((diff**p).sum() ** (1.0 / p))
 
 
+def _grid_cells(coords: np.ndarray, centers: Sequence[int], r: float) -> np.ndarray:
+    """Per center, the float index of its grid cell along each axis:
+    coordinates shifted into the nonnegative orthant, over the edge 2r.
+    A tiny r can overflow an index to inf."""
+    pts = np.asarray(coords, dtype=float)[centers]
+    if pts.ndim != 2:
+        raise ValueError("coords must be a 2-d array")
+    with np.errstate(over="ignore"):
+        return np.floor((pts - pts.min(axis=0, keepdims=True)) / (2.0 * r))
+
+
+def lp_grid_fits(coords: np.ndarray, centers: Sequence[int], r: float) -> bool:
+    """Whether ``partition_lp`` can grid ``centers`` at radius r: r is
+    positive and no cell index overflows."""
+    return r > 0 and bool(np.isfinite(_grid_cells(coords, list(centers), r)).all())
+
+
 def partition_lp(
     coords: np.ndarray, p: float, centers: Sequence[int], r: float
 ) -> WellSeparatedPartition:
@@ -245,14 +262,13 @@ def partition_lp(
     centers = sorted(int(c) for c in centers)
     if not centers:
         raise ValueError("center set is empty")
-    pts = np.asarray(coords, dtype=float)[centers]
-    if pts.ndim != 2:
-        raise ValueError("coords must be a 2-d array")
-    d = pts.shape[1]
-    shifted = pts - pts.min(axis=0, keepdims=True)
-    cells = np.floor(shifted / (2.0 * r)).astype(int)
+    cells = _grid_cells(coords, centers, r)
+    if not np.isfinite(cells).all():
+        raise ValueError("r is too small for a grid over these coordinates")
+    d = cells.shape[1]
     groups: dict[tuple[int, tuple[int, ...]], set[int]] = {}
-    for cid, cell in zip(centers, cells):
+    # exact Python ints: an index past 2**63 does not wrap
+    for cid, cell in zip(centers, cells.tolist()):
         cell_t = tuple(int(x) for x in cell)
         color = _cell_color(cell_t, d)
         block = _cell_block(cell_t, d)

@@ -7,6 +7,7 @@ import pytest
 
 import conncluster
 from conncluster.cli import main
+from conncluster.model import dist_leq
 
 
 def run_cli(args, capsys):
@@ -599,3 +600,32 @@ def test_load_instance_bytes_follow_the_cli_encoding(tmp_path, capsys, encoding)
     code, _, _ = run_cli(["solve", "--in", str(path)], capsys)
     assert code == 0
     assert conncluster.load_instance(path.read_bytes()).labels == ("ä", "b", "c")
+
+
+@pytest.mark.parametrize("objective", ["center", "diameter"])
+@pytest.mark.parametrize(
+    "coords, p",
+    [([[0], [2e-9], [1e19]], 2), ([[0], [5e-324], [1]], 1), ([[0], [2e-9], [1e300]], 1)],
+    ids=["cell-past-int64", "subnormal-gap", "cell-overflows"],
+)
+def test_lp_grid_far_or_tiny_cells(tmp_path, capsys, coords, p, objective):
+    """A grid cell index past 2**63 stays exact, and one that overflows to
+    inf sends the lp pipeline to the general partition."""
+    path = tmp_path / "inst.json"
+    doc = {"n": 3, "k": 2, "metric": {"type": "lp", "coords": coords, "p": p},
+           "edges": [[0, 1], [1, 2]]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", "lp", "--objective", objective], capsys
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["feasible"] is True
+    assert dist_leq(report["objective"], report["bound"])
+
+
+def test_gen_unparsable_pair_exits_2(capsys):
+    code, out, err = run_cli(
+        ["gen", "--family", "star-clique-cover", "--n", "3", "--pairs", "0,x", "--k", "2"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: cannot parse pair '0,x'\n")

@@ -54,7 +54,7 @@ leaves = st.one_of(
     st.booleans(),
     st.integers(-3, 40),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.7, -1.0, 2.5, 1e308]),
+    st.sampled_from([0.7, -1.0, 2.5, 1e308, 2**63, 2**64, 10**30]),
     st.text(max_size=4),
     st.just("\ud800"),  # JSON can escape a lone surrogate; no output encoding takes it
 )

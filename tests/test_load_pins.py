@@ -1,0 +1,300 @@
+"""Pins for the instance loader and the connectivity check.
+
+The loaders decode with orjson and read a document again with the
+standard library's ``json`` whenever the fast reading fails.  Each input
+here goes through the loaders and through the ``json``-only loader they
+replaced, kept below as the reference: both give an equal ``Instance``
+(``dist`` compared byte for byte) or raise the same exception type with
+the same message.  ``make_instance`` checks the connectivity edges with
+NumPy; the per-edge loop it replaced is the reference for its adjacency
+lists, edge list and first error.
+"""
+
+import copy
+import json
+import tempfile
+
+import numpy as np
+import orjson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import conncluster.model as model
+from conncluster.model import (
+    InstanceFormatError,
+    instance_from_doc,
+    load_instance,
+    load_instance_file,
+    make_instance,
+    read_json_file,
+)
+from test_cli_fuzz import INSTANCES, _mutate, _paths
+
+
+def reference_load(source):
+    """``load_instance`` as it was before orjson."""
+    if isinstance(source, (str, bytes)):
+        try:
+            if isinstance(source, bytes):
+                source = source.decode("utf-8")
+            doc = json.loads(source)
+        except (ValueError, RecursionError) as exc:
+            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    else:
+        doc = source
+    return instance_from_doc(doc)
+
+
+def reference_load_file(path):
+    """``load_instance_file`` as it was before orjson."""
+    return instance_from_doc(read_json_file(path))
+
+
+def _outcome(load, arg):
+    try:
+        inst = load(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    coords = None if inst.coords is None else (inst.coords.shape, inst.coords.tobytes())
+    return (
+        inst.n,
+        inst.k,
+        inst.dist.dtype,
+        inst.dist.shape,
+        inst.dist.tobytes(),
+        inst.adj,
+        inst.edges,
+        inst.labels,
+        coords,
+        repr(inst.p),
+        inst.metric_kind,
+    )
+
+
+def assert_same_load(data: bytes) -> None:
+    """The file, bytes and str loaders agree with their references on ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst.json"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _outcome(load_instance_file, path) == _outcome(reference_load_file, path)
+    assert _outcome(load_instance, data) == _outcome(reference_load, data)
+    text = data.decode("utf-8", "surrogateescape")
+    assert _outcome(load_instance, text) == _outcome(reference_load, text)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(INSTANCES))
+def test_mutated_documents_load_alike(data, doc):
+    assert_same_load(json.dumps(_mutate(data, doc)).encode())
+
+
+# Literals that orjson and json read differently or not at all, and
+# integers at the edges of int64 and uint64.
+LITERALS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "5e-324", "-0", "-0.0",
+    str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), str(-2**63), str(-2**63 - 1),
+    "1" + "0" * 29, "-123456789012345678901234567890", "2.5", "1E2",
+]
+SENTINEL = "@@literal@@"
+
+
+def _targets(doc: dict) -> list[tuple]:
+    """Paths to n, k, a connectivity id, and the first matrix entry,
+    coordinate, metric-graph id and weight, where the document has them."""
+    metric = doc["metric"]
+    out = [("n",), ("k",), ("edges", 0, 0), ("edges", 0, 1), ("metric", "p")]
+    out += [("metric", "matrix", 0, 1), ("metric", "matrix", 1, 0)] if "matrix" in metric else []
+    out += [("metric", "coords", 0, 0), ("metric", "coords", 2, 1)] if "coords" in metric else []
+    if metric["type"] == "graph":
+        out += [("metric", "edges", 0, 0), ("metric", "edges", 0, 1), ("metric", "edges", 0, 2)]
+    return out
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(INSTANCES), st.sampled_from(LITERALS))
+def test_literals_in_place_load_alike(data, doc, literal):
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(_targets(doc)) | st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, list) and path[-1] >= len(parent):
+        return
+    parent[path[-1]] = SENTINEL
+    assert_same_load(json.dumps(doc).replace(f'"{SENTINEL}"', literal).encode())
+
+
+def _edits() -> list[bytes]:
+    lp = next(d for d in INSTANCES if d["metric"]["type"] == "lp")
+    text = json.dumps(lp)
+    deep = "[" * 100000 + "]" * 100000
+    return [
+        text.replace('"a"', '"\\ud800"').encode(),
+        ('{"n": 99, ' + text[1:]).encode(),  # duplicate key: the last one wins
+        (text[:-1] + ', "n": 99}').encode(),
+        b"\xef\xbb\xbf" + text.encode(),
+        text.encode("utf-16"),
+        text.encode("utf-16-le"),
+        text.encode() + b"\x00",
+        text.encode() + b" x",
+        (text[:-1] + ', "comment": "ok", "x": [1, {"y": 2}]}').encode(),
+        (deep[:100000] + text + deep[100000:]).encode(),
+        (text[:-1] + f', "x": {deep}}}').encode(),
+        text.replace('"p": ', f'"extra": {deep}, "p": ').encode(),
+        text.replace('"type": "lp"', f'"type": "lp", "matrix": {deep}').encode(),
+        text.replace('"labels": ["a"', '"labels": ["a\\u0000"').encode(),
+        b"",
+        b"null",
+    ]
+
+
+def test_text_edits_load_alike():
+    for data in _edits():
+        assert_same_load(data)
+
+
+def test_deep_nesting_under_an_unread_key_keeps_the_json_error():
+    lp = next(d for d in INSTANCES if d["metric"]["type"] == "lp")
+    data = (json.dumps(lp)[:-1] + ', "x": ' + "[" * 5000 + "]" * 5000 + "}").encode()
+    orjson.loads(data)  # orjson takes it; json does not
+    try:
+        load_instance(data)
+    except InstanceFormatError as exc:
+        assert str(exc).startswith("invalid JSON: maximum recursion depth exceeded")
+    else:
+        raise AssertionError("loaded a document json cannot decode")
+
+
+float_literals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**40), 10**40).map(str),
+    st.builds(
+        lambda sign, digits, exp: f"{sign}{digits[0]}.{digits[1:] or '0'}e{exp}",
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=40).filter(lambda s: s[0] != "0" or len(s) == 1),
+        st.integers(-330, 330),
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(float_literals)
+def test_float_literals_decode_alike(literal):
+    try:
+        fast = orjson.loads(literal)
+    except orjson.JSONDecodeError:
+        return
+    assert float(fast).hex() == float(json.loads(literal)).hex()
+
+
+def reference_connectivity(edges, n):
+    """The per-edge loop ``make_instance`` ran before the NumPy check."""
+    adj = [set() for _ in range(n)]
+    edge_list = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceFormatError(f"connectivity edge ({u}, {v}) out of range")
+        if u == v:
+            raise InstanceFormatError(f"connectivity self-loop at {u}")
+        a, b = min(u, v), max(u, v)
+        if b in adj[a]:
+            raise InstanceFormatError(f"duplicate connectivity edge ({a}, {b})")
+        adj[a].add(b)
+        adj[b].add(a)
+        edge_list.append((a, b))
+    return tuple(tuple(sorted(s)) for s in adj), tuple(sorted(edge_list))
+
+
+FAR_IDS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, 10**30]
+
+
+def _as_numpy(x: int):
+    """The id as a NumPy integer of a type that holds it."""
+    if -(2**63) <= x < 2**63:
+        return np.int64(x) if x < -(2**31) or x >= 2**31 else np.int32(x)
+    return np.uint64(x) if 0 <= x < 2**64 else x
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 8))
+    ids = st.one_of(
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(-3, -1),
+        st.integers(n, n + 3),
+        st.sampled_from(FAR_IDS),
+    )
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):  # repeats, in either orientation
+        if edges:
+            u, v = draw(st.sampled_from(edges))
+            pair = (v, u) if draw(st.booleans()) else (u, v)
+            edges.insert(draw(st.integers(0, len(edges))), pair)
+    if draw(st.booleans()):
+        edges = [tuple(_as_numpy(x) if draw(st.booleans()) else x for x in e) for e in edges]
+    if draw(st.booleans()):
+        edges = [list(e) for e in edges]
+    return n, edges
+
+
+def _connectivity_outcome(connect, n, edges):
+    try:
+        return connect(n, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _numpy_connect(n, edges):
+    inst = make_instance(np.zeros((n, n)), edges, 1)
+    return inst.adj, inst.edges
+
+
+@settings(max_examples=400)
+@given(edge_lists())
+def test_connectivity_matches_the_edge_loop(case):
+    n, edges = case
+    expected = _connectivity_outcome(lambda n, e: reference_connectivity(e, n), n, edges)
+    assert _connectivity_outcome(_numpy_connect, n, edges) == expected
+
+
+def test_connectivity_fixed_cases():
+    cases = [
+        (3, []),
+        (3, [(0, 1), (1, 2)]),
+        (3, [(2, 1), (1, 0), (0, 2)]),
+        (3, [(0, 1), (1, 0)]),
+        (3, [(1, 1), (0, 5)]),
+        (3, [(0, 5), (1, 1)]),
+        (3, [(0, 1), (2, 2**64), (1, 0)]),
+        (3, [(0, 1), (1, 0), (2, 2**64)]),
+        (3, [(0, 2**63)]),
+        (3, [(-(2**63) - 1, 0)]),
+        (3, [(np.uint64(2**63), 0)]),
+        (3, [(np.int64(0), np.int32(2)), (2, 1)]),
+        (3, [(0, 1), (1, None)]),
+        (3, [(0, 5), (1, None)]),
+        (3, [(0, 1, 2)]),
+        (3, [(0, 1), (1.5, 2), ("0", "2")]),
+    ]
+    for n, edges in cases:
+        expected = _connectivity_outcome(lambda n, e: reference_connectivity(e, n), n, edges)
+        assert _connectivity_outcome(_numpy_connect, n, edges) == expected
+
+
+def test_valid_documents_take_the_orjson_path(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("read with json")
+
+    outcomes = [_outcome(reference_load, doc) for doc in INSTANCES]
+    monkeypatch.setattr(model, "read_json_file", refuse)
+    monkeypatch.setattr(model.json, "loads", refuse)
+    for doc, expected in zip(INSTANCES, outcomes):
+        data = json.dumps(doc).encode()
+        path = tmp_path / "inst.json"
+        path.write_bytes(data)
+        assert _outcome(load_instance_file, str(path)) == expected
+        assert _outcome(load_instance, data) == expected
+        assert _outcome(load_instance, data.decode()) == expected
