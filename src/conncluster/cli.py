@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -392,6 +393,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # ``main`` reuses one parser for the whole process (``_parser``), so
+    # each ``func`` names its ``cmd_*`` inside a lambda body, as the
+    # ``ALGORITHMS`` entries do: a command rebound here after the parser
+    # was built is the one called.
     ap = argparse.ArgumentParser(
         prog="conncluster",
         description="Connected k-center / k-diameter clustering toolkit",
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sets", default="")
     g.add_argument("--out", default=None)
     g.add_argument("--annotations", default=None)
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=lambda args: cmd_gen(args))
 
     s = sub.add_parser("solve", help="solve an instance")
     s.add_argument("--in", dest="infile", required=True)
@@ -425,26 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exact-k", action="store_true")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_solve)
+    s.set_defaults(func=lambda args: cmd_solve(args))
 
     v = sub.add_parser("validate", help="check a clustering document")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--clustering", required=True)
     v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=lambda args: cmd_validate(args))
 
     e = sub.add_parser("eval", help="recompute a clustering's objective")
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--clustering", required=True)
     e.add_argument("--objective", choices=[CENTER, DIAMETER], default=CENTER)
     e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func=lambda args: cmd_eval(args))
 
     x = sub.add_parser("export-dot", help="render the connectivity graph")
     x.add_argument("--in", dest="infile", required=True)
     x.add_argument("--clustering", default=None)
     x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_export_dot)
+    x.set_defaults(func=lambda args: cmd_export_dot(args))
 
     b = sub.add_parser("bench", help="run algorithms over instance files")
     b.add_argument("--in", dest="infiles", nargs="+", required=True)
@@ -454,19 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dim", type=int, default=2)
     b.add_argument("--oracle-limit", type=int, default=10)
     b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_bench)
+    b.set_defaults(func=lambda args: cmd_bench(args))
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Parsing never changes a parser, only the namespace it returns, and
+    argparse reads the terminal width when it formats usage or help, not
+    when it builds; so reuse changes no output and a failed parse leaves
+    nothing behind for the next one."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (AlgorithmPreconditionError, DisjointInvariantError) as exc:

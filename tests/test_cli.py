@@ -1,11 +1,15 @@
+import builtins
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import conncluster
+from conncluster import cli
 from conncluster.cli import main
 from conncluster.model import dist_leq
 
@@ -157,8 +161,9 @@ def test_exit_code_bad_input(tmp_path, capsys):
 
 
 def test_exit_code_missing_file(capsys):
-    code, _, _ = run_cli(["solve", "--in", "/nonexistent.json"], capsys)
-    assert code == 2
+    code, out, err = run_cli(["solve", "--in", "/nonexistent.json"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
 
 
 def test_exit_code_precondition(line_file, capsys):
@@ -242,16 +247,21 @@ def test_bench_csv(line_file, capsys):
     assert len(lines) == 3
 
 
-def test_console_entry_point():
-    # the child finds the package where this process found it
+def _child_env():
+    """The environment under which a child finds the package where this
+    process found it."""
     src = os.path.dirname(os.path.dirname(conncluster.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "conncluster.cli", "gen", "--family", "line",
          "--n", "4", "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -629,3 +639,221 @@ def test_gen_unparsable_pair_exits_2(capsys):
         ["gen", "--family", "star-clique-cover", "--n", "3", "--pairs", "0,x", "--k", "2"], capsys
     )
     assert (code, out, err) == (2, "", "error: cannot parse pair '0,x'\n")
+
+
+def test_python_m_conncluster_matches_in_process(line_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "k": 1}')
+    violating = tmp_path / "violating.json"
+    violating.write_text(json.dumps({"mode": "disjoint", "clusters": [[0, 2], [1, 3, 4, 5]]}))
+    by_code = {
+        0: ["solve", "--in", line_file],
+        1: ["validate", "--in", line_file, "--clustering", str(violating)],
+        2: ["solve", "--in", str(bad)],
+        3: ["solve", "--in", line_file, "--algo", "line", "--mode", "disjoint"],
+    }
+    for code, argv in by_code.items():
+        want = run_cli(argv, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-m", "conncluster", *argv],
+            capture_output=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert want[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, want[1].encode(), want[2].encode()
+        )
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's cached parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.fixture
+def cl_file(line_file, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    assert run_cli(["solve", "--in", line_file, "--out", str(sol)], capsys)[0] == 0
+    path = tmp_path / "cl.json"
+    path.write_text(json.dumps(json.loads(sol.read_text())["clustering"]))
+    return str(path)
+
+
+def test_parser_is_built_once_per_process(line_file, cl_file, fresh_parser, monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        for argv in (
+            ["gen", "--family", "line", "--n", "5"],
+            ["solve", "--in", line_file],
+            ["validate", "--in", line_file, "--clustering", cl_file],
+            ["eval", "--in", line_file, "--clustering", cl_file],
+            ["export-dot", "--in", line_file],
+            ["bench", "--in", line_file],
+        ):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["solve"])
+    capsys.readouterr()
+    assert builds == [1]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["solve"],
+        ["solve", "--in", "{in}", "--algo", "nope"],
+        ["solve", "--in", "{in}", "--dim", "x"],
+        ["solve", "--in", "{in}", "--bogus"],
+    ],
+    ids=["missing-in", "bad-algo", "bad-dim", "unknown-flag"],
+)
+def test_parse_failure_leaves_no_state(line_file, capsys, bad):
+    bad = [line_file if arg == "{in}" else arg for arg in bad]
+    good = ["solve", "--in", line_file]
+    before = run_cli(good, capsys)
+    with pytest.raises(SystemExit) as shared:
+        main(bad)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(bad)
+    want = capsys.readouterr()
+    assert shared.value.code == fresh.value.code == 2
+    assert want.err.startswith("usage: conncluster")
+    assert (got.out, got.err) == ("", want.err)
+    assert run_cli(good, capsys) == before
+
+
+@pytest.mark.parametrize("columns", ["40", "100"])
+@pytest.mark.parametrize(
+    "command", [None, "gen", "solve", "validate", "eval", "export-dot", "bench"]
+)
+def test_help_matches_a_fresh_parser(fresh_parser, monkeypatch, capsys, command, columns):
+    # the shared parser is built at another terminal width than the help is read at
+    monkeypatch.setenv("COLUMNS", "60")
+    assert main(["gen", "--family", "line"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    fresh = cli.build_parser()
+    if command:
+        fresh = fresh._subparsers._group_actions[0].choices[command]
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == fresh.format_help()
+
+
+def test_rebound_command_is_called_after_the_parser_exists(line_file, monkeypatch, capsys):
+    assert run_cli(["solve", "--in", line_file], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.infile) or 3)
+    assert main(["solve", "--in", line_file]) == 3
+    assert seen == [line_file]
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in", "{bad}"],
+        ["validate", "--in", "{bad}", "--clustering", "{cl}"],
+        ["eval", "--in", "{bad}", "--clustering", "{cl}"],
+        ["export-dot", "--in", "{bad}"],
+        ["bench", "--in", "{bad}"],
+        ["validate", "--in", "{in}", "--clustering", "{bad}"],
+        ["eval", "--in", "{in}", "--clustering", "{bad}"],
+        ["export-dot", "--in", "{in}", "--clustering", "{bad}"],
+        ["gen", "--family", "line", "--out", "{bad}"],
+        ["solve", "--in", "{in}", "--out", "{bad}"],
+        ["validate", "--in", "{in}", "--clustering", "{cl}", "--out", "{bad}"],
+        ["eval", "--in", "{in}", "--clustering", "{cl}", "--out", "{bad}"],
+        ["export-dot", "--in", "{in}", "--out", "{bad}"],
+        ["bench", "--in", "{in}", "--out", "{bad}"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_os_error_on_a_path_exits_2(line_file, cl_file, tmp_path, capsys, argv, kind):
+    if kind == "directory":
+        bad, code = str(tmp_path), errno.EISDIR
+    else:
+        bad, code = os.path.join(line_file, "x"), errno.ENOTDIR
+    paths = {"{in}": line_file, "{cl}": cl_file, "{bad}": bad}
+    result = run_cli([paths.get(arg, arg) for arg in argv], capsys)
+    assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: {bad!r}\n")
+
+
+@pytest.mark.parametrize("refused", ["in", "out"])
+def test_permission_error_exits_2(line_file, tmp_path, monkeypatch, capsys, refused):
+    # chmod cannot deny root a read, so ``open`` refuses the one path
+    out = str(tmp_path / "out.json")
+    target = line_file if refused == "in" else out
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        if file == target:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+    result = run_cli(["solve", "--in", line_file, "--out", out], capsys)
+    assert result == (2, "", f"error: [Errno 13] Permission denied: {target!r}\n")
+
+
+def test_concurrent_requests_match_a_serial_run(line_file, cl_file, tmp_path, fresh_parser, capsys):
+    docs = [line_file]
+    for family, k in (("tree", 3), ("general", 2), ("lp", 3)):
+        path = str(tmp_path / f"{family}.json")
+        assert main(["gen", "--family", family, "--n", "9", "--k", str(k),
+                     "--seed", "5", "--out", path]) == 0
+        docs.append(path)
+    requests = [
+        argv
+        for doc in docs
+        for argv in (
+            ["solve", "--in", doc],
+            ["solve", "--in", doc, "--algo", "greedy", "--mode", "non_disjoint"],
+            ["solve", "--in", doc, "--algo", "general", "--objective", "diameter"],
+            ["validate", "--in", doc, "--clustering", cl_file],
+            ["eval", "--in", doc, "--clustering", cl_file],
+            ["export-dot", "--in", doc, "--clustering", cl_file],
+        )
+    ] * 3
+
+    def run(outdir, i):
+        out = outdir / f"{i}.out"
+        return main(requests[i] + ["--out", str(out)]), out.read_bytes() if out.exists() else None
+
+    serial_dir, threads_dir = tmp_path / "serial", tmp_path / "threads"
+    serial_dir.mkdir()
+    threads_dir.mkdir()
+    serial = [run(serial_dir, i) for i in range(len(requests))]
+    cli._parser.cache_clear()  # the four threads race to build it
+    results = {}
+
+    def worker(start):
+        for i in range(start, len(requests), 4):
+            try:
+                results[i] = run(threads_dir, i)
+            except Exception as exc:  # compared with the serial result below
+                results[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(i) for i in range(len(requests))] == serial
+    assert {code for code, _ in serial} == {0, 1}

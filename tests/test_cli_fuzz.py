@@ -4,7 +4,8 @@ Every command exits with a documented code (0 success, 1 infeasible,
 2 bad input, 3 precondition) and no exception escapes.  A successful
 solve on a metric instance never reports a bound below its objective.
 Documents are mutated as JSON values and, to reach the decoder's own
-failures, as bytes.
+failures, as bytes.  Argument lists are mutated too, between valid
+requests in one process, since every call shares one parser.
 """
 
 import contextlib
@@ -13,11 +14,12 @@ import io
 import json
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conncluster import check_triangle_inequality, gen_random, load_instance_file
-from conncluster.cli import main
+from conncluster.cli import build_parser, main
 from conncluster.model import dist_leq, instance_to_doc
 
 
@@ -172,3 +174,88 @@ def test_undecodable_documents_exit_2(data, inst_doc, bad_instance, command):
             argv += ["--clustering", cl_path]
         code, _ = _run(argv)
         assert code == 2
+
+
+# Valid requests, with {in} a line instance and {cl} a clustering of it.
+VALID_ARGV = [
+    ["solve", "--in", "{in}"],
+    ["solve", "--in", "{in}", "--objective", "diameter", "--mode", "non_disjoint"],
+    ["solve", "--in", "{in}", "--algo", "greedy", "--mode", "non_disjoint", "--seed", "3"],
+    ["solve", "--in", "{in}", "--algo", "general", "--dim", "1"],
+    ["validate", "--in", "{in}", "--clustering", "{cl}"],
+    ["eval", "--in", "{in}", "--clustering", "{cl}", "--objective", "diameter"],
+    ["export-dot", "--in", "{in}", "--clustering", "{cl}"],
+    ["gen", "--family", "tree", "--n", "5", "--seed", "4"],
+]
+REQUIRED = {"gen": ["--family"], "solve": ["--in"], "validate": ["--in", "--clustering"],
+            "eval": ["--in", "--clustering"], "export-dot": ["--in"]}
+# None of these is a prefix of an option, which argparse would accept.
+UNKNOWN_FLAGS = ["--bogus", "--zzz=1", "-q", "--verbose"]
+BAD_CHOICES = {"--algo": ["nope", "", "AUTO"], "--objective": ["radius", "Center"],
+               "--mode": ["both", "disjoint "]}
+# int() takes " 3", "1_0" and other Unicode digits; it takes none of these.
+NOT_INTEGERS = ["x", "1.5", "", "2e3", "0x10", "nan"]
+
+
+def _call(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``; argparse's
+    ``SystemExit(c)`` gives ``("exit", c)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _set_flag(argv, flag, value):
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return argv[:at] + [value] + argv[at + 1:]
+    return argv + [flag, value]
+
+
+def _mutate_argv(data, kind, argv):
+    """An argument list that argparse rejects, made from a valid one."""
+    if kind == "drop":
+        at = argv.index(data.draw(st.sampled_from(REQUIRED[argv[0]])))
+        return argv[:at] + argv[at + 2:]
+    if kind == "unknown":
+        at = data.draw(st.integers(0, len(argv)))
+        return argv[:at] + [data.draw(st.sampled_from(UNKNOWN_FLAGS))] + argv[at:]
+    if kind == "choice":
+        flag = data.draw(st.sampled_from(sorted(BAD_CHOICES)))
+        return _set_flag(argv, flag, data.draw(st.sampled_from(BAD_CHOICES[flag])))
+    flag = data.draw(st.sampled_from(["--dim", "--seed", "--n"]))
+    return _set_flag(argv, flag, data.draw(st.sampled_from(NOT_INTEGERS)))
+
+
+@pytest.fixture(scope="module")
+def argv_requests(tmp_path_factory):
+    """The valid requests on files of their own, each with its first output."""
+    tmp = tmp_path_factory.mktemp("argv")
+    paths = {"{in}": str(tmp / "inst.json"), "{cl}": str(tmp / "cl.json")}
+    for key, doc in (("{in}", INSTANCES[0]), ("{cl}", CLUSTERING)):
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    requests = [[paths.get(arg, arg) for arg in argv] for argv in VALID_ARGV]
+    return [(argv, _call(main, argv)) for argv in requests]
+
+
+@settings(max_examples=100)
+@given(st.data(), st.lists(
+    st.tuples(st.sampled_from(["valid", "drop", "unknown", "choice", "integer"]),
+              st.integers(0, len(VALID_ARGV) - 1)),
+    min_size=1, max_size=6))
+def test_mutated_argv_between_valid_requests(argv_requests, data, steps):
+    for kind, i in steps:
+        argv, first = argv_requests[i]
+        if kind == "valid":
+            assert first[0] in (0, 1), first
+            assert _call(main, argv) == first
+            continue
+        argv = _mutate_argv(data, kind, argv)
+        code, out, err = _call(main, argv)
+        assert (code, out) == (("exit", 2), ""), argv
+        assert err == _call(lambda a: build_parser().parse_args(a), argv)[2]
