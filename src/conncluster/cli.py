@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from . import instances as gens
@@ -121,6 +122,9 @@ def _parse_centers(text: str, inst: Instance) -> list[int]:
     bad = [c for c in centers if not 0 <= c < inst.n]
     if bad:
         raise InstanceFormatError(f"center ids {bad} out of range for n={inst.n}")
+    if len(set(centers)) < len(centers):
+        repeated = sorted(c for c, times in Counter(centers).items() if times > 1)
+        raise InstanceFormatError(f"center ids {repeated} repeated")
     return centers
 
 
@@ -233,6 +237,10 @@ def _centers(q: _Query, algo: str) -> list[int]:
 
 def _oracle(inst: Instance, q: _Query) -> Solved:
     if q.centers is not None:
+        if len(q.centers) > inst.k:
+            raise AlgorithmPreconditionError(
+                f"{len(q.centers)} centers exceed the budget k={inst.k}"
+            )
         res = exact_assignment(inst, q.centers, q.objective)
         if res is None:
             raise InfeasibleError("no feasible assignment for the given centers")

@@ -8,6 +8,9 @@ are fixed.  None of these need the triangle inequality.
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -331,18 +334,63 @@ def _reconstruct(
     return assign
 
 
+def _path_count(D: np.ndarray, r: float) -> float:
+    """Minimum number of disjoint clusters of radius <= r on a path whose
+    permuted distance matrix is D, or inf when none exists.
+
+    A cluster is an interval [i, h] around its center c, feasible iff
+    a[c] <= i and h <= b[c] for (a, b) = ``_reach(D, r)``.  With f[i]
+    the count for the first i positions, m[c] = min f[a[c]..c] and
+    f[h+1] = 1 + min{m[c] : c <= h <= b[c]}; equal to ``_tree_tables``'
+    root count on the path, without the triangle inequality.  The range
+    minima come from a stack of f's suffix minima, the outer minimum
+    from a heap whose entries expire past b[c]: O(n log n) after
+    ``_reach``.
+    """
+    if not dist_leq(0.0, r):  # no point can host even itself
+        return math.inf
+    a, b = (x.tolist() for x in _reach(D, r))
+    f = [0]
+    low = [0]  # positions of f's suffix minima, ascending in position and value
+    heap: list[tuple[int, int]] = []  # (m[c], b[c])
+    for h in range(len(a)):
+        heapq.heappush(heap, (f[low[bisect_left(low, a[h])]], b[h]))
+        while heap[0][1] < h:
+            heapq.heappop(heap)
+        fh = heap[0][0] + 1
+        while low and f[low[-1]] >= fh:
+            low.pop()
+        low.append(len(f))
+        f.append(fh)
+    return f[-1]
+
+
 def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     """Exact disjoint connected k-center on trees via binary search over
-    the pairwise distances plus the subtree DP."""
-    ctx = _tree_context(inst)
+    the pairwise distances plus the subtree DP.
 
-    def probe(r: float) -> Optional[tuple[np.ndarray, ...]]:
-        tables = _tree_tables(ctx, r)
-        return tables if tables[2][0] <= inst.k else None
+    On a path the probes only count (``_path_count``), and the tables are
+    filled once, at the radius found, which is the last feasible probe
+    the table search would make: the clustering is the same.
+    """
+    ctx = _tree_context(inst)
+    path = all(len(nb) <= 2 for nb in inst.adj)  # a tree without branches
+    if path:
+        _, D = _path_matrix(inst)
+
+        def probe(r: float) -> Optional[bool]:
+            return True if _path_count(D, r) <= inst.k else None
+
+    else:
+
+        def probe(r: float) -> Optional[tuple[np.ndarray, ...]]:
+            tables = _tree_tables(ctx, r)
+            return tables if tables[2][0] <= inst.k else None
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     assert found is not None  # a tree is connected, one cluster always works
-    _, (I, Fz, Ia, feas) = found
+    r, tables = found
+    I, Fz, Ia, feas = _tree_tables(ctx, r) if path else tables
     assign = _reconstruct(ctx, I, Fz, Ia, feas)
     by_center: dict[int, set[int]] = {}
     for a, b in assign.items():
@@ -363,18 +411,26 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
 # assignment with fixed centers on trees
 
 
-def tree_assignment(
-    inst: Instance, C: Sequence[int], r: float
-) -> Optional[Clustering]:
-    """Connected disjoint assignment of all points to the fixed centers
-    with radius at most r, or None when impossible.
-
-    Non-leaf centers are first split into per-neighbor leaf copies (the
-    copies inherit the center's distances), which makes every subtree
-    problem independent; each component is then solved by one bottom-up
-    pass collecting reachable descendant centers and one top-down pass
-    assigning along the chosen center paths.
+@dataclass
+class _Forest:
+    """The radius-independent part of ``tree_assignment``, built once per
+    solve: the virtual forest (the original ids plus fresh ids for the
+    center copies), and each component holding a non-center as its DFS
+    pre-order from its smallest non-center.  Every component holds a
+    center: the tree is connected, and a split center leaves a copy on
+    each of its edges.
     """
+
+    centers: list[int]  # sorted original ids
+    dist: np.ndarray  # inst.dist[:, centers]
+    orig: dict[int, int]  # virtual vertex -> original id
+    col: dict[int, int]  # virtual center -> column of its center in dist
+    parent: dict[int, int]
+    children: dict[int, list[int]]
+    orders: list[list[int]]
+
+
+def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
     if not is_tree(inst):
         raise AlgorithmPreconditionError("connectivity graph is not a tree")
     C = sorted(int(c) for c in C)
@@ -384,32 +440,28 @@ def tree_assignment(
         raise AlgorithmPreconditionError("centers must be distinct")
     if not all(0 <= c < inst.n for c in C):
         raise AlgorithmPreconditionError("center ids out of range")
-    if set(C) == set(range(inst.n)):
-        return clustering([{c} for c in C], C, DISJOINT)
 
-    # virtual forest: original ids 0..n-1, copies get fresh ids
     adj: dict[int, set[int]] = {v: set(inst.adj[v]) for v in range(inst.n)}
     orig: dict[int, int] = {v: v for v in range(inst.n)}
-    is_center: dict[int, bool] = {v: v in set(C) for v in range(inst.n)}
+    col: dict[int, int] = {c: j for j, c in enumerate(C)}
     next_id = inst.n
-    queue = [c for c in C]
-    while queue:
-        c = queue.pop()
+    for c in reversed(C):
         if len(adj[c]) < 2:
             continue
         for nb in sorted(adj[c]):
             copy = next_id
             next_id += 1
             orig[copy] = orig[c]
-            is_center[copy] = True
+            col[copy] = col[c]
             adj[copy] = {nb}
             adj[nb].discard(c)
             adj[nb].add(copy)
-        del adj[c], is_center[c], orig[c]
+        del adj[c], col[c], orig[c]
 
-    # split into components and solve each
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {v: [] for v in adj}
+    orders: list[list[int]] = []
     seen: set[int] = set()
-    blocks: dict[int, set[int]] = {c: {c} for c in C}
     for start in sorted(adj):
         if start in seen:
             continue
@@ -422,75 +474,95 @@ def tree_assignment(
                     comp.add(u)
                     stack.append(u)
         seen |= comp
-        side = _assign_component(inst, comp, adj, orig, is_center, r)
+        non_centers = [v for v in comp if v not in col]
+        if not non_centers:
+            continue  # a component of centers only keeps them to themselves
+        root = min(non_centers)  # all centers are leaves, so the root never is one
+        parent[root] = -1
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in sorted(adj[v], reverse=True):
+                if u not in parent:
+                    parent[u] = v
+                    stack.append(u)
+        for v in order[1:]:
+            children[parent[v]].append(v)
+        orders.append(order)
+    return _Forest(C, inst.dist[:, C], orig, col, parent, children, orders)
+
+
+def _assign_forest(forest: _Forest, r: float) -> Optional[Clustering]:
+    ok = dist_leq_arr(forest.dist, r).tolist()  # ok[x][j]: x within r of centers[j]
+    orig = forest.orig
+    blocks: dict[int, set[int]] = {c: {c} for c in forest.centers}
+    for order in forest.orders:
+        side = _assign_component(forest, order, ok)
         if side is None:
             return None
         for v, c in side.items():
             blocks[orig[c]].add(orig[v])
-    return clustering([blocks[c] for c in C], C, DISJOINT)
+    return clustering([blocks[c] for c in forest.centers], forest.centers, DISJOINT)
 
 
 def _assign_component(
-    inst: Instance,
-    comp: set[int],
-    adj: dict[int, set[int]],
-    orig: dict[int, int],
-    is_center: dict[int, bool],
-    r: float,
+    forest: _Forest, order: list[int], ok: list[list[bool]]
 ) -> Optional[dict[int, int]]:
-    centers = {v for v in comp if is_center[v]}
-    if not centers:
-        return None
-    non_centers = comp - centers
-    if not non_centers:
-        return {v: v for v in comp}
-    root = min(non_centers)  # all centers are leaves, so the root never is one
-
-    parent: dict[int, int] = {root: -1}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in sorted(adj[v], reverse=True):
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-    post = list(reversed(order))
-    children: dict[int, list[int]] = {v: [] for v in comp}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-
-    need: dict[int, set[int]] = {v: {v} for v in comp}
-    reach: dict[int, set[int]] = {v: set() for v in comp}
-    d = inst.dist
-    for v in post:
-        if is_center[v]:
-            reach[v] = {v}
+    """One bottom-up pass collecting the reachable descendant centers,
+    folding a vertex that reaches none into its parent's need, and one
+    top-down pass assigning along the chosen center paths."""
+    col, parent, children = forest.col, forest.parent, forest.children
+    root = order[0]
+    # lists stand in for sets: a need list merged into its parent's is
+    # disjoint from it, and the reach lists of siblings are disjoint
+    need: dict[int, list[int]] = {v: [v] for v in order}
+    reach: dict[int, list[int]] = {}
+    for v in reversed(order):
+        if v in col:
+            reach[v] = [v]
             continue
-        for u in children[v]:
-            for c in reach[u]:
-                if all(dist_leq(float(d[orig[x], orig[c]]), r) for x in need[v]):
-                    reach[v].add(c)
-        if not reach[v]:
+        nv = need[v]
+        reach[v] = rv = [
+            c for u in children[v] for c in reach[u] if all(ok[x][col[c]] for x in nv)
+        ]
+        if not rv:
             if v == root:
                 return None
-            need[parent[v]] |= need[v]
+            need[parent[v]] += nv
 
+    orig = forest.orig
     side: dict[int, int] = {}
-    for v in reversed(post):
+    for v in order:
         if v in side:
             continue
         if not reach[v]:
             raise RuntimeError("fold chain left an unassigned vertex")
         c = min(reach[v], key=lambda t: (orig[t], t))
-        path = [c]
-        while path[-1] != v:
-            path.append(parent[path[-1]])
-        for x in path:
+        x = c
+        while True:
             for y in need[x]:
                 side[y] = c
+            if x == v:
+                break
+            x = parent[x]
     return side
+
+
+def tree_assignment(
+    inst: Instance, C: Sequence[int], r: float
+) -> Optional[Clustering]:
+    """Connected disjoint assignment of all points to the fixed centers
+    with radius at most r, or None when impossible.
+
+    Non-leaf centers are first split into per-neighbor leaf copies (the
+    copies inherit the center's distances), which makes every subtree
+    problem independent; each component is then solved by one bottom-up
+    pass collecting reachable descendant centers and one top-down pass
+    assigning along the chosen center paths.
+    """
+    return _assign_forest(_tree_forest(inst, C), r)
 
 
 def solve_tree_assignment(
@@ -501,8 +573,9 @@ def solve_tree_assignment(
     C = sorted(int(c) for c in C)
     if len(C) > inst.k:
         raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={inst.k}")
-    cands = dedup_radii(inst.dist[:, C], leq=True)
-    found = binary_search_min_feasible(cands, lambda r: tree_assignment(inst, C, r))
+    forest = _tree_forest(inst, C)
+    cands = dedup_radii(forest.dist, leq=True)
+    found = binary_search_min_feasible(cands, lambda r: _assign_forest(forest, r))
     if found is None:
         raise InfeasibleError("the given centers cannot serve every point")
     r, result = found

@@ -331,6 +331,37 @@ def test_solve_rejects_center_id_out_of_range(tmp_path, capsys, algo):
     assert "center ids [8] out of range for n=8" in err
 
 
+@pytest.mark.parametrize("algo", ["oracle", "tree-assign", "assign"])
+def test_solve_rejects_repeated_center_id(tmp_path, capsys, algo):
+    path = tmp_path / "tree.json"
+    run_cli(
+        ["gen", "--family", "tree", "--n", "8", "--k", "2", "--seed", "3",
+         "--out", str(path)],
+        capsys,
+    )
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", algo, "--centers", "1,4,1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: center ids [1] repeated\n"
+
+
+def test_oracle_rejects_more_centers_than_k(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    run_cli(
+        ["gen", "--family", "tree", "--n", "8", "--k", "2", "--seed", "3",
+         "--out", str(path)],
+        capsys,
+    )
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", "oracle", "--centers", "0,1,2"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: 3 centers exceed the budget k=2\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "eval", "export-dot"])
 def test_clustering_point_id_out_of_range(line_file, tmp_path, capsys, command):
     cl = tmp_path / "cl.json"

@@ -3,13 +3,17 @@
 ``loop_line_reach``, ``loop_line_center`` and ``loop_line_diameter`` are
 the line sweeps ``exact`` used to run, with scalar ``dist_leq`` tests
 per position pair; ``loop_tree_tables`` is the subtree DP table fill it
-used to run, one freshly allocated row per node.  The new probes must
-return the same clusterings (or both None) at every radius, and the
-tables must be equal entry for entry, so that the radius searches, the
-DP reconstruction and every CLI byte stay the same.
+used to run, one freshly allocated row per node, and ``loop_tree_dp_solve``
+the tree DP solve that probed with it on paths too.
+``loop_tree_assignment`` is the fixed-center tree assignment that built
+its forest again at every radius.  The new probes must return the same
+clusterings (or both None) at every radius, and the tables must be equal
+entry for entry, so that the radius searches, the DP reconstruction and
+every CLI byte stay the same.
 """
 
 import math
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,13 +21,19 @@ from hypothesis import strategies as st
 
 from conncluster import exact
 from conncluster.exact import (
+    _path_count,
+    _path_matrix,
+    _reconstruct,
     _tree_context,
     _tree_tables,
+    is_tree,
     line_center_nondisjoint,
     line_diameter,
     path_order,
     solve_line_center_nondisjoint,
     solve_line_diameter,
+    solve_tree_assignment,
+    tree_assignment,
     tree_dp_solve,
 )
 from conncluster.instances import gen_random
@@ -33,9 +43,13 @@ from conncluster.model import (
     DISJOINT,
     NON_DISJOINT,
     REL_TOL,
+    AlgorithmPreconditionError,
+    InfeasibleError,
     binary_search_min_feasible,
     candidate_radii,
     clustering,
+    clustering_cost,
+    dedup_radii,
     dist_leq,
     make_instance,
     make_report,
@@ -119,6 +133,153 @@ def loop_tree_tables(ctx, r):
         f[s:e] = 0.0
         Fz[a] = f
     return I, Fz, Ia, feas
+
+
+def loop_tree_dp_solve(inst):
+    ctx = _tree_context(inst)
+
+    def probe(r):
+        tables = loop_tree_tables(ctx, r)
+        return tables if tables[2][0] <= inst.k else None
+
+    _, (I, Fz, Ia, feas) = binary_search_min_feasible(candidate_radii(inst), probe)
+    by_center = {}
+    for a, b in _reconstruct(ctx, I, Fz, Ia, feas).items():
+        by_center.setdefault(b, set()).add(ctx.nodes[a])
+    centers = sorted(by_center, key=lambda b: ctx.nodes[b])
+    result = clustering(
+        [by_center[b] for b in centers], [ctx.nodes[b] for b in centers], DISJOINT
+    )
+    bound = clustering_cost(inst, result, CENTER)
+    return make_report(inst, result, CENTER, "tree-dp", bound=bound), result
+
+
+def loop_tree_assignment(inst, C, r):
+    if not is_tree(inst):
+        raise AlgorithmPreconditionError("connectivity graph is not a tree")
+    C = sorted(int(c) for c in C)
+    if not C:
+        raise AlgorithmPreconditionError("need at least one center")
+    if len(set(C)) != len(C):
+        raise AlgorithmPreconditionError("centers must be distinct")
+    if not all(0 <= c < inst.n for c in C):
+        raise AlgorithmPreconditionError("center ids out of range")
+    if set(C) == set(range(inst.n)):
+        return clustering([{c} for c in C], C, DISJOINT)
+
+    adj = {v: set(inst.adj[v]) for v in range(inst.n)}
+    orig = {v: v for v in range(inst.n)}
+    is_center = {v: v in set(C) for v in range(inst.n)}
+    next_id = inst.n
+    queue = [c for c in C]
+    while queue:
+        c = queue.pop()
+        if len(adj[c]) < 2:
+            continue
+        for nb in sorted(adj[c]):
+            copy = next_id
+            next_id += 1
+            orig[copy] = orig[c]
+            is_center[copy] = True
+            adj[copy] = {nb}
+            adj[nb].discard(c)
+            adj[nb].add(copy)
+        del adj[c], is_center[c], orig[c]
+
+    seen = set()
+    blocks = {c: {c} for c in C}
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        side = loop_assign_component(inst, comp, adj, orig, is_center, r)
+        if side is None:
+            return None
+        for v, c in side.items():
+            blocks[orig[c]].add(orig[v])
+    return clustering([blocks[c] for c in C], C, DISJOINT)
+
+
+def loop_assign_component(inst, comp, adj, orig, is_center, r):
+    centers = {v for v in comp if is_center[v]}
+    if not centers:
+        return None
+    non_centers = comp - centers
+    if not non_centers:
+        return {v: v for v in comp}
+    root = min(non_centers)
+
+    parent = {root: -1}
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in sorted(adj[v], reverse=True):
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    post = list(reversed(order))
+    children = {v: [] for v in comp}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+
+    need = {v: {v} for v in comp}
+    reach = {v: set() for v in comp}
+    d = inst.dist
+    for v in post:
+        if is_center[v]:
+            reach[v] = {v}
+            continue
+        for u in children[v]:
+            for c in reach[u]:
+                if all(dist_leq(float(d[orig[x], orig[c]]), r) for x in need[v]):
+                    reach[v].add(c)
+        if not reach[v]:
+            if v == root:
+                return None
+            need[parent[v]] |= need[v]
+
+    side = {}
+    for v in reversed(post):
+        if v in side:
+            continue
+        c = min(reach[v], key=lambda t: (orig[t], t))
+        path = [c]
+        while path[-1] != v:
+            path.append(parent[path[-1]])
+        for x in path:
+            for y in need[x]:
+                side[y] = c
+    return side
+
+
+def loop_solve_tree_assignment(inst, C):
+    C = sorted(int(c) for c in C)
+    if len(C) > inst.k:
+        raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={inst.k}")
+    cands = dedup_radii(inst.dist[:, C], leq=True)
+    found = binary_search_min_feasible(cands, lambda r: loop_tree_assignment(inst, C, r))
+    if found is None:
+        raise InfeasibleError("the given centers cannot serve every point")
+    r, result = found
+    return make_report(inst, result, CENTER, algorithm="tree-assign", bound=r), result
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (AlgorithmPreconditionError, InfeasibleError) as exc:
+        return type(exc), str(exc)
 
 
 def loop_solve_line(inst, objective):
@@ -238,3 +399,87 @@ def test_seeded_instances_match_loops(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(exact, "_tree_tables", loop_tree_tables)
                 assert got == tree_dp_solve(inst)
+
+
+@settings(max_examples=150)
+@given(instances("line"))
+def test_path_count_matches_tables(inst):
+    ctx = _tree_context(inst)
+    _, D = _path_matrix(inst)
+    for r in probe_radii(inst):
+        assert _path_count(D, r) == _tree_tables(ctx, r)[2][0]
+
+
+@settings(max_examples=100)
+@given(instances("line"))
+def test_path_tree_dp_matches_table_probes(inst):
+    assert tree_dp_solve(inst) == loop_tree_dp_solve(inst)
+
+
+def test_seeded_paths_tree_dp_matches_table_probes():
+    for seed in range(10):
+        n = 15 * (seed + 1)
+        inst = gen_random("line", n, 1 + seed % 7, seed=seed + 100, max_distance=30)
+        assert tree_dp_solve(inst) == loop_tree_dp_solve(inst)
+
+
+def test_path_tree_dp_fills_tables_once(monkeypatch):
+    """On a path the probes only count; the tables are filled once, at
+    the radius the search returns."""
+    inst = gen_random("line", 30, 3, seed=4, max_distance=30)
+    fills, found = [], []
+
+    def counting_tables(ctx, r):
+        fills.append(r)
+        return _tree_tables(ctx, r)
+
+    def recording_search(candidates, probe):
+        found.append(binary_search_min_feasible(candidates, probe))
+        return found[-1]
+
+    monkeypatch.setattr(exact, "_tree_tables", counting_tables)
+    monkeypatch.setattr(exact, "binary_search_min_feasible", recording_search)
+    exact.tree_dp_solve(inst)
+    assert fills == [found[0][0]]
+
+
+@st.composite
+def centered_trees(draw):
+    """A tie-heavy tree and a center subset: any subset, interior centers
+    included, or all points."""
+    inst = draw(instances("tree"))
+    points = range(inst.n)
+    subsets = st.lists(st.sampled_from(points), min_size=1, unique=True)
+    C = draw(st.one_of(st.just(list(points)), subsets))
+    return inst, C
+
+
+def assignment_radii(inst, C):
+    out = []
+    for r in dedup_radii(inst.dist[:, sorted(C)], leq=True):
+        out += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+    return out
+
+
+@settings(max_examples=200)
+@given(centered_trees())
+def test_tree_assignment_matches_loop(case):
+    inst, C = case
+    for r in assignment_radii(inst, C):
+        assert tree_assignment(inst, C, r) == loop_tree_assignment(inst, C, r)
+    assert outcome(solve_tree_assignment, inst, C) == outcome(loop_solve_tree_assignment, inst, C)
+
+
+def test_seeded_tree_assignment_matches_loop():
+    """Larger trees, with the highest-degree point among the centers, so
+    that it is split into copies."""
+    rng = random.Random(5)
+    for seed in range(10):
+        n = 10 + 8 * seed
+        inst = gen_random("tree", n, n, seed=seed + 200, max_distance=30)
+        hub = max(range(n), key=lambda v: len(inst.adj[v]))
+        for C in ([hub], [hub, *rng.sample(range(n), 3 + seed)], list(range(n))):
+            C = sorted(set(C))
+            for r in dedup_radii(inst.dist[:, C], leq=True)[:: max(1, n // 6)]:
+                assert tree_assignment(inst, C, r) == loop_tree_assignment(inst, C, r)
+            assert solve_tree_assignment(inst, C) == loop_solve_tree_assignment(inst, C)
