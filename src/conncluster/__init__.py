@@ -19,12 +19,10 @@ from .disjoint import (
 from .exact import (
     line_center_nondisjoint,
     line_diameter,
-    path_max_table,
     solve_line_center_nondisjoint,
     solve_line_diameter,
     solve_tree_assignment,
     tree_assignment,
-    tree_dp_count,
     tree_dp_solve,
 )
 from .greedy import (

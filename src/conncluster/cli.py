@@ -26,8 +26,6 @@ from .disjoint import (
     solve_two_center_disjoint,
 )
 from .exact import (
-    is_tree,
-    path_order,
     solve_line_center_nondisjoint,
     solve_line_diameter,
     solve_tree_assignment,
@@ -80,14 +78,6 @@ def _emit(doc: dict, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _is_path_graph(inst: Instance) -> bool:
-    try:
-        path_order(inst)
-        return True
-    except AlgorithmPreconditionError:
-        return False
 
 
 def _parse_formula(text: str) -> list[list[int]]:
@@ -199,11 +189,13 @@ Solved = tuple[SolveReport, Clustering]
 
 
 def _auto(inst: Instance, q: _Query) -> Solved:
-    if _is_path_graph(inst) and (q.objective == DIAMETER or q.mode == NON_DISJOINT):
+    tree = inst.tree
+    path = tree is not None and tree.path is not None
+    if path and (q.objective == DIAMETER or q.mode == NON_DISJOINT):
         return ALGORITHMS["line"](inst, q)
     if q.mode == NON_DISJOINT:
         return ALGORITHMS["greedy"](inst, dataclasses.replace(q, seed=None))
-    if is_tree(inst) and q.objective == CENTER:
+    if tree is not None and q.objective == CENTER:
         return ALGORITHMS["tree-dp"](inst, q)
     if inst.k == 2 and q.objective == CENTER:
         return ALGORITHMS["two-center"](inst, q)

@@ -12,7 +12,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,36 +41,14 @@ from .model import (
 # line graphs
 
 
-def path_order(inst: Instance) -> list[int]:
-    """Vertex order along the path, or raise if the graph is not a path.
-
-    Starts from the smaller-id endpoint for determinism.
-    """
-    if inst.n == 1:
-        if inst.edges:
-            raise AlgorithmPreconditionError("single-point path must have no edges")
-        return [0]
-    degrees = [len(inst.adj[v]) for v in range(inst.n)]
-    ends = [v for v in range(inst.n) if degrees[v] == 1]
-    if len(inst.edges) != inst.n - 1 or len(ends) != 2 or any(d > 2 for d in degrees):
+def _path_matrix(inst: Instance) -> tuple[tuple[int, ...], np.ndarray]:
+    """Point order along the path and the distance matrix permuted into
+    it.  The matrix is symmetric (``make_instance``), so its rows are also
+    its columns."""
+    tree = inst.tree
+    if tree is None or tree.path is None:
         raise AlgorithmPreconditionError("connectivity graph is not a path")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < inst.n:
-        cur = order[-1]
-        nxts = [u for u in inst.adj[cur] if u != prev]
-        if len(nxts) != 1:
-            raise AlgorithmPreconditionError("connectivity graph is not a path")
-        prev = cur
-        order.append(nxts[0])
-    return order
-
-
-def _path_matrix(inst: Instance) -> tuple[list[int], np.ndarray]:
-    """Path order and the distance matrix permuted into it.  The matrix is
-    symmetric (``make_instance``), so its rows are also its columns."""
-    order = path_order(inst)
-    return order, inst.dist[np.ix_(order, order)]
+    return tree.path, inst.dist[np.ix_(tree.path, tree.path)]
 
 
 def _reach(D: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +69,7 @@ def _reach(D: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _center_sweep(order: list[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
+def _center_sweep(order: Sequence[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
     n = len(order)
     a, b = _reach(D, r)
     clusters: list[list[int]] = []
@@ -109,7 +87,7 @@ def _center_sweep(order: list[int], D: np.ndarray, k: int, r: float) -> Optional
     return clustering(clusters, centers, NON_DISJOINT)
 
 
-def _diameter_sweep(order: list[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
+def _diameter_sweep(order: Sequence[int], D: np.ndarray, k: int, r: float) -> Optional[Clustering]:
     n = len(order)
     # a segment [i, h] has every pairwise distance within r iff every
     # h' in (i, h] reaches i leftwards
@@ -146,26 +124,25 @@ def line_diameter(inst: Instance, r: float) -> Optional[Clustering]:
     return _diameter_sweep(*_path_matrix(inst), inst.k, r)
 
 
-def solve_line_center_nondisjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
+def _solve_line(
+    inst: Instance, sweep: Callable, objective: str, algorithm: str
+) -> tuple[SolveReport, Clustering]:
     order, D = _path_matrix(inst)
     found = binary_search_min_feasible(
-        candidate_radii(inst), lambda r: _center_sweep(order, D, inst.k, r)
+        candidate_radii(inst), lambda r: sweep(order, D, inst.k, r)
     )
     assert found is not None  # a path is connected, one cluster always works
     r, result = found
-    report = make_report(inst, result, CENTER, algorithm="line-center", bound=r)
+    report = make_report(inst, result, objective, algorithm=algorithm, bound=r)
     return report, result
+
+
+def solve_line_center_nondisjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
+    return _solve_line(inst, _center_sweep, CENTER, "line-center")
 
 
 def solve_line_diameter(inst: Instance) -> tuple[SolveReport, Clustering]:
-    order, D = _path_matrix(inst)
-    found = binary_search_min_feasible(
-        candidate_radii(inst), lambda r: _diameter_sweep(order, D, inst.k, r)
-    )
-    assert found is not None
-    r, result = found
-    report = make_report(inst, result, DIAMETER, algorithm="line-diameter", bound=r)
-    return report, result
+    return _solve_line(inst, _diameter_sweep, DIAMETER, "line-diameter")
 
 
 # ---------------------------------------------------------------------------
@@ -187,41 +164,24 @@ class _TreeContext:
     dprime: np.ndarray  # dprime[u, v] = max_{w on path u->v} dist[u, w]
 
 
-def is_tree(inst: Instance) -> bool:
-    """Whether the connectivity graph is a tree: connected, n-1 edges."""
-    return len(inst.edges) == inst.n - 1 and inst.is_connected()
-
-
 def _tree_context(inst: Instance) -> _TreeContext:
-    if not is_tree(inst):
+    tree = inst.tree
+    if tree is None:
         raise AlgorithmPreconditionError("connectivity graph is not a tree")
     n = inst.n
-    pos_of: dict[int, int] = {}
-    nodes: list[int] = []
-    parent_orig: dict[int, int] = {0: -1}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        pos_of[v] = len(nodes)
-        nodes.append(v)
-        for u in sorted(inst.adj[v], reverse=True):
-            if u not in parent_orig:
-                parent_orig[u] = v
-                stack.append(u)
-    parent = [-1] * n
+    nodes = list(tree.order)
+    pos = [0] * n
+    for i, v in enumerate(nodes):
+        pos[v] = i
+    parent = [-1] + [pos[tree.parent[v]] for v in nodes[1:]]
+    # pre-order visits the smaller neighbour first, so each child list
+    # comes out ascending
     children: list[list[int]] = [[] for _ in range(n)]
-    for v in nodes[1:]:
-        pv, pp = pos_of[v], pos_of[parent_orig[v]]
-        parent[pv] = pp
-        children[pp].append(pv)
-    for ch in children:
-        ch.sort()
+    for v in range(1, n):
+        children[parent[v]].append(v)
     out = [0] * n
     for v in range(n - 1, -1, -1):
-        end = v + 1
-        for c in children[v]:
-            end = max(end, out[c])
-        out[v] = end
+        out[v] = out[children[v][-1]] if children[v] else v + 1
 
     dp = inst.dist[np.ix_(nodes, nodes)]  # permuted metric
     dprime = np.zeros((n, n))
@@ -235,17 +195,6 @@ def _tree_context(inst: Instance) -> _TreeContext:
         dprime[:s, v] = np.maximum(dprime[:s, p], dp[:s, v])
         dprime[e:, v] = np.maximum(dprime[e:, p], dp[e:, v])
     return _TreeContext(nodes, children, out, dprime)
-
-
-def path_max_table(inst: Instance) -> np.ndarray:
-    """d'(u, v): the largest distance from u to any vertex on the tree
-    path from u to v, for all ordered pairs (original ids)."""
-    ctx = _tree_context(inst)
-    n = inst.n
-    out = np.zeros((n, n))
-    idx = np.array(ctx.nodes)
-    out[np.ix_(idx, idx)] = ctx.dprime
-    return out
 
 
 def _tree_tables(
@@ -289,13 +238,6 @@ def _tree_tables(
         np.minimum(f, ia, out=f)
         f[a : out[a]] = 0.0
     return I, Fz, Ia, feas
-
-
-def tree_dp_count(inst: Instance, r: float) -> int:
-    """Minimum number of disjoint connected clusters of radius <= r."""
-    ctx = _tree_context(inst)
-    _, _, Ia, _ = _tree_tables(ctx, r)
-    return int(Ia[0])
 
 
 def _reconstruct(
@@ -374,7 +316,7 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     the table search would make: the clustering is the same.
     """
     ctx = _tree_context(inst)
-    path = all(len(nb) <= 2 for nb in inst.adj)  # a tree without branches
+    path = inst.tree.path is not None
     if path:
         _, D = _path_matrix(inst)
 
@@ -431,7 +373,7 @@ class _Forest:
 
 
 def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
-    if not is_tree(inst):
+    if inst.tree is None:
         raise AlgorithmPreconditionError("connectivity graph is not a tree")
     C = sorted(int(c) for c in C)
     if not C:

@@ -12,6 +12,7 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -170,6 +171,15 @@ MetricSpec = ExplicitMetric | LpMetric | GraphMetric
 
 
 @dataclass(frozen=True)
+class Tree:
+    """A connectivity graph that is a tree, rooted at point 0."""
+
+    order: tuple[int, ...]  # DFS pre-order from point 0, smaller neighbour first
+    parent: tuple[int, ...]  # point -> its parent, -1 at the root
+    path: Optional[tuple[int, ...]]  # the points along the path from its smaller end, or None
+
+
+@dataclass(frozen=True)
 class Instance:
     """A connected-clustering instance on points 0..n-1.
 
@@ -213,8 +223,35 @@ class Instance:
             comps.append(sorted(comp))
         return comps
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
+    @functools.cached_property
+    def tree(self) -> Optional[Tree]:
+        """The connectivity graph as a ``Tree``, or None when it is not a
+        tree.  ``path`` is set when no point has degree above 2.  The one
+        place that decides whether the exact line and tree solvers apply.
+        """
+        n, adj = self.n, self.adj
+        if len(self.edges) != n - 1:
+            return None
+        parent = [-2] * n  # -2: not reached yet
+        parent[0] = -1
+        order = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in reversed(adj[v]):  # adjacency lists are ascending
+                if parent[u] == -2:
+                    parent[u] = v
+                    stack.append(u)
+        if len(order) < n:  # n - 1 edges and disconnected: a cycle elsewhere
+            return None
+        if max(map(len, adj)) > 2:
+            return Tree(tuple(order), tuple(parent), None)
+        walk = [min(v for v in range(n) if len(adj[v]) < 2)]  # the smaller end
+        for _ in range(n - 1):
+            nb = adj[walk[-1]]
+            walk.append(nb[-1] if len(walk) > 1 and nb[0] == walk[-2] else nb[0])
+        return Tree(tuple(order), tuple(parent), tuple(walk))
 
 
 _INT64 = np.iinfo(np.int64)
@@ -724,12 +761,18 @@ def make_report(
     algorithm: str,
     bound: Optional[float] = None,
 ) -> SolveReport:
-    """Build a report whose objective is the recomputed cost of ``c``."""
+    """Build a report whose objective is the recomputed cost of ``c``.
+
+    A ``bound`` below that objective is dropped (reported as None): the
+    a-priori bounds assume the triangle inequality, which an explicit
+    matrix need not satisfy, and a bound that does not hold claims nothing.
+    """
+    cost = clustering_cost(inst, c, objective)
     return SolveReport(
-        objective=clustering_cost(inst, c, objective),
+        objective=cost,
         clusters_used=c.clusters_used,
         algorithm=algorithm,
-        bound=bound,
+        bound=bound if bound is None or dist_leq(cost, bound) else None,
         feasible=validate_clustering(inst, c).feasible,
     )
 

@@ -175,6 +175,26 @@ def test_exit_code_precondition(line_file, capsys):
     assert "tree-dp" in err
 
 
+@pytest.mark.parametrize(
+    "family, argv, message",
+    [
+        ("tree", ["--algo", "line", "--objective", "diameter"], "not a path"),
+        ("tree", ["--algo", "line", "--mode", "non_disjoint"], "not a path"),
+        ("general", ["--algo", "line", "--objective", "diameter"], "not a path"),
+        ("general", ["--algo", "line", "--mode", "non_disjoint"], "not a path"),
+        ("general", ["--algo", "tree-dp"], "not a tree"),
+        ("general", ["--algo", "tree-dp", "--objective", "diameter"], "not a tree"),
+        ("general", ["--algo", "tree-assign", "--centers", "0,1"], "not a tree"),
+    ],
+)
+def test_shape_preconditions_exit_3(tmp_path, capsys, family, argv, message):
+    path = str(tmp_path / f"{family}.json")
+    run_cli(["gen", "--family", family, "--n", "7", "--k", "3", "--seed", "1", "--out", path], capsys)
+    code, out, err = run_cli(["solve", "--in", path, *argv], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: connectivity graph is {message}\n"
+
+
 def test_exit_code_infeasible_assignment(tmp_path, capsys):
     # two far components and centers only in one of them
     inst = {

@@ -43,12 +43,37 @@ FAMILIES = {
 }
 
 
+#: Documents whose shape alone sends ``auto`` somewhere: a single point
+#: is a path, and a path beside a cycle has n - 1 edges, two degree-1
+#: ends and no degree above 2, yet is neither a path nor a tree.
+SHAPES = {
+    "point": {"n": 1, "k": 1, "metric": {"type": "explicit", "matrix": [[0]]}, "edges": []},
+    "path-cycle": {
+        "n": 5,
+        "k": 2,
+        "metric": {
+            "type": "explicit",
+            "matrix": [
+                [0, 1, 2, 2, 2],
+                [1, 0, 2, 2, 2],
+                [2, 2, 0, 1, 1],
+                [2, 2, 1, 0, 1],
+                [2, 2, 1, 1, 0],
+            ],
+        },
+        "edges": [[0, 1], [2, 3], [3, 4], [2, 4]],
+    },
+}
+
+
 @pytest.fixture
 def files(tmp_path):
+    docs = {name: instance_to_doc(gen_random(family, n, k, seed))
+            for name, (family, n, k, seed) in FAMILIES.items()}
     out = {}
-    for name, (family, n, k, seed) in FAMILIES.items():
+    for name, doc in {**docs, **SHAPES}.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(instance_to_doc(gen_random(family, n, k, seed))))
+        path.write_text(json.dumps(doc))
         out[name] = str(path)
     return out
 
@@ -95,6 +120,13 @@ CASES = [
     ("oracle", "general", ["--mode", "non_disjoint"], "exact_nondisjoint_center_with_witness"),
     ("oracle", "general", ["--mode", "non_disjoint", "--objective", "diameter"],
      "exact_nondisjoint_diameter_with_witness"),
+    # auto on the shapes
+    ("auto", "point", [], "tree_dp_solve"),
+    ("auto", "point", ["--objective", "diameter"], "solve_line_diameter"),
+    ("auto", "point", ["--mode", "non_disjoint"], "solve_line_center_nondisjoint"),
+    ("auto", "path-cycle", [], "solve_two_center_disjoint"),
+    ("auto", "path-cycle", ["--objective", "diameter"], "solve_disjoint"),
+    ("auto", "path-cycle", ["--mode", "non_disjoint"], "solve_nondisjoint"),
 ]
 
 

@@ -2,7 +2,8 @@
 
 Every command exits with a documented code (0 success, 1 infeasible,
 2 bad input, 3 precondition) and no exception escapes.  A successful
-solve on a metric instance never reports a bound below its objective.
+solve never reports a bound below its objective, also on an explicit
+matrix that breaks the triangle inequality.
 Documents are mutated as JSON values and, to reach the decoder's own
 failures, as bytes.  Argument lists are mutated too, between valid
 requests in one process, since every call shares one parser.
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conncluster import check_triangle_inequality, gen_random, load_instance_file
-from conncluster.cli import build_parser, main
+from conncluster import gen_random
+from conncluster.cli import ALGORITHMS, build_parser, main
 from conncluster.model import dist_leq, instance_to_doc
 
 
@@ -118,9 +119,49 @@ def test_solve_mutated_instance(data, doc, objective, mode):
         code, out = _run(["solve", "--in", path, "--objective", objective, "--mode", mode])
         if code != 0:
             return
-        report = json.loads(out)["report"]
-        if report["bound"] is not None and not check_triangle_inequality(load_instance_file(path)):
-            assert dist_leq(report["objective"], report["bound"]), report
+        assert _bound_holds(json.loads(out)["report"]), out
+
+
+def _bound_holds(report: dict) -> bool:
+    return report["bound"] is None or dist_leq(report["objective"], report["bound"])
+
+
+@st.composite
+def non_metric_docs(draw):
+    """A seeded explicit-matrix document with n of its pairs scaled by
+    0.1 or 5, which breaks the triangle inequality on most draws."""
+    family = draw(st.sampled_from(["general", "tree", "line"]))
+    n = draw(st.integers(4, 8))
+    doc = instance_to_doc(gen_random(family, n, draw(st.integers(1, n)), draw(st.integers(0, 999))))
+    m = doc["metric"]["matrix"]
+    for _ in range(n):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[i][j] = m[j][i] = m[i][j] * draw(st.sampled_from([0.1, 5.0]))
+    return doc
+
+
+NEEDS_CENTERS = ("tree-assign", "assign")
+
+
+@settings(max_examples=40)
+@given(st.data(), non_metric_docs(), st.sampled_from(["center", "diameter"]),
+       st.sampled_from(["disjoint", "non_disjoint"]))
+def test_no_solver_claims_a_bound_below_its_objective(data, doc, objective, mode):
+    assert set(NEEDS_CENTERS) <= set(ALGORITHMS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for algo in ALGORITHMS:
+            argv = ["solve", "--in", path, "--algo", algo, "--objective", objective, "--mode", mode]
+            if algo in NEEDS_CENTERS:
+                centers = data.draw(st.lists(st.integers(0, doc["n"] - 1), min_size=1,
+                                             max_size=doc["k"], unique=True))
+                argv += ["--centers", ",".join(map(str, centers))]
+            code, out = _run(argv)
+            assert code != 2, argv
+            if code == 0:
+                assert _bound_holds(json.loads(out)["report"]), (algo, out)
 
 
 @settings(max_examples=150)

@@ -17,18 +17,17 @@ from conncluster import (
     line_center_nondisjoint,
     line_diameter,
     make_instance,
-    path_max_table,
     solve_line_center_nondisjoint,
     solve_line_diameter,
     solve_tree_assignment,
     tree_assignment,
-    tree_dp_count,
     tree_dp_solve,
     validate_clustering,
 )
-from conncluster.exact import path_order
+from conncluster.exact import _path_matrix
 from conncluster.model import dist_leq
 
+from _tree_refs import path_max_table, path_order, tree_dp_count
 from conftest import line6_with_k
 
 
@@ -37,6 +36,7 @@ from conftest import line6_with_k
 
 
 def test_path_order_identity(line6):
+    assert line6.tree.path == (0, 1, 2, 3, 4, 5)
     assert path_order(line6) == [0, 1, 2, 3, 4, 5]
 
 
@@ -44,12 +44,16 @@ def test_path_order_scrambled():
     # path 2-0-3-1 given by edges; starts at the smaller endpoint
     m = np.zeros((4, 4))
     inst = make_instance(m, [(2, 0), (0, 3), (3, 1)], 1)
+    assert inst.tree.path == (1, 3, 0, 2)
     assert path_order(inst) == [1, 3, 0, 2]
 
 
 def test_path_order_rejects_star():
     m = np.zeros((4, 4))
     inst = make_instance(m, [(0, 1), (0, 2), (0, 3)], 1)
+    assert inst.tree is not None and inst.tree.path is None
+    with pytest.raises(AlgorithmPreconditionError, match="not a path"):
+        _path_matrix(inst)
     with pytest.raises(AlgorithmPreconditionError):
         path_order(inst)
 

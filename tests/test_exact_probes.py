@@ -6,10 +6,11 @@ per position pair; ``loop_tree_tables`` is the subtree DP table fill it
 used to run, one freshly allocated row per node, and ``loop_tree_dp_solve``
 the tree DP solve that probed with it on paths too.
 ``loop_tree_assignment`` is the fixed-center tree assignment that built
-its forest again at every radius.  The new probes must return the same
-clusterings (or both None) at every radius, and the tables must be equal
-entry for entry, so that the radius searches, the DP reconstruction and
-every CLI byte stay the same.
+its forest again at every radius.  ``path_order`` and ``is_tree`` are the
+shape tests the loops ran (``_tree_refs``).  The new probes must return
+the same clusterings (or both None) at every radius, and the tables must
+be equal entry for entry, so that the radius searches, the DP
+reconstruction and every CLI byte stay the same.
 """
 
 import math
@@ -26,10 +27,8 @@ from conncluster.exact import (
     _reconstruct,
     _tree_context,
     _tree_tables,
-    is_tree,
     line_center_nondisjoint,
     line_diameter,
-    path_order,
     solve_line_center_nondisjoint,
     solve_line_diameter,
     solve_tree_assignment,
@@ -54,6 +53,8 @@ from conncluster.model import (
     make_instance,
     make_report,
 )
+
+from _tree_refs import is_tree, path_order
 
 
 def loop_line_reach(inst, order, r):

@@ -58,7 +58,7 @@ def test_worstcase_I3_shape():
     meta = gen_worstcase_I(3)
     assert meta.instance.n == 17
     assert len(meta.annotations["centers"]) == 6
-    assert meta.instance.is_connected()
+    assert len(meta.instance.connected_components()) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -283,7 +283,7 @@ def test_gen_random_tree_structure():
     for seed in range(5):
         inst = gen_random("tree", 9, 3, seed=seed)
         assert len(inst.edges) == 8
-        assert inst.is_connected()
+        assert len(inst.connected_components()) == 1
 
 
 def test_gen_random_lp_is_metric():
@@ -295,7 +295,7 @@ def test_gen_random_general_repair_default():
     inst = gen_random("general", 8, 2, seed=3)
     assert check_triangle_inequality(inst) == []
     raw = gen_random("general", 8, 2, seed=3, metric_repair=False)
-    assert raw.is_connected()
+    assert len(raw.connected_components()) == 1
 
 
 def test_gen_random_rejects_bad_sizes():
