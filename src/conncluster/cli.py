@@ -80,27 +80,18 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_formula(text: str) -> list[list[int]]:
-    try:
-        return [
-            [int(tok) for tok in clause.split(",") if tok.strip()]
-            for clause in text.split(";")
-            if clause.strip()
-        ]
-    except ValueError as exc:
-        raise InstanceFormatError(f"cannot parse formula {text!r}") from exc
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
+def _int_lists(text: str, what: str, width: Optional[int] = None) -> list[list[int]]:
+    """``"a,b;c,d"`` as ``[[a, b], [c, d]]``, skipping empty parts; with
+    ``width``, every part must hold exactly that many ids."""
     out = []
-    for part in text.split(";"):
-        if not part.strip():
-            continue
+    for part in filter(str.strip, text.split(";")):
         try:
-            u, v = part.split(",")
-            out.append((int(u), int(v)))
-        except ValueError as exc:
-            raise InstanceFormatError(f"cannot parse pair {part!r}") from exc
+            ids = [int(tok) for tok in part.split(",") if tok.strip()]
+        except ValueError:
+            ids = None
+        if ids is None or width not in (None, len(ids)):
+            raise InstanceFormatError(f"cannot parse {what} {part!r}")
+        out.append(ids)
     return out
 
 
@@ -132,39 +123,40 @@ def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
     return doc, result
 
 
+def _random(args: argparse.Namespace) -> gens.GadgetMeta:
+    try:
+        p = float(args.p)
+    except ValueError:
+        raise InstanceFormatError(f"cannot parse p {args.p!r}") from None
+    inst = gens.gen_random(
+        args.family, args.n, args.k, args.seed or 0, dim=args.dim, p=p,
+        metric_repair=args.metric_repair,
+    )
+    return gens.GadgetMeta(inst, {})
+
+
+def _pairs(args: argparse.Namespace) -> list[list[int]]:
+    return _int_lists(args.pairs, "pair", 2)
+
+
+#: ``gen --family`` name -> generator of the parsed arguments.
+FAMILIES: dict[str, Callable[[argparse.Namespace], gens.GadgetMeta]] = {
+    **dict.fromkeys(("line", "tree", "general", "lp"), _random),
+    "worstcase-I": lambda args: gens.gen_worstcase_I(args.m),
+    "worstcase-Iprime": lambda args: gens.gen_worstcase_Iprime(args.m),
+    "sat": lambda args: gens.gen_sat_gadget(_int_lists(args.formula, "clause"), args.variant),
+    "star-clique-cover": lambda args: gens.gen_star_clique_cover(args.n, _pairs(args), args.k),
+    "star-set-cover": lambda args: gens.gen_star_set_cover(
+        args.n, _int_lists(args.sets, "set"), args.k
+    ),
+    "star-multicut": lambda args: gens.gen_star_multicut(args.n, _pairs(args), args.k),
+}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    fam = args.family
-    seed = args.seed if args.seed is not None else 0
-    if fam in ("line", "tree", "general", "lp"):
-        inst = gens.gen_random(
-            fam,
-            args.n,
-            args.k,
-            seed,
-            dim=args.dim,
-            p=float("inf") if args.p == "inf" else float(args.p),
-            metric_repair=args.metric_repair,
-        )
-        meta = gens.GadgetMeta(inst, {})
-    elif fam == "worstcase-I":
-        meta = gens.gen_worstcase_I(args.m)
-    elif fam == "worstcase-Iprime":
-        meta = gens.gen_worstcase_Iprime(args.m)
-    elif fam == "sat":
-        meta = gens.gen_sat_gadget(_parse_formula(args.formula), args.variant)
-    elif fam == "star-clique-cover":
-        meta = gens.gen_star_clique_cover(args.n, _parse_pairs(args.pairs), args.k)
-    elif fam == "star-set-cover":
-        sets = [
-            [int(t) for t in s.split(",") if t.strip()]
-            for s in args.sets.split(";")
-            if s.strip()
-        ]
-        meta = gens.gen_star_set_cover(args.n, sets, args.k)
-    elif fam == "star-multicut":
-        meta = gens.gen_star_multicut(args.n, _parse_pairs(args.pairs), args.k)
-    else:
-        raise InstanceFormatError(f"unknown family {fam!r}")
+    if args.family not in FAMILIES:
+        raise InstanceFormatError(f"unknown family {args.family!r}")
+    meta = FAMILIES[args.family](args)
     _emit(instance_to_doc(meta.instance), args.out)
     if meta.annotations and args.out:
         ann_path = args.annotations or (args.out + ".ann.json")
@@ -186,6 +178,7 @@ class _Query:
 
 
 Solved = tuple[SolveReport, Clustering]
+Entry = Callable[[Instance, _Query], Solved]
 
 
 def _auto(inst: Instance, q: _Query) -> Solved:
@@ -203,6 +196,8 @@ def _auto(inst: Instance, q: _Query) -> Solved:
 
 
 def _line(inst: Instance, q: _Query) -> Solved:
+    if inst.tree is None or inst.tree.path is None:
+        raise AlgorithmPreconditionError("connectivity graph is not a path")
     if q.objective == DIAMETER:
         return solve_line_diameter(inst)
     if q.mode == NON_DISJOINT:
@@ -212,13 +207,19 @@ def _line(inst: Instance, q: _Query) -> Solved:
     )
 
 
-def _tree_dp(inst: Instance, q: _Query) -> Solved:
-    report, result = tree_dp_solve(inst)
-    if q.objective == DIAMETER:
-        report = make_report(
-            inst, result, DIAMETER, report.algorithm, bound=2 * report.objective
-        )
-    return report, result
+def _center_only(solve: Entry) -> Entry:
+    """The entry of a center-only solver: under the diameter objective its
+    report is rebuilt for the clustering's diameter, with twice the radius
+    bound (diameter <= 2 * radius; ``make_report`` drops a bound that fails)."""
+
+    def entry(inst: Instance, q: _Query) -> Solved:
+        report, result = solve(inst, q)
+        if q.objective == DIAMETER:
+            bound = None if report.bound is None else 2 * report.bound
+            report = make_report(inst, result, DIAMETER, report.algorithm, bound=bound)
+        return report, result
+
+    return entry
 
 
 def _centers(q: _Query, algo: str) -> list[int]:
@@ -252,16 +253,18 @@ def _oracle(inst: Instance, q: _Query) -> Solved:
 #: function body, so the name is looked up in this module when the entry
 #: runs, and a solver rebound here (as perfbench/tracer.py does) is the
 #: one called.
-ALGORITHMS: dict[str, Callable[[Instance, _Query], Solved]] = {
+ALGORITHMS: dict[str, Entry] = {
     "auto": _auto,
     "greedy": lambda inst, q: solve_nondisjoint(inst, q.objective, seed=q.seed),
     "line": _line,
-    "tree-dp": _tree_dp,
-    "tree-assign": lambda inst, q: solve_tree_assignment(inst, _centers(q, "tree-assign")),
+    "tree-dp": _center_only(lambda inst, q: tree_dp_solve(inst)),
+    "tree-assign": _center_only(
+        lambda inst, q: solve_tree_assignment(inst, _centers(q, "tree-assign"))
+    ),
     "general": lambda inst, q: solve_disjoint(inst, q.objective, "general", dim=q.dim),
     "lp": lambda inst, q: solve_disjoint(inst, q.objective, "lp", dim=q.dim),
     "doubling": lambda inst, q: solve_disjoint(inst, q.objective, "doubling", dim=q.dim),
-    "two-center": lambda inst, q: solve_two_center_disjoint(inst),
+    "two-center": _center_only(lambda inst, q: solve_two_center_disjoint(inst)),
     "assign": lambda inst, q: solve_assignment_given_centers(
         inst, _centers(q, "assign"), q.objective
     ),
@@ -347,37 +350,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for path in args.infiles:
         inst = load_instance_file(path)
-        oracle_value: Optional[float] = None
+        oracle: float | str = ""  # the column's cell: empty without an oracle value
         if inst.n <= args.oracle_limit:
-            try:
+            with contextlib.suppress(OracleLimitError):
                 if args.mode == DISJOINT:
-                    oracle_value = exact_disjoint(inst, args.objective)[0]
+                    oracle = exact_disjoint(inst, args.objective)[0]
                 elif args.objective == CENTER:
-                    oracle_value = exact_nondisjoint_center(inst)
+                    oracle = exact_nondisjoint_center(inst)
                 else:
-                    oracle_value = exact_nondisjoint_diameter(inst)
-            except OracleLimitError:
-                oracle_value = None
+                    oracle = exact_nondisjoint_diameter(inst)
         for algo in algos:
             t0 = time.perf_counter()
             report, _ = ALGORITHMS[algo](inst, query)
             elapsed = time.perf_counter() - t0
-            ratio = (
-                report.objective / oracle_value
-                if oracle_value not in (None, 0)
-                else ""
-            )
+            ratio = report.objective / oracle if oracle else ""
             rows.append(
-                [
-                    path,
-                    algo,
-                    inst.n,
-                    inst.k,
-                    report.objective,
-                    oracle_value if oracle_value is not None else "",
-                    ratio,
-                    f"{elapsed:.4f}",
-                ]
+                [path, algo, inst.n, inst.k, report.objective, oracle, ratio, f"{elapsed:.4f}"]
             )
     with (
         open(args.out, "w", newline="", encoding="utf-8")
@@ -404,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate instances")
-    g.add_argument("--family", required=True)
+    g.add_argument("--family", required=True, help="one of: " + ", ".join(FAMILIES))
     g.add_argument("--n", type=int, default=8)
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--m", type=int, default=2)
@@ -481,10 +469,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (AlgorithmPreconditionError, DisjointInvariantError) as exc:
+    except (AlgorithmPreconditionError, DisjointInvariantError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InfeasibleError, OracleLimitError) as exc:
+    except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -123,7 +123,7 @@ def gen_worstcase_I(m: int) -> GadgetMeta:
     assignment radius of 2m-1 although radius-2 disjoint clusterings
     exist with no more clusters."""
     if not 1 <= m <= 4:
-        raise ValueError("m must be between 1 and 4")
+        raise InstanceFormatError("m must be between 1 and 4")
     inst, ann = _vector_instance(m, 1)
     points = [tuple(v) for v in ann["points"]]
     centers = [i for i, v in enumerate(points) if all(x > 0 for x in v)]
@@ -197,7 +197,7 @@ def gen_worstcase_Iprime(m: int) -> GadgetMeta:
     """Variant with k+1 distinct special symbols: the non-disjoint
     optimum stays 1 while every disjoint solution costs at least 2m-2."""
     if not 2 <= m <= 3:
-        raise ValueError("m must be 2 or 3")
+        raise InstanceFormatError("m must be 2 or 3")
     S = s_sequence(m + 1)
     k = S[m + 1 - 1]
     inst, ann = _vector_instance(m, k + 1)

@@ -11,7 +11,7 @@ import pytest
 import conncluster
 from conncluster import cli
 from conncluster.cli import main
-from conncluster.model import dist_leq
+from conncluster.model import dist_leq, instance_to_doc
 
 
 def run_cli(args, capsys):
@@ -908,3 +908,116 @@ def test_concurrent_requests_match_a_serial_run(line_file, cl_file, tmp_path, fr
     assert not any(t.is_alive() for t in threads)
     assert [results.get(i) for i in range(len(requests))] == serial
     assert {code for code, _ in serial} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["gen", "--family", "worstcase-I", "--m", "9"], 2, "error: m must be between 1 and 4\n"),
+        (["gen", "--family", "worstcase-Iprime", "--m", "0"], 2, "error: m must be 2 or 3\n"),
+        (["gen", "--family", "lp", "--p", "x"], 2, "error: cannot parse p 'x'\n"),
+        (["gen", "--family", "star-set-cover", "--n", "4", "--sets", "1,x"], 2,
+         "error: cannot parse set '1,x'\n"),
+        (["gen", "--family", "sat", "--formula", "1,2;-1,y"], 2,
+         "error: cannot parse clause '-1,y'\n"),
+        (["gen", "--family", "star-multicut", "--n", "4", "--pairs", "0,1;1,2,3"], 2,
+         "error: cannot parse pair '1,2,3'\n"),
+        (["gen", "--family", "nope"], 2, "error: unknown family 'nope'\n"),
+        (["solve", "--in", "{line}", "--algo", "oracle", "--mode", "non_disjoint"], 3,
+         "error: k=5 exceeds subset limit 4\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_bad_gen_arguments_and_oracle_limits_exit_without_traceback(
+    tmp_path, capsys, argv, code, err
+):
+    line = str(tmp_path / "line.json")
+    run_cli(["gen", "--family", "line", "--n", "6", "--k", "5", "--seed", "1", "--out", line],
+            capsys)
+    assert run_cli([line if a == "{line}" else a for a in argv], capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("family", ["tree", "general"])
+def test_line_disjoint_center_off_a_path_names_the_shape(tmp_path, capsys, family):
+    # the shape, not the tree-dp hint, which leads nowhere on a general graph
+    path = str(tmp_path / f"{family}.json")
+    run_cli(["gen", "--family", family, "--n", "7", "--k", "3", "--seed", "1", "--out", path],
+            capsys)
+    result = run_cli(["solve", "--in", path, "--algo", "line"], capsys)
+    assert result == (3, "", "error: connectivity graph is not a path\n")
+
+
+#: For each ``--algo`` entry, metric documents (family, n, k, seed) it
+#: accepts and the extra arguments it needs.
+ACCEPTED = {
+    "auto": [("line", 7, 3, 1), ("tree", 8, 2, 4), ("general", 7, 2, 2), ("lp", 8, 3, 3)],
+    "greedy": [("general", 7, 3, 1), ("tree", 8, 2, 4)],
+    "line": [("line", 7, 3, 1), ("line", 8, 2, 5)],
+    "tree-dp": [("tree", 8, 2, 4), ("tree", 9, 3, 6)],
+    "tree-assign": [("tree", 8, 2, 4), ("tree", 9, 3, 6)],
+    "general": [("general", 7, 3, 1)],
+    "lp": [("lp", 8, 3, 3)],
+    "doubling": [("general", 7, 3, 1)],
+    "two-center": [("tree", 8, 2, 4), ("general", 7, 2, 2), ("general", 8, 2, 9)],
+    "assign": [("general", 7, 3, 1), ("tree", 8, 2, 4)],
+    "oracle": [("general", 6, 2, 1), ("tree", 7, 2, 4)],
+}
+CENTERS = {"tree-assign": ["--centers", "0,5"], "assign": ["--centers", "0,5"]}
+
+
+def _metric_doc(tmp_path, family, n, k, seed):
+    path = tmp_path / f"{family}-{n}-{k}-{seed}.json"
+    inst = conncluster.gen_random(family, n, k, seed, metric_repair=True)
+    path.write_text(json.dumps(instance_to_doc(inst)))
+    return str(path)
+
+
+@pytest.mark.parametrize("objective", ["center", "diameter"])
+@pytest.mark.parametrize("algo", sorted(ACCEPTED))
+def test_report_objective_is_the_emitted_clusterings_value(tmp_path, capsys, algo, objective):
+    assert set(ACCEPTED) == set(cli.ALGORITHMS)
+    # the line sweeps answer disjoint center only through tree-dp
+    mode = "non_disjoint" if algo == "line" and objective == "center" else "disjoint"
+    for doc in ACCEPTED[algo]:
+        path = _metric_doc(tmp_path, *doc)
+        code, out, err = run_cli(["solve", "--in", path, "--algo", algo, "--objective", objective,
+                                  "--mode", mode, *CENTERS.get(algo, [])], capsys)
+        assert (code, err) == (0, ""), (doc, err)
+        solved = json.loads(out)
+        report = solved["report"]
+        assert solved["clustering"]["objective"] == objective
+        assert report["objective"] == solved["clustering"]["value"], (doc, solved)
+        assert report["bound"] is None or dist_leq(report["objective"], report["bound"])
+        if algo in CENTERS:  # bench passes no centers
+            continue
+        code, out, _ = run_cli(["bench", "--in", path, "--algos", algo, "--objective", objective,
+                                "--mode", mode, "--oracle-limit", "0"], capsys)
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[4]) == report["objective"], (doc, out)
+
+
+def test_center_only_entries_report_the_diameter_of_their_clustering(tmp_path, capsys):
+    # a seeded tree whose matrix is not repaired into a metric
+    path = str(tmp_path / "tree.json")
+    run_cli(["gen", "--family", "tree", "--n", "8", "--k", "2", "--seed", "4", "--out", path],
+            capsys)
+    for algo in ("tree-assign", "tree-dp", "two-center"):
+        argv = ["solve", "--in", path, "--algo", algo, *CENTERS.get(algo, [])]
+        center = json.loads(run_cli(argv, capsys)[1])["report"]
+        solved = json.loads(run_cli([*argv, "--objective", "diameter"], capsys)[1])
+        assert solved["report"]["objective"] == solved["clustering"]["value"]
+        assert solved["report"]["algorithm"] == center["algorithm"] == algo
+        # twice the radius bound, or none where the matrix breaks it
+        assert solved["report"]["bound"] in (None, 2 * center["bound"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bench_center_only_diameter_ratio_is_at_least_one(tmp_path, capsys, seed):
+    path = _metric_doc(tmp_path, "tree", 8, 2, seed)
+    code, out, _ = run_cli(["bench", "--in", path, "--algos", "two-center,tree-dp",
+                            "--objective", "diameter"], capsys)
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        value, oracle, ratio = row.split(",")[4:7]
+        assert dist_leq(float(oracle), float(value)), row
+        assert ratio == "" or float(ratio) >= 1.0 - 1e-9, row

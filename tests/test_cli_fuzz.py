@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conncluster import gen_random
-from conncluster.cli import ALGORITHMS, build_parser, main
+from conncluster.cli import ALGORITHMS, FAMILIES, build_parser, main
 from conncluster.model import dist_leq, instance_to_doc
 
 
@@ -300,3 +300,34 @@ def test_mutated_argv_between_valid_requests(argv_requests, data, steps):
         code, out, err = _call(main, argv)
         assert (code, out) == (("exit", 2), ""), argv
         assert err == _call(lambda a: build_parser().parse_args(a), argv)[2]
+
+
+# Small values only: a sat literal names a variable and every variable
+# adds points, so a large one would build a large instance.
+GEN_TOKENS = {
+    "--n": st.integers(-1, 10).map(str),
+    "--k": st.integers(-1, 6).map(str),
+    "--m": st.integers(-1, 5).map(str),
+    "--seed": st.integers(0, 9).map(str),
+    "--dim": st.integers(-1, 3).map(str),
+    "--p": st.sampled_from(["1", "2", "3", "inf", "1.5", "0", "-1", "nan", "1e400", "x", ""]),
+    "--variant": st.sampled_from(["two_center", "four_center", "x"]),
+    "--formula": st.sampled_from(["1,2;-1,-2", "1,2,3;-2,-3", "1;-1", "1,2,3,4", "0", "1,x",
+                                  ";", "", "-3"]),
+    "--pairs": st.sampled_from(["0,1", "0,1;1,2", "0,1;2,3", "0,x", "0,1,2", "0", "5,0",
+                                "0,0", ";", "", " 1 , 2 "]),
+    "--sets": st.sampled_from(["0,1;2", "0;1;2;3", "1,x", "0,,1", "-1,2", ";", "", "0,1,2,3"]),
+}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([*FAMILIES, "x"]),
+       st.dictionaries(st.sampled_from(sorted(GEN_TOKENS)), st.none(), max_size=5),
+       st.data())
+def test_gen_exits_0_or_2(family, flags, data):
+    argv = ["gen", "--family", family]
+    # "--sets=-1,2": argparse would take a separate "-1,2" for an option
+    argv += [f"{flag}={data.draw(GEN_TOKENS[flag])}" for flag in flags]
+    code, out = _run(argv)
+    assert code in (0, 2), argv
+    assert (out != "") == (code == 0), argv
