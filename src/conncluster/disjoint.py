@@ -210,6 +210,8 @@ def _build_partition(
     if strategy == "doubling":
         if dim is None:
             raise AlgorithmPreconditionError("doubling strategy needs dim")
+        if dim < 1:
+            raise AlgorithmPreconditionError(f"doubling dimension must be at least 1, got {dim}")
         return partition_doubling(inst.dist, centers, r, dim)
     if strategy == "general":
         return partition_general_metric(inst.dist, centers, r)

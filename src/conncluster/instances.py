@@ -224,18 +224,19 @@ def gen_worstcase_Iprime(m: int) -> GadgetMeta:
 # SAT gadgets
 
 
-def _check_formula(clauses: Sequence[Sequence[int]]) -> int:
+def _check_formula(clauses: Sequence[Sequence[int]]) -> list[int]:
+    """The variables that occur in the formula, ascending."""
     if not clauses:
         raise InstanceFormatError("formula must have at least one clause")
-    nv = 0
+    variables = set()
     for cl in clauses:
         if not cl or len(cl) > 3:
             raise InstanceFormatError("clauses must have 1..3 literals")
         for lit in cl:
             if not isinstance(lit, int) or lit == 0:
                 raise InstanceFormatError("literals are nonzero integers")
-            nv = max(nv, abs(lit))
-    return nv
+            variables.add(abs(lit))
+    return sorted(variables)
 
 
 def _sat_block_edges(
@@ -275,14 +276,14 @@ def gen_sat_gadget(
     five linked copies sharing four hub points, k=4, with a radius-1
     clustering iff the formula is satisfiable.
     """
-    nv = _check_formula(clauses)
+    variables = _check_formula(clauses)
     mc = len(clauses)
     if variant == "two_center":
         t, f = 0, 1
         xs = {}
         nid = 2
         labels = ["T", "F"]
-        for i in range(1, nv + 1):
+        for i in variables:
             xs[i] = (nid, nid + 1, nid + 2)
             labels += [f"x{i}", f"~x{i}", f"a{i}"]
             nid += 3
@@ -310,7 +311,7 @@ def gen_sat_gadget(
         subs = []
         for s, (t, f) in enumerate(hub_pairs, start=1):
             xs = {}
-            for i in range(1, nv + 1):
+            for i in variables:
                 xs[i] = (nid, nid + 1, nid + 2)
                 labels += [f"x{s}{i}", f"~x{s}{i}", f"a{s}{i}"]
                 nid += 3

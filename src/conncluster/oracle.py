@@ -1,11 +1,12 @@
 """Brute-force exact solvers for small instances.
 
-These are the ground truth used by the test suites: a partition
-enumerator for the disjoint problem, center-subset enumeration for the
+These are the ground truth used by the test suites: a min-max partition
+DP for the disjoint problem, center-subset enumeration for the
 non-disjoint center problem, a maximal-set cover search for the
 non-disjoint diameter problem, and a pruned assignment search for fixed
-center sets.  Every routine refuses inputs beyond its limits instead of
-running unboundedly.
+center sets.  The partition DP and the diameter cover read one table of
+the connected point subsets and their costs.  Every routine refuses
+inputs beyond its limits instead of running unboundedly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (
     clustering,
     dedup_radii,
     dist_leq,
+    dist_leq_arr,
 )
 
 
@@ -49,119 +51,100 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _canonical(clusters: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(c)) for c in clusters))
+# ---------------------------------------------------------------------------
+# subset table: every point set by bitmask (bit i is point i)
+
+
+def _subset_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For every point set, indexed by bitmask (bit i is point i): whether
+    it induces a connected subgraph, its diameter, its radius (the least,
+    over c in the set, of the largest distance to c) and the smallest
+    point id that attains that radius."""
+    n = inst.n
+    ids = np.arange(1 << n)
+    # farthest[c, s]: largest d(u, c) over u in s; nbrs[s]: neighbours of s
+    farthest = np.zeros((n, 1 << n))
+    nbrs = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        farthest[:, 1 << b : 2 << b] = np.maximum(farthest[:, : 1 << b], inst.dist[b][:, None])
+        nbrs[1 << b : 2 << b] = nbrs[: 1 << b] | sum(1 << u for u in inst.adj[b])
+    reach = ids & -ids
+    for _ in range(n - 1):
+        reach = ids & (reach | nbrs[reach])
+    inside = (ids >> np.arange(n)[:, None]) & 1 == 1
+    own = np.where(inside, farthest, np.inf)
+    center = own.argmin(axis=0)
+    diameter = np.where(inside, farthest, 0.0).max(axis=0)
+    return (reach == ids) & (ids > 0), diameter, own[center, ids], center
+
+
+def _points(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
-# disjoint optimum via partition enumeration
+# disjoint optimum via a min-max partition DP
 
 
-def _block_completable(inst: Instance, block: set[int], future_from: int) -> bool:
-    """Can ``block`` still become connected using only points >= future_from?"""
-    allowed = block | set(range(future_from, inst.n))
-    start = next(iter(block))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in inst.adj[v]:
-            if u in allowed and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return block <= seen
-
-
-def _block_cost_lb(inst: Instance, block: set[int], future_from: int, objective: str) -> float:
-    idx = np.fromiter(block, dtype=int)
-    if objective == DIAMETER:
-        if len(idx) < 2:
-            return 0.0
-        return float(inst.dist[np.ix_(idx, idx)].max())
-    cand = list(block) + list(range(future_from, inst.n))
-    return min(float(inst.dist[idx, c].max()) for c in cand)
-
-
-def _block_center_cost(inst: Instance, block: frozenset[int]) -> tuple[float, int]:
-    idx = np.fromiter(block, dtype=int)
-    best = min((float(inst.dist[idx, c].max()), c) for c in sorted(block))
-    return best
+def _splits(connected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (mask, s) with s a connected subset of mask holding the
+    lowest point of mask, ordered by mask and then by s."""
+    n = connected.size.bit_length() - 1
+    masks, parts = [], []
+    for low in range(n):
+        m = s = np.array([1 << low])
+        for b in range(low + 1, n):  # point b: outside m, in m only, or in s
+            m = np.concatenate([m, m | 1 << b, m | 1 << b])
+            s = np.concatenate([s, s, s | 1 << b])
+        keep = connected[s]
+        masks.append(m[keep])
+        parts.append(s[keep])
+    order = np.lexsort((np.concatenate(parts), np.concatenate(masks)))
+    return np.concatenate(masks)[order], np.concatenate(parts)[order]
 
 
 def exact_disjoint(
     inst: Instance, objective: str, limits: OracleLimits = DEFAULT_LIMITS
 ) -> tuple[float, Clustering]:
-    """Exact disjoint optimum by enumerating connected set partitions.
+    """Exact disjoint optimum by a min-max DP over connected set partitions.
 
-    Restricted-growth enumeration with two prunes: a partial block is
-    abandoned once it cannot be reconnected through unplaced points, or
-    once its cost lower bound already exceeds the incumbent.
+    ``best[j][mask]`` is the least cost of splitting ``mask`` into at most
+    j connected clusters, where the first cluster holds the lowest point
+    of ``mask``.  Among optimal partitions the witness is the one whose
+    clusters, listed by least point, have the smallest ascending point
+    lists in lexicographic order.
     """
     if inst.n > limits.max_n_partition:
         raise OracleLimitError(
             f"n={inst.n} exceeds partition-enumeration limit {limits.max_n_partition}"
         )
     deadline = time.monotonic() + limits.time_budget_s
-    n, k = inst.n, inst.k
-    best_val: float = float("inf")
-    best_enc: Optional[tuple] = None
-    best_clusters: Optional[list[frozenset[int]]] = None
-    blocks: list[set[int]] = []
-
-    def finish() -> None:
-        nonlocal best_val, best_enc, best_clusters
-        frozen = [frozenset(b) for b in blocks]
-        for b in frozen:
-            if not _block_completable(inst, set(b), n):
-                return
-        if objective == DIAMETER:
-            val = max(_block_cost_lb(inst, set(b), n, DIAMETER) for b in frozen)
-        else:
-            val = max(_block_center_cost(inst, b)[0] for b in frozen)
-        enc = _canonical(frozen)
-        if val < best_val or (val == best_val and (best_enc is None or enc < best_enc)):
-            best_val = val
-            best_enc = enc
-            best_clusters = frozen
-
-    def place(i: int) -> None:
+    connected, diameter, radius, center = _subset_table(inst)
+    cost = diameter if objective == DIAMETER else radius
+    masks, parts = _splits(connected)
+    rests = masks ^ parts
+    full = (1 << inst.n) - 1
+    starts = np.searchsorted(masks, np.arange(1, full + 2))
+    best = [np.full(full + 1, np.inf)]
+    best[0][0] = 0.0
+    for _ in range(inst.k):
         if time.monotonic() > deadline:
             raise OracleLimitError("partition enumeration exceeded time budget")
-        if i == n:
-            finish()
-            return
-        for b in range(min(len(blocks) + 1, k)):
-            fresh = b == len(blocks)
-            if fresh:
-                blocks.append({i})
-            else:
-                blocks[b].add(i)
-            ok = all(_block_completable(inst, blk, i + 1) for blk in blocks)
-            if ok and best_clusters is not None:
-                lb = max(_block_cost_lb(inst, blk, i + 1, objective) for blk in blocks)
-                if lb > best_val:
-                    ok = False
-            if ok:
-                place(i + 1)
-            if fresh:
-                blocks.pop()
-            else:
-                blocks[b].remove(i)
-
-    place(0)
-    if best_clusters is None:
+        layer = np.zeros(full + 1)
+        layer[1:] = np.minimum.reduceat(np.maximum(cost[parts], best[-1][rests]), starts[:-1])
+        best.append(layer)
+    value = float(best[-1][full])
+    if value == np.inf:
         raise InfeasibleError("connectivity graph has more components than k")
-    if objective == CENTER:
-        centers = [(_block_center_cost(inst, b)[1]) for b in best_clusters]
-    else:
-        centers = None
-    order = sorted(range(len(best_clusters)), key=lambda i: min(best_clusters[i]))
-    result = clustering(
-        [best_clusters[i] for i in order],
-        [centers[i] for i in order] if centers else None,
-        DISJOINT,
-    )
-    return best_val, result
+    blocks: list[int] = []
+    left = full
+    while left:
+        at = slice(starts[left - 1], starts[left])
+        ok = (cost[parts[at]] <= value) & (best[inst.k - len(blocks) - 1][rests[at]] <= value)
+        blocks.append(min(parts[at][ok].tolist(), key=_points))
+        left ^= blocks[-1]
+    centers = [center[b] for b in blocks] if objective == CENTER else None
+    return value, clustering(map(_points, blocks), centers, DISJOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +200,6 @@ def exact_nondisjoint_center(
     return exact_nondisjoint_center_with_witness(inst, limits)[0]
 
 
-def _connected_mask(inst: Instance, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in inst.adj[v]:
-            bit = 1 << u
-            if mask & bit and not seen & bit:
-                seen |= bit
-                stack.append(u)
-    return seen == mask
-
-
 def exact_nondisjoint_diameter_with_witness(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> tuple[float, Clustering]:
@@ -242,27 +211,12 @@ def exact_nondisjoint_diameter_with_witness(
         )
     n = inst.n
     full = (1 << n) - 1
+    connected, diameter, _, _ = _subset_table(inst)
+    sets = np.flatnonzero(connected)
+    diameters = diameter[sets]
 
     def probe(r: float) -> Optional[list[int]]:
-        near = []
-        for i in range(n):
-            bits = 0
-            for j in range(n):
-                if dist_leq(inst.d(i, j), r):
-                    bits |= 1 << j
-            near.append(bits)
-        feasible_sets = []
-        for mask in range(1, full + 1):
-            m = mask
-            ok = True
-            while m:
-                i = (m & -m).bit_length() - 1
-                if mask & ~near[i]:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok and _connected_mask(inst, mask):
-                feasible_sets.append(mask)
+        feasible_sets = sets[dist_leq_arr(diameters, r)].tolist()
         maximal = [
             m
             for m in feasible_sets
@@ -290,10 +244,7 @@ def exact_nondisjoint_diameter_with_witness(
     if found is None:
         raise InfeasibleError("more connectivity components than the budget")
     r, chosen = found
-    witness = clustering(
-        [{i for i in range(n) if m >> i & 1} for m in chosen], None, NON_DISJOINT
-    )
-    return r, witness
+    return r, clustering(map(_points, chosen), None, NON_DISJOINT)
 
 
 def exact_nondisjoint_diameter(
@@ -451,14 +402,10 @@ def disjoint_feasible_at(
     if inst.k > limits.max_k_subsets:
         raise OracleLimitError(f"k={inst.k} exceeds subset limit {limits.max_k_subsets}")
     deadline = time.monotonic() + limits.time_budget_s
+    components = inst.connected_components()
     for size in range(1, inst.k + 1):
         for C in itertools.combinations(range(inst.n), size):
-            ok = True
-            for comp in inst.connected_components():
-                if not any(c in comp for c in C):
-                    ok = False
-                    break
-            if not ok:
+            if not all(any(c in comp for c in C) for comp in components):
                 continue
             budget = [limits.max_assignment_nodes]
             if _assignment_dfs(inst, list(C), r, CENTER, budget, deadline) is not None:

@@ -342,7 +342,6 @@ def partition_doubling(
     centers = sorted(int(c) for c in centers)
     if not centers:
         raise ValueError("center set is empty")
-    threshold = doubling_layer_bound(dim)
     cover = _greedy_ball_cover(dist, centers, r)
 
     def neighbor_ids(i: int) -> list[int]:
@@ -358,7 +357,7 @@ def partition_doubling(
         improved = False
         for i in sorted(range(len(cover)), key=lambda t: cover[t][0]):
             nbrs = neighbor_ids(i)
-            if len(nbrs) < threshold:
+            if len(nbrs).bit_length() <= 4 * dim:  # fewer than 2^(4 dim) neighbours
                 continue
             region: set[int] = set()
             for j in [i] + nbrs:

@@ -1021,3 +1021,23 @@ def test_bench_center_only_diameter_ratio_is_at_least_one(tmp_path, capsys, seed
         value, oracle, ratio = row.split(",")[4:7]
         assert dist_leq(float(oracle), float(value)), row
         assert ratio == "" or float(ratio) >= 1.0 - 1e-9, row
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_doubling_dimension_below_one_exits_3(tmp_path, capsys, command, dim):
+    path = str(tmp_path / "general.json")
+    run_cli(["gen", "--family", "general", "--n", "12", "--k", "3", "--seed", "1",
+             "--out", path], capsys)
+    algo = "--algo" if command == "solve" else "--algos"
+    code, out, err = run_cli([command, "--in", path, algo, "doubling", f"--dim={dim}"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: doubling dimension must be at least 1, got {dim}\n"
+
+
+def test_sat_gadget_builds_points_only_for_used_variables(capsys):
+    code, out, _ = run_cli(["gen", "--family", "sat", "--formula", "200000"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 6
+    assert doc["labels"] == ["T", "F", "x200000", "~x200000", "a200000", "b1"]

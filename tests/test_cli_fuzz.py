@@ -302,8 +302,8 @@ def test_mutated_argv_between_valid_requests(argv_requests, data, steps):
         assert err == _call(lambda a: build_parser().parse_args(a), argv)[2]
 
 
-# Small values only: a sat literal names a variable and every variable
-# adds points, so a large one would build a large instance.
+# Small sizes keep each generated instance small.  A sat literal may be
+# large: only the variables that occur in the formula add points.
 GEN_TOKENS = {
     "--n": st.integers(-1, 10).map(str),
     "--k": st.integers(-1, 6).map(str),
@@ -313,7 +313,7 @@ GEN_TOKENS = {
     "--p": st.sampled_from(["1", "2", "3", "inf", "1.5", "0", "-1", "nan", "1e400", "x", ""]),
     "--variant": st.sampled_from(["two_center", "four_center", "x"]),
     "--formula": st.sampled_from(["1,2;-1,-2", "1,2,3;-2,-3", "1;-1", "1,2,3,4", "0", "1,x",
-                                  ";", "", "-3"]),
+                                  ";", "", "-3", "200000", "1;-99999"]),
     "--pairs": st.sampled_from(["0,1", "0,1;1,2", "0,1;2,3", "0,x", "0,1,2", "0", "5,0",
                                 "0,0", ";", "", " 1 , 2 "]),
     "--sets": st.sampled_from(["0,1;2", "0;1;2;3", "1,x", "0,,1", "-1,2", ";", "", "0,1,2,3"]),

@@ -301,3 +301,16 @@ def test_gen_random_general_repair_default():
 def test_gen_random_rejects_bad_sizes():
     with pytest.raises(InstanceFormatError):
         gen_random("line", 3, 5, seed=0)
+
+
+def test_sat_gadget_skips_variables_that_do_not_occur():
+    clauses = [[1], [3]]
+    meta = gen_sat_gadget(clauses, "two_center")
+    labels = meta.instance.labels
+    assert "x2" not in labels and "~x2" not in labels and "a2" not in labels
+    assert meta.instance.n == 2 + 3 * 2 + 2
+    assert sorted(meta.annotations["variables"]) == ["1", "3"]
+    for formula in (clauses, [[1], [-3], [3]]):
+        meta = gen_sat_gadget(formula, "two_center")
+        res = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
+        assert res[0] == (1.0 if sat_brute(formula) else 3.0)

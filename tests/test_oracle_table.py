@@ -1,0 +1,110 @@
+"""The subset-table oracles against the searches they replaced.
+
+``exact_disjoint`` is a min-max partition DP and the non-disjoint
+diameter oracle reads its feasible sets from the same table of connected
+subsets.  ``_oracle_refs`` keeps the partition enumerator and the
+per-probe bitmask scan they replaced; both must give the same value, the
+same clustering and the same errors.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracle_refs as refs
+from conncluster.instances import gen_random
+from conncluster.model import CENTER, DIAMETER, REL_TOL, InfeasibleError, make_instance
+from conncluster.oracle import (
+    OracleLimitError,
+    OracleLimits,
+    exact_disjoint,
+    exact_nondisjoint_diameter_with_witness,
+)
+
+# Matrix entries: exact ties, zeros off the diagonal, and values one
+# tolerance step or one ulp apart.
+ENTRIES = (0.0, 1.0, 1.0 + REL_TOL, math.nextafter(1.0, 2.0), 2.0, 2.5, 3.0, 7.0)
+
+
+@st.composite
+def explicit_instances(draw):
+    """n <= 8 points, a random symmetric matrix over ENTRIES, a random
+    connectivity graph (possibly with several components) and any k."""
+    n = draw(st.integers(1, 8))
+    m = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    m[iu] = m.T[iu] = draw(
+        st.lists(st.sampled_from(ENTRIES), min_size=len(iu[0]), max_size=len(iu[0]))
+    )
+    pairs = list(zip(*iu))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_instance(m, edges, draw(st.integers(1, n)))
+
+
+def outcome(oracle, *args):
+    """The oracle's (value, clustering), or the message it was infeasible with."""
+    try:
+        return oracle(*args)
+    except InfeasibleError as exc:
+        return "infeasible", str(exc)
+
+
+def assert_matches_refs(inst):
+    for objective in (CENTER, DIAMETER):
+        assert outcome(exact_disjoint, inst, objective) == outcome(
+            refs.exact_disjoint, inst, objective
+        )
+    assert outcome(exact_nondisjoint_diameter_with_witness, inst) == outcome(
+        refs.exact_nondisjoint_diameter_with_witness, inst
+    )
+
+
+@settings(max_examples=300)
+@given(explicit_instances())
+def test_explicit_instances_match_refs(inst):
+    assert_matches_refs(inst)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(("general", "lp", "line", "tree")),
+    st.integers(1, 8),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_generated_instances_match_refs_for_every_k(family, n, seed, data):
+    inst = gen_random(family, n, data.draw(st.integers(1, n)), seed)
+    assert_matches_refs(inst)
+
+
+@pytest.mark.parametrize(
+    "family, n, k, seed",
+    [("general", 9, 3, 0), ("tree", 9, 4, 1), ("lp", 10, 2, 2), ("general", 10, 4, 3)],
+)
+def test_seeded_larger_instances_match_refs(family, n, k, seed):
+    assert_matches_refs(gen_random(family, n, k, seed))
+
+
+def test_disconnected_beyond_k_is_infeasible():
+    m = np.ones((4, 4)) - np.eye(4)
+    inst = make_instance(m, [(0, 1)], 2)
+    for objective in (CENTER, DIAMETER):
+        with pytest.raises(InfeasibleError, match="more components than k"):
+            exact_disjoint(inst, objective)
+
+
+def test_zero_time_budget_stops_the_dp():
+    inst = gen_random("general", 6, 2, seed=0)
+    with pytest.raises(OracleLimitError, match="exceeded time budget"):
+        exact_disjoint(inst, CENTER, OracleLimits(time_budget_s=0))
+
+
+def test_size_limits_keep_their_messages():
+    inst = gen_random("general", 11, 2, seed=0)
+    with pytest.raises(OracleLimitError, match=r"n=11 exceeds partition-enumeration limit 10"):
+        exact_disjoint(inst, DIAMETER)
+    with pytest.raises(OracleLimitError, match=r"n=11 exceeds enumeration limit 10"):
+        exact_nondisjoint_diameter_with_witness(inst)
