@@ -356,20 +356,18 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
 @dataclass
 class _Forest:
     """The radius-independent part of ``tree_assignment``, built once per
-    solve: the virtual forest (the original ids plus fresh ids for the
-    center copies), and each component holding a non-center as its DFS
-    pre-order from its smallest non-center.  Every component holds a
-    center: the tree is connected, and a split center leaves a copy on
-    each of its edges.
+    solve: the components of the tree minus its centers, each as its DFS
+    pre-order from its smallest point, and each with ``via``, the map from
+    the column of every center it touches to the one point that center
+    hangs from (a center touches a component at most once in a tree).
+    Every component touches a center, since the tree is connected.
     """
 
-    centers: list[int]  # sorted original ids
+    centers: list[int]  # sorted ids
     dist: np.ndarray  # inst.dist[:, centers]
-    orig: dict[int, int]  # virtual vertex -> original id
-    col: dict[int, int]  # virtual center -> column of its center in dist
-    parent: dict[int, int]
-    children: dict[int, list[int]]
-    orders: list[list[int]]
+    parent: list[int]  # parent inside the component, -1 at its root
+    hang: list[list[int]]  # hang[v]: columns of the centers adjacent to v
+    components: list[tuple[list[int], dict[int, int]]]  # (pre-order, via)
 
 
 def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
@@ -383,113 +381,78 @@ def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
     if not all(0 <= c < inst.n for c in C):
         raise AlgorithmPreconditionError("center ids out of range")
 
-    adj: dict[int, set[int]] = {v: set(inst.adj[v]) for v in range(inst.n)}
-    orig: dict[int, int] = {v: v for v in range(inst.n)}
-    col: dict[int, int] = {c: j for j, c in enumerate(C)}
-    next_id = inst.n
-    for c in reversed(C):
-        if len(adj[c]) < 2:
+    col = {c: j for j, c in enumerate(C)}
+    parent = [-1] * inst.n
+    hang: list[list[int]] = [[] for _ in range(inst.n)]
+    seen = [v in col for v in range(inst.n)]
+    components: list[tuple[list[int], dict[int, int]]] = []
+    for root in range(inst.n):
+        if seen[root]:
             continue
-        for nb in sorted(adj[c]):
-            copy = next_id
-            next_id += 1
-            orig[copy] = orig[c]
-            col[copy] = col[c]
-            adj[copy] = {nb}
-            adj[nb].discard(c)
-            adj[nb].add(copy)
-        del adj[c], col[c], orig[c]
-
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {v: [] for v in adj}
-    orders: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        non_centers = [v for v in comp if v not in col]
-        if not non_centers:
-            continue  # a component of centers only keeps them to themselves
-        root = min(non_centers)  # all centers are leaves, so the root never is one
-        parent[root] = -1
+        seen[root] = True
         order: list[int] = []
+        via: dict[int, int] = {}
         stack = [root]
         while stack:
             v = stack.pop()
             order.append(v)
-            for u in sorted(adj[v], reverse=True):
-                if u not in parent:
+            for u in reversed(inst.adj[v]):  # adjacency lists are ascending
+                if u in col:
+                    hang[v].append(col[u])
+                    via[col[u]] = v
+                elif not seen[u]:
+                    seen[u] = True
                     parent[u] = v
                     stack.append(u)
-        for v in order[1:]:
-            children[parent[v]].append(v)
-        orders.append(order)
-    return _Forest(C, inst.dist[:, C], orig, col, parent, children, orders)
+        components.append((order, via))
+    return _Forest(C, inst.dist[:, C], parent, hang, components)
 
 
 def _assign_forest(forest: _Forest, r: float) -> Optional[Clustering]:
+    """Per component, one bottom-up pass collecting the columns of the
+    centers each point can reach through its subtree, folding a point
+    that reaches none into its parent's need, and one top-down pass
+    assigning along the chosen center paths."""
     ok = dist_leq_arr(forest.dist, r).tolist()  # ok[x][j]: x within r of centers[j]
-    orig = forest.orig
-    blocks: dict[int, set[int]] = {c: {c} for c in forest.centers}
-    for order in forest.orders:
-        side = _assign_component(forest, order, ok)
-        if side is None:
-            return None
-        for v, c in side.items():
-            blocks[orig[c]].add(orig[v])
-    return clustering([blocks[c] for c in forest.centers], forest.centers, DISJOINT)
-
-
-def _assign_component(
-    forest: _Forest, order: list[int], ok: list[list[bool]]
-) -> Optional[dict[int, int]]:
-    """One bottom-up pass collecting the reachable descendant centers,
-    folding a vertex that reaches none into its parent's need, and one
-    top-down pass assigning along the chosen center paths."""
-    col, parent, children = forest.col, forest.parent, forest.children
-    root = order[0]
+    parent, hang = forest.parent, forest.hang
+    n = len(parent)
     # lists stand in for sets: a need list merged into its parent's is
-    # disjoint from it, and the reach lists of siblings are disjoint
-    need: dict[int, list[int]] = {v: [v] for v in order}
-    reach: dict[int, list[int]] = {}
-    for v in reversed(order):
-        if v in col:
-            reach[v] = [v]
-            continue
-        nv = need[v]
-        reach[v] = rv = [
-            c for u in children[v] for c in reach[u] if all(ok[x][col[c]] for x in nv)
-        ]
-        if not rv:
-            if v == root:
-                return None
-            need[parent[v]] += nv
+    # disjoint from it, and the reach lists of siblings are disjoint;
+    # reach[v] collects its children's reach lists until v's own turn
+    need = [[v] for v in range(n)]
+    reach: list[list[int]] = [[] for _ in range(n)]
+    side = [-1] * n  # the column each non-center is assigned to
+    for order, via in forest.components:
+        for v in reversed(order):
+            nv = need[v]
+            reach[v] = rv = [j for j in hang[v] + reach[v] if all(ok[x][j] for x in nv)]
+            p = parent[v]
+            if p < 0:
+                if not rv:
+                    return None
+            elif rv:
+                reach[p] += rv
+            else:
+                need[p] += nv
 
-    orig = forest.orig
-    side: dict[int, int] = {}
-    for v in order:
-        if v in side:
-            continue
-        if not reach[v]:
-            raise RuntimeError("fold chain left an unassigned vertex")
-        c = min(reach[v], key=lambda t: (orig[t], t))
-        x = c
-        while True:
-            for y in need[x]:
-                side[y] = c
-            if x == v:
-                break
-            x = parent[x]
-    return side
+        for v in order:
+            if side[v] >= 0:
+                continue
+            if not reach[v]:
+                raise RuntimeError("fold chain left an unassigned vertex")
+            j = min(reach[v])
+            x = via[j]
+            while True:
+                for y in need[x]:
+                    side[y] = j
+                if x == v:
+                    break
+                x = parent[x]
+    blocks = [{c} for c in forest.centers]
+    for v, j in enumerate(side):
+        if j >= 0:
+            blocks[j].add(v)
+    return clustering(blocks, forest.centers, DISJOINT)
 
 
 def tree_assignment(
@@ -498,11 +461,10 @@ def tree_assignment(
     """Connected disjoint assignment of all points to the fixed centers
     with radius at most r, or None when impossible.
 
-    Non-leaf centers are first split into per-neighbor leaf copies (the
-    copies inherit the center's distances), which makes every subtree
-    problem independent; each component is then solved by one bottom-up
-    pass collecting reachable descendant centers and one top-down pass
-    assigning along the chosen center paths.
+    Removing the centers leaves components that are solved
+    independently: each by one bottom-up pass collecting the centers its
+    points can reach and one top-down pass assigning along the chosen
+    center paths.
     """
     return _assign_forest(_tree_forest(inst, C), r)
 

@@ -539,6 +539,10 @@ def _prim_mst(dist: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
+#: chance that ``gen_random("general", ...)`` adds each non-tree edge
+EDGE_PROB = 0.35
+
+
 def gen_random(
     family: str,
     n: int,
@@ -548,7 +552,6 @@ def gen_random(
     dim: int = 2,
     p: float = 2,
     max_distance: int = 9,
-    edge_prob: float = 0.35,
     metric_repair: Optional[bool] = None,
 ) -> Instance:
     """Seed-deterministic instance families.
@@ -577,13 +580,15 @@ def gen_random(
         edges = {(rng.randrange(i), i) for i in range(1, n)}
         for i in range(n):
             for j in range(i + 1, n):
-                if (i, j) not in edges and rng.random() < edge_prob:
+                if (i, j) not in edges and rng.random() < EDGE_PROB:
                     edges.add((i, j))
         m = _random_symmetric_matrix(rng, n, max_distance)
         if metric_repair is None or metric_repair:
             m = _shortest_path_closure(m)
         return make_instance(m, sorted(edges), k)
     if family == "lp":
+        if dim < 0:
+            raise InstanceFormatError("need dim >= 0")
         coords = np.array([[rng.random() for _ in range(dim)] for _ in range(n)])
         from .model import LpMetric
 

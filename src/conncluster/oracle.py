@@ -78,6 +78,25 @@ def _subset_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return (reach == ids) & (ids > 0), diameter, own[center, ids], center
 
 
+def _strictly_inside(marked: np.ndarray) -> np.ndarray:
+    """Per bitmask: whether some strictly larger marked set contains it.
+
+    Two superset-OR passes over the table: the first marks every set
+    inside a marked one (itself included), the second every set one
+    point short of such a set.  Viewing the table as (-1, 2, 2^b) puts
+    the sets without point b at [:, 0] and their extensions by b at
+    [:, 1]."""
+    n = marked.size.bit_length() - 1
+    inside = marked.copy()
+    for b in range(n):
+        view = inside.reshape(-1, 2, 1 << b)
+        view[:, 0] |= view[:, 1]
+    strict = np.zeros_like(marked)
+    for b in range(n):
+        strict.reshape(-1, 2, 1 << b)[:, 0] |= inside.reshape(-1, 2, 1 << b)[:, 1]
+    return strict
+
+
 def _points(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -212,16 +231,10 @@ def exact_nondisjoint_diameter_with_witness(
     n = inst.n
     full = (1 << n) - 1
     connected, diameter, _, _ = _subset_table(inst)
-    sets = np.flatnonzero(connected)
-    diameters = diameter[sets]
 
     def probe(r: float) -> Optional[list[int]]:
-        feasible_sets = sets[dist_leq_arr(diameters, r)].tolist()
-        maximal = [
-            m
-            for m in feasible_sets
-            if not any(m != o and m & o == m for o in feasible_sets)
-        ]
+        feasible = connected & dist_leq_arr(diameter, r)
+        maximal = np.flatnonzero(feasible & ~_strictly_inside(feasible)).tolist()
         memo: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
 
         def cover(uncovered: int) -> tuple[int, tuple[int, ...]]:

@@ -916,6 +916,7 @@ def test_concurrent_requests_match_a_serial_run(line_file, cl_file, tmp_path, fr
         (["gen", "--family", "worstcase-I", "--m", "9"], 2, "error: m must be between 1 and 4\n"),
         (["gen", "--family", "worstcase-Iprime", "--m", "0"], 2, "error: m must be 2 or 3\n"),
         (["gen", "--family", "lp", "--p", "x"], 2, "error: cannot parse p 'x'\n"),
+        (["gen", "--family", "lp", "--dim", "-1"], 2, "error: need dim >= 0\n"),
         (["gen", "--family", "star-set-cover", "--n", "4", "--sets", "1,x"], 2,
          "error: cannot parse set '1,x'\n"),
         (["gen", "--family", "sat", "--formula", "1,2;-1,y"], 2,

@@ -473,13 +473,19 @@ def test_tree_assignment_matches_loop(case):
 
 def test_seeded_tree_assignment_matches_loop():
     """Larger trees, with the highest-degree point among the centers, so
-    that it is split into copies."""
+    that it touches several components, once alone and once beside two
+    of its neighbours, so that centers also share edges."""
     rng = random.Random(5)
     for seed in range(10):
         n = 10 + 8 * seed
         inst = gen_random("tree", n, n, seed=seed + 200, max_distance=30)
         hub = max(range(n), key=lambda v: len(inst.adj[v]))
-        for C in ([hub], [hub, *rng.sample(range(n), 3 + seed)], list(range(n))):
+        for C in (
+            [hub],
+            [hub, *inst.adj[hub][:2]],
+            [hub, *rng.sample(range(n), 3 + seed)],
+            list(range(n)),
+        ):
             C = sorted(set(C))
             for r in dedup_radii(inst.dist[:, C], leq=True)[:: max(1, n // 6)]:
                 assert tree_assignment(inst, C, r) == loop_tree_assignment(inst, C, r)
