@@ -33,6 +33,7 @@ from .model import (
     dedup_radii,
     dist_leq,
     dist_leq_arr,
+    leq_bound,
     make_report,
     validate_clustering,  # unused here; perfbench/tracer.py wraps it in each solver module
 )
@@ -57,7 +58,7 @@ def _reach(D: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     before the nearest position that is not."""
     n = len(D)
     rows = np.arange(n)
-    blocked = ~dist_leq_arr(D, r)
+    blocked = D > leq_bound(r)
     before = np.tri(n, k=-1, dtype=bool)  # j < i
     left = (blocked & before)[:, ::-1]  # column n-1-j holds j
     last = left.argmax(axis=1)

@@ -58,17 +58,30 @@ def dist_leq(a: float, b: float) -> bool:
     return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def dist_leq_arr(a: np.ndarray, b: float) -> np.ndarray:
-    """Vectorized tolerant a <= b, elementwise equal to ``dist_leq``.
+def leq_bound(r: float) -> float:
+    """The largest float x with ``dist_leq(x, r)``, or inf.
 
-    The bound is built in one buffer: a fresh temporary per step costs
-    more than the arithmetic on an n x n matrix.
+    When ``dist_leq(a, r)`` holds it holds for every smaller a >= 0, so
+    for finite a >= 0 it is ``a <= leq_bound(r)``: one float per radius
+    stands for the whole tolerant test.  The start
+    ``r + REL_TOL * max(1, |r|)`` always passes; a step or two up finds
+    the last float that does.  The steps stop at inf, where the start
+    lands when it overflows near the top of the float range.
     """
-    bound = np.abs(a, dtype=float)
-    np.maximum(bound, max(1.0, abs(b)), out=bound)
-    bound *= REL_TOL
-    bound += b
-    return a <= bound
+    r = float(r)  # Python floats overflow to inf without a warning
+    x = r + REL_TOL * max(1.0, abs(r))
+    while x < math.inf:
+        up = math.nextafter(x, math.inf)
+        if not dist_leq(up, r):
+            break
+        x = up
+    return x
+
+
+def dist_leq_arr(a: np.ndarray, b: float) -> np.ndarray:
+    """Vectorized tolerant a <= b, elementwise equal to ``dist_leq`` on
+    finite a >= 0 (every distance the loader accepts, and their maxima)."""
+    return a <= leq_bound(b)
 
 
 # ---------------------------------------------------------------------------

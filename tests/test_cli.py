@@ -1,5 +1,6 @@
 import builtins
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -1042,3 +1043,73 @@ def test_sat_gadget_builds_points_only_for_used_variables(capsys):
     doc = json.loads(out)
     assert doc["n"] == 6
     assert doc["labels"] == ["T", "F", "x200000", "~x200000", "a200000", "b1"]
+
+
+# Exit code and the first 16 hex digits of the stdout's SHA-256 of every
+# solve of a 4-point path whose distances are all half the float range.
+# Greedy center grows at 2r, the largest float, whose tolerant bound
+# overflows to inf.
+HALF_MAX_SOLVES = {
+    ("auto", "center", "disjoint"): (0, "474df7e4d142002f"),
+    ("auto", "center", "non_disjoint"): (0, "cd7483a2d7ac0262"),
+    ("auto", "diameter", "disjoint"): (0, "7fde0f40fa38bb03"),
+    ("auto", "diameter", "non_disjoint"): (0, "7fde0f40fa38bb03"),
+    ("greedy", "center", "disjoint"): (0, "b1c4df3ad840676d"),
+    ("greedy", "center", "non_disjoint"): (0, "b1c4df3ad840676d"),
+    ("greedy", "diameter", "disjoint"): (0, "500bb2344f337c95"),
+    ("greedy", "diameter", "non_disjoint"): (0, "500bb2344f337c95"),
+    ("line", "center", "disjoint"): (3, "e3b0c44298fc1c14"),
+    ("line", "center", "non_disjoint"): (0, "cd7483a2d7ac0262"),
+    ("line", "diameter", "disjoint"): (0, "7fde0f40fa38bb03"),
+    ("line", "diameter", "non_disjoint"): (0, "7fde0f40fa38bb03"),
+    ("tree-dp", "center", "disjoint"): (0, "474df7e4d142002f"),
+    ("tree-dp", "center", "non_disjoint"): (0, "474df7e4d142002f"),
+    ("tree-dp", "diameter", "disjoint"): (0, "74b01775161bfcb4"),
+    ("tree-dp", "diameter", "non_disjoint"): (0, "74b01775161bfcb4"),
+    ("tree-assign", "center", "disjoint"): (0, "6dd41678a08066aa"),
+    ("tree-assign", "center", "non_disjoint"): (0, "6dd41678a08066aa"),
+    ("tree-assign", "diameter", "disjoint"): (0, "e8ae973860488ed3"),
+    ("tree-assign", "diameter", "non_disjoint"): (0, "e8ae973860488ed3"),
+    ("general", "center", "disjoint"): (0, "b769ee59be900ad6"),
+    ("general", "center", "non_disjoint"): (0, "b769ee59be900ad6"),
+    ("general", "diameter", "disjoint"): (0, "68e663427a0dda7f"),
+    ("general", "diameter", "non_disjoint"): (0, "68e663427a0dda7f"),
+    ("lp", "center", "disjoint"): (3, "e3b0c44298fc1c14"),
+    ("lp", "center", "non_disjoint"): (3, "e3b0c44298fc1c14"),
+    ("lp", "diameter", "disjoint"): (3, "e3b0c44298fc1c14"),
+    ("lp", "diameter", "non_disjoint"): (3, "e3b0c44298fc1c14"),
+    ("doubling", "center", "disjoint"): (0, "a0911741107340ae"),
+    ("doubling", "center", "non_disjoint"): (0, "a0911741107340ae"),
+    ("doubling", "diameter", "disjoint"): (0, "c6dff4767131f898"),
+    ("doubling", "diameter", "non_disjoint"): (0, "c6dff4767131f898"),
+    ("two-center", "center", "disjoint"): (0, "457f1f9ef73ee8c7"),
+    ("two-center", "center", "non_disjoint"): (0, "457f1f9ef73ee8c7"),
+    ("two-center", "diameter", "disjoint"): (0, "7611598cb38e5f48"),
+    ("two-center", "diameter", "non_disjoint"): (0, "7611598cb38e5f48"),
+    ("assign", "center", "disjoint"): (0, "aa69f17d70031342"),
+    ("assign", "center", "non_disjoint"): (0, "aa69f17d70031342"),
+    ("assign", "diameter", "disjoint"): (0, "fd33174d7d7df452"),
+    ("assign", "diameter", "non_disjoint"): (0, "fd33174d7d7df452"),
+    ("oracle", "center", "disjoint"): (0, "86b04e4c70116c7b"),
+    ("oracle", "center", "non_disjoint"): (0, "cdf1f8e1da14668b"),
+    ("oracle", "diameter", "disjoint"): (0, "10e120e5b8ac675c"),
+    ("oracle", "diameter", "non_disjoint"): (0, "8d55326024df7afe"),
+}
+
+
+@pytest.mark.parametrize("algo, objective, mode", sorted(HALF_MAX_SOLVES))
+def test_half_float_range_distances_solve_without_warning(tmp_path, capsys, algo, objective, mode):
+    # any warning fails the test (pyproject.toml), the overflow too
+    assert {a for a, _, _ in HALF_MAX_SOLVES} == set(cli.ALGORITHMS)
+    half = sys.float_info.max / 2
+    matrix = [[0.0 if i == j else half for j in range(4)] for i in range(4)]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(
+        {"n": 4, "k": 2, "metric": {"type": "explicit", "matrix": matrix},
+         "edges": [[0, 1], [1, 2], [2, 3]]}
+    ))
+    centers = ["--centers", "0,2"] if algo in ("tree-assign", "assign") else []
+    code, out, _ = run_cli(["solve", "--in", str(path), "--algo", algo, "--objective", objective,
+                            "--mode", mode, *centers], capsys)
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert (code, digest) == HALF_MAX_SOLVES[algo, objective, mode]
