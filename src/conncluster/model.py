@@ -413,21 +413,41 @@ def _require_ids(values: Iterable) -> None:
             raise TypeError(f"point id {x!r} is not an integer")
 
 
-def _numbers(value, what: str) -> np.ndarray:
+def _numbers(value, what: str, bools: bool) -> np.ndarray:
+    """``value`` as a float array.
+
+    NumPy reads strings such as "1", " 1" and "1e0" and the booleans as
+    numbers, so a table of rows is checked entry by entry.  ``sum`` fails
+    on a string; its float start turns each integer into a float on its
+    own, so large integers that load cannot overflow a running sum.  It
+    takes a boolean, so where the document may hold one (``bools``) the
+    entry types are read as well.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim == 2:
+            sum(map(sum, value, itertools.repeat(0.0)))
+            if bools and bool in set(map(type, itertools.chain.from_iterable(value))):
+                raise TypeError("a boolean is not a number")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{what} must be numbers") from exc
+    return arr
 
 
-def _metric_from_doc(doc: dict) -> MetricSpec:
+def _weight(w) -> float:
+    if isinstance(w, (str, bool)):  # float() reads both
+        raise TypeError(f"edge weight {w!r} is not a number")
+    return float(w)
+
+
+def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
     if not isinstance(doc, dict) or "type" not in doc:
         raise InstanceFormatError('"metric" must be an object with a "type"')
     kind = doc["type"]
     if kind == "explicit":
         if "matrix" not in doc:
             raise InstanceFormatError('explicit metric needs a "matrix"')
-        return ExplicitMetric(_numbers(doc["matrix"], "explicit metric matrix entries"))
+        return ExplicitMetric(_numbers(doc["matrix"], "explicit metric matrix entries", bools))
     if kind == "lp":
         if "coords" not in doc or "p" not in doc:
             raise InstanceFormatError('lp metric needs "coords" and "p"')
@@ -436,12 +456,12 @@ def _metric_from_doc(doc: dict) -> MetricSpec:
             p = math.inf if p in ("inf", "infinity") else float(p)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError('lp metric "p" must be a number or "inf"') from exc
-        return LpMetric(_numbers(doc["coords"], "lp metric coords"), p)
+        return LpMetric(_numbers(doc["coords"], "lp metric coords", bools), p)
     if kind == "graph":
         if "edges" not in doc:
             raise InstanceFormatError('graph metric needs weighted "edges"')
         try:
-            edges = tuple((u, v, float(w)) for u, v, w in doc["edges"])
+            edges = tuple((u, v, _weight(w)) for u, v, w in doc["edges"])
             _require_ids([x for u, v, _ in edges for x in (u, v)])
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError("graph metric edges must be [u, v, weight] triples") from exc
@@ -449,8 +469,11 @@ def _metric_from_doc(doc: dict) -> MetricSpec:
     raise InstanceFormatError(f"unknown metric type {kind!r}")
 
 
-def instance_from_doc(doc: dict) -> Instance:
-    """Validate and realize an instance document (see README for the schema)."""
+def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
+    """Validate and realize an instance document (see README for the schema).
+
+    ``bools=False`` says that the document holds no boolean, which spares
+    the scan of every matrix or coordinate entry for one."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     for key in ("n", "k", "metric", "edges"):
@@ -470,7 +493,7 @@ def instance_from_doc(doc: dict) -> Instance:
         "".join(labels or ()).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise InstanceFormatError('"labels" must be valid Unicode') from exc
-    spec = _metric_from_doc(doc["metric"])
+    spec = _metric_from_doc(doc["metric"], bools)
     matrix = spec.realize(n)
     try:
         edges = [(u, v) for u, v in doc["edges"]]
@@ -521,10 +544,14 @@ def _orjson_instance(data: bytes | str) -> Optional[Instance]:
     read is left to ``json``.  So is every document that orjson or
     ``instance_from_doc`` rejects: ``json``'s reading gives the message.
     """
+    # a JSON true holds a "u" and a false an "f"; most documents hold
+    # neither letter, and one byte is found fast
+    u, f = ("u", "f") if isinstance(data, str) else (b"u", b"f")
+    bools = u in data or f in data
     try:
         doc = orjson.loads(data)
         del data  # a file's bytes are not needed past the decode
-        inst = instance_from_doc(doc)
+        inst = instance_from_doc(doc, bools=bools)
     except Exception:  # the caller reads the document again with json
         return None
     metric = doc["metric"]
@@ -794,8 +821,9 @@ def make_report(
 # candidate radii and the radius search driver
 
 
-def dedup_radii(values: np.ndarray, *, leq: bool = False) -> list[float]:
-    """Ascending, tolerance-deduplicated ``values`` with 0.0 first.
+def dedup_radii(values: np.ndarray, *, leq: bool = False) -> np.ndarray:
+    """Ascending, tolerance-deduplicated ``values`` with 0.0 first, as a
+    new float64 array.
 
     ``values`` are finite and nonnegative.  Walking them in ascending
     order, each value is compared with the last value *kept*, not with
@@ -803,64 +831,94 @@ def dedup_radii(values: np.ndarray, *, leq: bool = False) -> list[float]:
     ``dist_leq(v, last)`` with ``leq``, the rule of the fixed-center
     searches.  The two rules differ only in rounding, for a v at
     last + tolerance.
-
-    A value not within tolerance of its predecessor is always kept: the
-    last kept value is no larger than the predecessor and float
-    arithmetic rounds monotonically, so its gap is no smaller.  Only the
-    values within tolerance of their predecessor take the Python pass.
     """
-    v = np.unique(np.concatenate(([0.0], np.ravel(values))))
-    v[0] = 0.0  # the zero np.unique keeps may be a -0.0 entry
-    prev, cur = v[:-1], v[1:]
+    v = np.empty(np.size(values) + 1)
+    v[0] = 0.0
+    v[1:] = np.ravel(values)
+    return _dedup_sorted(v, leq)
+
+
+def _dedup_sorted(v: np.ndarray, leq: bool) -> np.ndarray:
+    """``dedup_radii`` of ``v[1:]``, given ``v[0] == 0.0``; sorts ``v`` in place.
+
+    An exact repeat is dropped: its value was kept, or was within
+    tolerance of the same last kept value.  A value not within tolerance
+    of its predecessor is always kept: the last kept value is no larger
+    than the predecessor and float arithmetic rounds monotonically, so
+    its gap is no smaller.  Every tolerance is at most
+    REL_TOL * max(1, v[-1]), and twice that also covers the rounding of
+    ``prev + tol`` under ``leq``, so one comparison of the gaps with it
+    leaves the few values that may be near ties.  Only the near ties
+    take the Python pass, which reads whether their predecessor's value
+    was kept at the first position that holds it.
+    """
+    v.sort()
+    v[0] = 0.0  # the zero sorted first may be a -0.0 entry
+    keep = np.empty(len(v), dtype=bool)
+    keep[0] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    close = np.flatnonzero(keep[1:] & (np.diff(v) <= 2 * REL_TOL * max(1.0, float(v[-1])))) + 1
+    cur, prev = v[close], v[close - 1]
     tol = REL_TOL * np.maximum(1.0, cur)  # = max(1, |cur|, |prev|) on ascending values >= 0
     near = cur <= prev + tol if leq else cur - prev <= tol
+    ties, cur, prev = close[near], cur[near], prev[near]
+    keep[ties] = False
+    starts = np.searchsorted(v, prev)  # the first position of each predecessor's value
     same = dist_leq if leq else dist_eq
-    keep = np.concatenate(([True], ~near))
     last = 0.0
-    for i in np.flatnonzero(near) + 1:
-        if keep[i - 1]:
-            last = float(v[i - 1])
-        if not same(float(v[i]), last):
+    for i, start, p, x in zip(ties.tolist(), starts.tolist(), prev.tolist(), cur.tolist()):
+        if keep[start]:
+            last = p
+        if not same(x, last):
             keep[i] = True
-    return v[keep].tolist()
+    return v if keep.all() else v[keep]
 
 
-def candidate_radii(inst: Instance) -> list[float]:
+def candidate_radii(inst: Instance) -> np.ndarray:
     """Ascending pairwise distances, 0 included, deduplicated by
-    ``dedup_radii``: each distance is dropped when ``dist_eq`` holds
-    between it and the last distance kept (not its predecessor)."""
-    return dedup_radii(inst.dist[np.triu_indices(inst.n, k=1)])
+    ``dedup_radii`` into a new float64 array: each distance is dropped
+    when ``dist_eq`` holds between it and the last distance kept (not
+    its predecessor)."""
+    n, d = inst.n, inst.dist
+    v = np.empty(n * (n - 1) // 2 + 1)
+    v[0] = 0.0
+    end = 1
+    for i in range(n - 1):  # the strict upper triangle, row by row
+        start, end = end, end + n - 1 - i
+        v[start:end] = d[i, i + 1 :]
+    return _dedup_sorted(v, leq=False)
 
 
 T = TypeVar("T")
 
 
 def binary_search_min_feasible(
-    candidates: Sequence[float],
+    candidates: Sequence[float] | np.ndarray,
     probe: Callable[[float], Optional[T]],
 ) -> Optional[tuple[float, T]]:
     """Find the leftmost-true boundary of ``probe`` over sorted candidates.
 
-    The probe's success set must contain a suffix of the candidate list
+    The probe's success set must contain a suffix of the candidates
     (exact probes are monotone; the greedy probes are guaranteed to
-    succeed from some candidate on).  Returns None iff the probe fails
-    at the maximum candidate.
+    succeed from some candidate on).  Each probe receives, and the
+    result carries, the Python float ``float(candidates[i])``.  Returns
+    None iff the probe fails at the maximum candidate.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     lo, hi = 0, len(candidates) - 1
-    best = probe(candidates[hi])
+    best = probe(float(candidates[hi]))
     if best is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        res = probe(candidates[mid])
+        res = probe(float(candidates[mid]))
         if res is not None:
             best = res
             hi = mid
         else:
             lo = mid + 1
-    return candidates[lo], best
+    return float(candidates[lo]), best
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,38 @@ def _line3(**changes):
         ),
         (_line3(labels=5), '"labels" must be a list of strings'),
         (
+            _line3(metric={"type": "explicit", "matrix": [[0, "1", 2], ["1", 0, 1], [2, 1, 0]]}),
+            "explicit metric matrix entries must be numbers",
+        ),
+        (
+            _line3(metric={"type": "explicit", "matrix": [[0, " 1", 2], [" 1", 0, 1], [2, 1, 0]]}),
+            "explicit metric matrix entries must be numbers",
+        ),
+        (
+            _line3(metric={"type": "explicit", "matrix": [[0, "1e0", 2], ["1e0", 0, 1], [2, 1, 0]]}),
+            "explicit metric matrix entries must be numbers",
+        ),
+        (
+            _line3(metric={"type": "explicit", "matrix": [[0, True, 2], [True, 0, 1], [2, 1, 0]]}),
+            "explicit metric matrix entries must be numbers",
+        ),
+        (
+            _line3(metric={"type": "lp", "coords": [["1"], [2], [3]], "p": 2}),
+            "lp metric coords must be numbers",
+        ),
+        (
+            _line3(metric={"type": "lp", "coords": [[True], [2], [3]], "p": 2}),
+            "lp metric coords must be numbers",
+        ),
+        (
+            _line3(metric={"type": "graph", "edges": [[0, 1, "1.5"], [1, 2, 1.0]]}),
+            "graph metric edges must be [u, v, weight] triples",
+        ),
+        (
+            _line3(metric={"type": "graph", "edges": [[0, 1, True], [1, 2, 1.0]]}),
+            "graph metric edges must be [u, v, weight] triples",
+        ),
+        (
             # a NaN would make the kept parallel edge depend on edge order
             _line3(metric={"type": "graph",
                            "edges": [[0, 1, 1.0], [1, 0, float("nan")], [1, 2, 1.0]]}),
@@ -477,7 +509,9 @@ def _line3(**changes):
         ),
     ],
     ids=["n-bool", "k-bool", "float-edge-id", "float-metric-edge-id", "string-matrix",
-         "string-coords", "nan-matrix", "labels-not-a-list", "nan-graph-weight"],
+         "string-coords", "nan-matrix", "labels-not-a-list", "numeric-string-matrix",
+         "spaced-string-matrix", "exponent-string-matrix", "bool-matrix", "numeric-string-coords",
+         "bool-coords", "string-graph-weight", "bool-graph-weight", "nan-graph-weight"],
 )
 def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
     path = tmp_path / "inst.json"
@@ -486,6 +520,46 @@ def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_large_integer_distances_still_load(tmp_path, capsys):
+    big = 2**64  # past int64: JSON integers have no bound
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_line3(
+        metric={"type": "explicit", "matrix": [[0, big, 2**63], [big, 0, 1], [2**63, 1, 0]]}
+    )))
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "line", "--objective", "diameter"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["objective"] == 1.0
+
+
+@pytest.mark.parametrize("objective", ["center", "diameter"])
+@pytest.mark.parametrize("algo", sorted(set(cli.ALGORITHMS) - {"two-center"}))  # k=2 needs n >= 2
+def test_one_point_instance_searches_one_candidate(tmp_path, capsys, monkeypatch, algo, objective):
+    from conncluster import disjoint, exact, greedy, oracle
+
+    searched = []
+    for module in (disjoint, exact, greedy, oracle):
+        def spy(cands, probe, search=module.binary_search_min_feasible):
+            searched.append(len(cands))
+            return search(cands, probe)
+
+        monkeypatch.setattr(module, "binary_search_min_feasible", spy)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(
+        {"n": 1, "k": 1, "metric": {"type": "lp", "coords": [[0.5]], "p": 2}, "edges": []}
+    ))
+    args = ["solve", "--in", str(path), "--algo", algo, "--objective", objective]
+    if algo in ("tree-assign", "assign", "oracle"):
+        args += ["--centers", "0"]
+    if algo == "line" and objective == "center":
+        args += ["--mode", "non_disjoint"]  # the disjoint line center is tree-dp's
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["clustering"]["clusters"] == [[0]]
+    assert doc["report"]["objective"] == 0.0
+    assert searched and set(searched) == {1}
 
 
 def test_float_point_id_in_clustering_exits_2(line_file, tmp_path, capsys):

@@ -177,12 +177,12 @@ def test_optimal_disjoint_cost_is_two(line6):
 
 
 def test_candidate_radii_line6(line6):
-    assert candidate_radii(line6) == [0.0, 1.0, 2.0]
+    assert candidate_radii(line6).tolist() == [0.0, 1.0, 2.0]
 
 
 def test_candidate_radii_single_point():
     inst = make_instance([[0.0]], [], 1)
-    assert candidate_radii(inst) == [0.0]
+    assert candidate_radii(inst).tolist() == [0.0]
 
 
 def test_candidate_radii_collinear():
@@ -192,7 +192,7 @@ def test_candidate_radii_collinear():
         "metric": {"type": "lp", "coords": [[0.0], [1.0], [3.0]], "p": 2},
         "edges": [[0, 1], [1, 2]],
     }
-    assert candidate_radii(load_instance(doc)) == [0.0, 1.0, 2.0, 3.0]
+    assert candidate_radii(load_instance(doc)).tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_binary_search_boundary():
@@ -216,6 +216,27 @@ def test_binary_search_suffix():
 
 def test_binary_search_infeasible():
     assert binary_search_min_feasible([0, 1], lambda r: None) is None
+
+
+@pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "array"])
+def test_binary_search_empty_candidates(empty):
+    with pytest.raises(ValueError, match="candidate list is empty"):
+        binary_search_min_feasible(empty, lambda r: "x")
+
+
+def test_binary_search_over_an_array_probes_python_floats():
+    probes = []
+
+    def probe(r):
+        probes.append(r)
+        return "x" if r >= 2 else None
+
+    # one candidate, whose truth value is its own, and several, which have none
+    assert binary_search_min_feasible(np.array([0.0]), probe) is None
+    assert binary_search_min_feasible(np.array([0.0, 1.0, 2.0, 5.0]), probe) == (2.0, "x")
+    assert type(binary_search_min_feasible(np.array([3.0]), probe)[0]) is float
+    assert probes == [0.0, 5.0, 1.0, 2.0, 3.0]
+    assert all(type(r) is float for r in probes)
 
 
 # ---------------------------------------------------------------------------

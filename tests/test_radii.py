@@ -2,9 +2,10 @@
 
 ``loop_candidate_radii`` is the loop ``candidate_radii`` used to run and
 ``loop_center_radii`` the loop the fixed-center searches (tree-assign
-and the oracle's center assignment) used to run.  Every list must match
-bit for bit, as Python floats, because the greedy probes are not
-monotone: another candidate list probes other radii.
+and the oracle's center assignment) used to run.  Every float64 array
+must match its list bit for bit, and every probe must receive the
+Python float the list held, because the greedy probes are not monotone:
+other candidates probe other radii.
 """
 
 import math
@@ -14,10 +15,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conncluster import exact, oracle
+from conncluster import disjoint, exact, greedy, oracle
+from conncluster.instances import gen_random
 from conncluster.model import (
     CENTER,
+    DIAMETER,
     REL_TOL,
+    InfeasibleError,
     candidate_radii,
     dedup_radii,
     dist_eq,
@@ -47,8 +51,8 @@ def loop_center_radii(values):
 
 
 def assert_same(got, want):
-    assert all(type(x) is float for x in got)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got.dtype == np.float64
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 # Steps between chain members, in units of the tolerance at the chain's
@@ -125,7 +129,19 @@ def test_dedup_radii_compares_with_last_kept():
     values = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol, 1.0 + 1.8 * tol, 1.0 + 2.4 * tol]
     # each value is within tolerance of its predecessor, but only the
     # ones beyond tolerance of the last kept value survive
-    assert dedup_radii(np.asarray(values)) == [0.0, 1.0, values[2], values[4]]
+    assert dedup_radii(np.asarray(values)).tolist() == [0.0, 1.0, values[2], values[4]]
+
+
+def test_dedup_radii_near_tie_screen_spans_the_largest_tolerance():
+    # the screen passes every gap within twice the largest value's
+    # tolerance; gaps beyond their own tolerance stay, at either end of
+    # the float range, and ties at the top are still found
+    big = 1e300
+    values = [1.0, 1.0 + 3 * REL_TOL, 1e6, big, big * (1 + 0.5 * REL_TOL), big * (1 + 3 * REL_TOL)]
+    for leq, loop in ((False, loop_candidate_radii), (True, loop_center_radii)):
+        got = dedup_radii(np.asarray(values), leq=leq)
+        assert_same(got, loop(values))
+        assert got.tolist() == [0.0, 1.0, values[1], 1e6, big, values[5]]
 
 
 def test_candidate_radii_single_point_and_negative_zero():
@@ -161,3 +177,71 @@ def test_fixed_center_candidates_match_loop(inst, data):
     want = loop_center_radii(inst.dist[:, sorted(C)])
     assert_same(searched_candidates(exact, exact.solve_tree_assignment, inst, C), want)
     assert_same(searched_candidates(oracle, oracle.exact_assignment, inst, C, CENTER), want)
+
+
+def list_search(candidates, probe):
+    """The radius search as it ran over a list of Python floats."""
+    lo, hi = 0, len(candidates) - 1
+    best = probe(candidates[hi])
+    if best is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        res = probe(candidates[mid])
+        if res is not None:
+            best, hi = res, mid
+        else:
+            lo = mid + 1
+    return candidates[lo], best
+
+
+@st.composite
+def search_instances(draw):
+    """A small seeded lp or general instance, or a path whose distances
+    are drawn from radius_values (near ties); k >= 2."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        family = draw(st.sampled_from(["lp", "general"]))
+        return gen_random(family, n, draw(st.integers(2, n)), draw(st.integers(0, 10**6)))
+    inst = draw(path_instances().filter(lambda inst: inst.n >= 2))
+    return make_instance(inst.dist, inst.edges, draw(st.integers(2, inst.n)))
+
+
+def probe_sequences(module, inst, solve):
+    """The radii each search in ``solve()`` hands its probe, and the radii
+    ``list_search`` over ``loop_candidate_radii`` hands the same probe."""
+    got, want = [], []
+    search = module.binary_search_min_feasible
+    radii = loop_candidate_radii(inst.dist[np.triu_indices(inst.n, k=1)])
+
+    def spy(cands, probe):
+        expected = list_search(radii, lambda r: want.append(r) or probe(r))
+        found = search(cands, lambda r: got.append(r) or probe(r))
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert type(found[0]) is float and found[0].hex() == expected[0].hex()
+        return found
+
+    with mock.patch.object(module, "binary_search_min_feasible", spy):
+        try:
+            solve()
+        except (InfeasibleError, disjoint.DisjointInvariantError):
+            pass  # raised past the search: too many components, or a non-metric matrix
+    assert got
+    return got, want
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_instances(), st.sampled_from([CENTER, DIAMETER]), st.sampled_from([None, 3]))
+def test_probes_receive_the_loop_radii_as_python_floats(inst, objective, seed):
+    solves = [
+        (greedy, lambda: greedy.solve_nondisjoint(inst, objective, seed=seed)),
+        (disjoint, lambda: disjoint.solve_disjoint(inst, objective, "general")),
+        (disjoint, lambda: disjoint.solve_assignment_given_centers(inst, [0], objective)),
+    ]
+    if inst.k == 2:
+        solves.append((disjoint, lambda: disjoint.solve_two_center_disjoint(inst)))
+    for module, solve in solves:
+        got, want = probe_sequences(module, inst, solve)
+        assert all(type(r) is float for r in got)
+        assert [r.hex() for r in got] == [r.hex() for r in want]
