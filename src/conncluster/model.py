@@ -434,10 +434,10 @@ def _numbers(value, what: str, bools: bool) -> np.ndarray:
     return arr
 
 
-def _weight(w) -> float:
-    if isinstance(w, (str, bool)):  # float() reads both
-        raise TypeError(f"edge weight {w!r} is not a number")
-    return float(w)
+def _scalar(x) -> float:
+    if isinstance(x, (str, bool)):  # float() reads both
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
 
 
 def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
@@ -453,7 +453,7 @@ def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
             raise InstanceFormatError('lp metric needs "coords" and "p"')
         p = doc["p"]
         try:
-            p = math.inf if p in ("inf", "infinity") else float(p)
+            p = math.inf if p in ("inf", "infinity") else _scalar(p)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError('lp metric "p" must be a number or "inf"') from exc
         return LpMetric(_numbers(doc["coords"], "lp metric coords", bools), p)
@@ -461,7 +461,7 @@ def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
         if "edges" not in doc:
             raise InstanceFormatError('graph metric needs weighted "edges"')
         try:
-            edges = tuple((u, v, _weight(w)) for u, v, w in doc["edges"])
+            edges = tuple((u, v, _scalar(w)) for u, v, w in doc["edges"])
             _require_ids([x for u, v, _ in edges for x in (u, v)])
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError("graph metric edges must be [u, v, weight] triples") from exc

@@ -1,12 +1,13 @@
 """Brute-force exact solvers for small instances.
 
 These are the ground truth used by the test suites: a min-max partition
-DP for the disjoint problem, center-subset enumeration for the
-non-disjoint center problem, a maximal-set cover search for the
-non-disjoint diameter problem, and a pruned assignment search for fixed
-center sets.  The partition DP and the diameter cover read one table of
-the connected point subsets and their costs.  Every routine refuses
-inputs beyond its limits instead of running unboundedly.
+DP for the disjoint problem, a smallest cover by maximal connected
+low-cost sets for the non-disjoint problem under either objective, and
+a pruned assignment search for fixed center sets.  The partition DP and
+the non-disjoint cover read one table of the connected point subsets and
+their costs; no routine here runs the algorithms the oracles check.
+Every routine refuses inputs beyond its limits instead of running
+unboundedly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .greedy import compute_cluster
 from .model import (
     CENTER,
     DIAMETER,
@@ -42,13 +42,15 @@ class OracleLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_n_partition: int = 10
+    max_n_partition: int = 12
     max_k_subsets: int = 4
-    max_assignment_nodes: int = 2_000_000
     time_budget_s: float = 120.0
 
 
 DEFAULT_LIMITS = OracleLimits()
+
+#: Search nodes one fixed-center assignment probe may visit.
+MAX_ASSIGNMENT_NODES = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -170,70 +172,26 @@ def exact_disjoint(
 # non-disjoint optima
 
 
-def exact_nondisjoint_center_with_witness(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+def _nondisjoint(
+    inst: Instance, objective: str, limits: OracleLimits
 ) -> tuple[float, Clustering]:
-    """Exact non-disjoint k-center optimum plus an optimal clustering.
+    """Exact non-disjoint optimum plus an optimal clustering, via exact set
+    cover over the maximal connected subsets whose cost fits the radius.
 
-    Maximal grown clusters dominate any feasible non-disjoint cluster,
-    so feasibility at radius r reduces to covering V with the maximal
-    clusters of at most k seed centers.
-    """
-    if inst.k > limits.max_k_subsets:
-        raise OracleLimitError(f"k={inst.k} exceeds subset limit {limits.max_k_subsets}")
-    if inst.n > 24:
-        raise OracleLimitError("n too large for center-subset enumeration")
-    full = (1 << inst.n) - 1
-
-    def probe(r: float) -> Optional[tuple[int, ...]]:
-        clusters = {c: compute_cluster(inst, r, c) for c in range(inst.n)}
-        masks = []
-        for c in range(inst.n):
-            m = 0
-            for x in clusters[c]:
-                m |= 1 << x
-            masks.append(m)
-        for size in range(1, inst.k + 1):
-            for combo in itertools.combinations(range(inst.n), size):
-                u = 0
-                for c in combo:
-                    u |= masks[c]
-                if u == full:
-                    return combo
-        return None
-
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
-        raise InfeasibleError("more connectivity components than the budget")
-    r, combo = found
-    witness = clustering(
-        [compute_cluster(inst, r, c) for c in combo], list(combo), NON_DISJOINT
-    )
-    return r, witness
-
-
-def exact_nondisjoint_center(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> float:
-    """Exact non-disjoint k-center optimum (value only)."""
-    return exact_nondisjoint_center_with_witness(inst, limits)[0]
-
-
-def exact_nondisjoint_diameter_with_witness(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> tuple[float, Clustering]:
-    """Exact non-disjoint k-diameter optimum plus an optimal clustering,
-    via exact set cover over the maximal connected low-diameter subsets."""
+    Under the center objective a connected set of radius at most r about
+    a member c lies inside the cluster grown from c at r, which is itself
+    such a set, so the maximal sets are the maximal grown clusters."""
     if inst.n > limits.max_n_partition:
         raise OracleLimitError(
             f"n={inst.n} exceeds enumeration limit {limits.max_n_partition}"
         )
     n = inst.n
     full = (1 << n) - 1
-    connected, diameter, _, _ = _subset_table(inst)
+    connected, diameter, radius, center = _subset_table(inst)
+    cost = diameter if objective == DIAMETER else radius
 
     def probe(r: float) -> Optional[list[int]]:
-        feasible = connected & dist_leq_arr(diameter, r)
+        feasible = connected & dist_leq_arr(cost, r)
         maximal = np.flatnonzero(feasible & ~_strictly_inside(feasible)).tolist()
         memo: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
 
@@ -257,14 +215,36 @@ def exact_nondisjoint_diameter_with_witness(
     if found is None:
         raise InfeasibleError("more connectivity components than the budget")
     r, chosen = found
-    return r, clustering(map(_points, chosen), None, NON_DISJOINT)
+    centers = [center[m] for m in chosen] if objective == CENTER else None
+    return r, clustering(map(_points, chosen), centers, NON_DISJOINT)
+
+
+def exact_nondisjoint_center_with_witness(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> tuple[float, Clustering]:
+    """Exact non-disjoint k-center optimum plus an optimal clustering."""
+    return _nondisjoint(inst, CENTER, limits)
+
+
+def exact_nondisjoint_center(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> float:
+    """Exact non-disjoint k-center optimum (value only)."""
+    return _nondisjoint(inst, CENTER, limits)[0]
+
+
+def exact_nondisjoint_diameter_with_witness(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> tuple[float, Clustering]:
+    """Exact non-disjoint k-diameter optimum plus an optimal clustering."""
+    return _nondisjoint(inst, DIAMETER, limits)
 
 
 def exact_nondisjoint_diameter(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> float:
     """Exact non-disjoint k-diameter optimum (value only)."""
-    return exact_nondisjoint_diameter_with_witness(inst, limits)[0]
+    return _nondisjoint(inst, DIAMETER, limits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,7 @@ def exact_assignment(
     deadline = time.monotonic() + limits.time_budget_s
 
     def probe(r: float) -> Optional[dict[int, int]]:
-        budget = [limits.max_assignment_nodes]
+        budget = [MAX_ASSIGNMENT_NODES]
         return _assignment_dfs(inst, C, r, objective, budget, deadline)
 
     found = binary_search_min_feasible(cands, probe)
@@ -404,23 +384,3 @@ def exact_disjoint_center_via_centersets(
     if best == float("inf"):
         raise OracleLimitError("no center set yields a feasible assignment")
     return best
-
-
-def disjoint_feasible_at(
-    inst: Instance, r: float, limits: OracleLimits = DEFAULT_LIMITS
-) -> bool:
-    """Does some center set of size <= k admit a connected disjoint
-    assignment of radius <= r?  (Decision form of the center-set oracle,
-    usable past the partition-enumeration size limit.)"""
-    if inst.k > limits.max_k_subsets:
-        raise OracleLimitError(f"k={inst.k} exceeds subset limit {limits.max_k_subsets}")
-    deadline = time.monotonic() + limits.time_budget_s
-    components = inst.connected_components()
-    for size in range(1, inst.k + 1):
-        for C in itertools.combinations(range(inst.n), size):
-            if not all(any(c in comp for c in C) for comp in components):
-                continue
-            budget = [limits.max_assignment_nodes]
-            if _assignment_dfs(inst, list(C), r, CENTER, budget, deadline) is not None:
-                return True
-    return False

@@ -39,23 +39,6 @@ class WellSeparatedPartition:
     def center_set(self) -> set[int]:
         return set().union(*(g for layer in self.layers for g in layer))
 
-    def to_doc(self) -> dict:
-        return {
-            "r": self.r,
-            "layers": [[sorted(g) for g in layer] for layer in self.layers],
-            "h": list(self.h),
-        }
-
-
-def partition_from_doc(doc: dict) -> WellSeparatedPartition:
-    return WellSeparatedPartition(
-        r=float(doc["r"]),
-        layers=tuple(
-            tuple(frozenset(int(x) for x in g) for g in layer) for layer in doc["layers"]
-        ),
-        h=tuple(float(x) for x in doc["h"]),
-    )
-
 
 def _group_diameter(dist: np.ndarray, group: frozenset[int]) -> float:
     if len(group) < 2:

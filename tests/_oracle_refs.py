@@ -2,17 +2,21 @@
 
 Before ``oracle`` read one table of connected subsets and their costs,
 ``exact_disjoint`` enumerated set partitions in restricted-growth order
-with per-block prunes, and the non-disjoint diameter oracle tested every
-bitmask against per-point ``near`` rows and a DFS on each probe.  They
-stay here as the references the table-driven oracles are checked
-against: same value, same clustering, same errors.
+with per-block prunes, the non-disjoint diameter oracle tested every
+bitmask against per-point ``near`` rows and a DFS on each probe, and the
+non-disjoint center oracle tried every set of at most k centers over the
+clusters grown from them.  They stay here as the references the
+table-driven oracles are checked against: same value, same errors, and
+for the first two the same clustering.
 """
 
+import itertools
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
+from conncluster.greedy import compute_cluster
 from conncluster.model import (
     CENTER,
     DIAMETER,
@@ -215,5 +219,47 @@ def exact_nondisjoint_diameter_with_witness(
     r, chosen = found
     witness = clustering(
         [{i for i in range(n) if m >> i & 1} for m in chosen], None, NON_DISJOINT
+    )
+    return r, witness
+
+
+def exact_nondisjoint_center_with_witness(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> tuple[float, Clustering]:
+    """Exact non-disjoint k-center optimum plus an optimal clustering.
+
+    Maximal grown clusters dominate any feasible non-disjoint cluster,
+    so feasibility at radius r reduces to covering V with the maximal
+    clusters of at most k seed centers.
+    """
+    if inst.k > limits.max_k_subsets:
+        raise OracleLimitError(f"k={inst.k} exceeds subset limit {limits.max_k_subsets}")
+    if inst.n > 24:
+        raise OracleLimitError("n too large for center-subset enumeration")
+    full = (1 << inst.n) - 1
+
+    def probe(r: float) -> Optional[tuple[int, ...]]:
+        clusters = {c: compute_cluster(inst, r, c) for c in range(inst.n)}
+        masks = []
+        for c in range(inst.n):
+            m = 0
+            for x in clusters[c]:
+                m |= 1 << x
+            masks.append(m)
+        for size in range(1, inst.k + 1):
+            for combo in itertools.combinations(range(inst.n), size):
+                u = 0
+                for c in combo:
+                    u |= masks[c]
+                if u == full:
+                    return combo
+        return None
+
+    found = binary_search_min_feasible(candidate_radii(inst), probe)
+    if found is None:
+        raise InfeasibleError("more connectivity components than the budget")
+    r, combo = found
+    witness = clustering(
+        [compute_cluster(inst, r, c) for c in combo], list(combo), NON_DISJOINT
     )
     return r, witness

@@ -19,6 +19,7 @@ from conncluster import (
     clustering_cost,
     exact_assignment,
     exact_disjoint,
+    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_diameter,
     gen_random,
@@ -45,7 +46,6 @@ from conncluster.instances import (
     worstcase_I_alt_clustering,
 )
 from conncluster.model import dist_leq
-from conncluster.oracle import disjoint_feasible_at
 from conncluster.wsp import (
     doubling_layer_bound,
     general_diameter_bound,
@@ -231,7 +231,7 @@ def test_criterion_4_lower_bound_witnesses():
 
     meta_p = gen_worstcase_Iprime(2)
     assert exact_nondisjoint_center(meta_p.instance) == 1.0
-    assert not disjoint_feasible_at(meta_p.instance, 1.0)  # disjoint optimum >= 2
+    assert exact_disjoint_center_via_centersets(meta_p.instance) == 2.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(

@@ -507,11 +507,24 @@ def _line3(**changes):
                            "edges": [[0, 1, 1.0], [1, 0, float("nan")], [1, 2, 1.0]]}),
             "metric-graph edge weights must be finite and nonnegative",
         ),
+        (
+            _line3(metric={"type": "lp", "coords": [[0], [1], [2]], "p": True}),
+            'lp metric "p" must be a number or "inf"',
+        ),
+        (
+            _line3(metric={"type": "lp", "coords": [[0], [1], [2]], "p": "2"}),
+            'lp metric "p" must be a number or "inf"',
+        ),
+        (
+            _line3(metric={"type": "lp", "coords": [[0], [1], [2]], "p": " 3"}),
+            'lp metric "p" must be a number or "inf"',
+        ),
     ],
     ids=["n-bool", "k-bool", "float-edge-id", "float-metric-edge-id", "string-matrix",
          "string-coords", "nan-matrix", "labels-not-a-list", "numeric-string-matrix",
          "spaced-string-matrix", "exponent-string-matrix", "bool-matrix", "numeric-string-coords",
-         "bool-coords", "string-graph-weight", "bool-graph-weight", "nan-graph-weight"],
+         "bool-coords", "string-graph-weight", "bool-graph-weight", "nan-graph-weight", "bool-p",
+         "numeric-string-p", "spaced-string-p"],
 )
 def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
     path = tmp_path / "inst.json"
@@ -1000,7 +1013,7 @@ def test_concurrent_requests_match_a_serial_run(line_file, cl_file, tmp_path, fr
          "error: cannot parse pair '1,2,3'\n"),
         (["gen", "--family", "nope"], 2, "error: unknown family 'nope'\n"),
         (["solve", "--in", "{line}", "--algo", "oracle", "--mode", "non_disjoint"], 3,
-         "error: k=5 exceeds subset limit 4\n"),
+         "error: n=13 exceeds enumeration limit 12\n"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -1008,7 +1021,7 @@ def test_bad_gen_arguments_and_oracle_limits_exit_without_traceback(
     tmp_path, capsys, argv, code, err
 ):
     line = str(tmp_path / "line.json")
-    run_cli(["gen", "--family", "line", "--n", "6", "--k", "5", "--seed", "1", "--out", line],
+    run_cli(["gen", "--family", "line", "--n", "13", "--k", "5", "--seed", "1", "--out", line],
             capsys)
     assert run_cli([line if a == "{line}" else a for a in argv], capsys) == (code, "", err)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from conncluster import (
     make_instance,
     pad_to_k,
     partition_bound,
-    partition_general_metric,
     partition_two_centers,
     solve_assignment_given_centers,
     solve_disjoint,
@@ -304,31 +305,50 @@ def test_pipeline_never_emits_invalid_clusterings_on_non_metric_input():
     assert raised + completed == 40
 
 
-def test_end_to_end_ratio_within_partition_factor():
+def _assert_ratio_within_partition_factor(inst, strategy, dim=None):
     # cost / disjoint optimum stays within the partition-derived factor:
     # (4l-2) + 2*sum(h_i)/r for the center objective and
     # (4l-2) + h_1/r + 2*sum_{i>=2}(h_i)/r for the diameter objective
     from conncluster import binary_search_min_feasible, candidate_radii
-    from conncluster.wsp import partition_general_metric
+    from conncluster.disjoint import _build_partition
 
+    found = binary_search_min_feasible(
+        candidate_radii(inst),
+        lambda r: greedy_clustering(inst, r, max_centers=inst.k),
+    )
+    r, g = found
+    if r == 0.0:
+        return
+    p = _build_partition(inst, g.centers, r, strategy, dim)
+    ell = p.num_layers
+    factor_c = (4 * ell - 2) + 2 * sum(p.h) / r
+    factor_d = (4 * ell - 2) + p.h[0] / r + 2 * sum(p.h[1:]) / r
+    report_c, _ = solve_disjoint(inst, CENTER, strategy, dim=dim)
+    opt_c, _ = exact_disjoint(inst, CENTER)
+    if opt_c > 0:
+        assert report_c.objective / opt_c <= factor_c + 1e-9
+    report_d, _ = solve_disjoint(inst, DIAMETER, strategy, dim=dim)
+    opt_d, _ = exact_disjoint(inst, DIAMETER)
+    if opt_d > 0:
+        assert report_d.objective / opt_d <= factor_d + 1e-9
+
+
+def test_end_to_end_ratio_within_partition_factor():
     for seed in range(40):
-        inst = gen_random("general", 8, 3, seed=seed + 400)
-        found = binary_search_min_feasible(
-            candidate_radii(inst),
-            lambda r: greedy_clustering(inst, r, max_centers=inst.k),
+        _assert_ratio_within_partition_factor(
+            gen_random("general", 8, 3, seed=seed + 400), "general"
         )
-        r, g = found
-        if r == 0.0:
-            continue
-        p = partition_general_metric(inst.dist, g.centers, r)
-        ell = p.num_layers
-        factor_c = (4 * ell - 2) + 2 * sum(p.h) / r
-        factor_d = (4 * ell - 2) + p.h[0] / r + 2 * sum(p.h[1:]) / r
-        report_c, _ = solve_disjoint(inst, CENTER, "general")
-        opt_c, _ = exact_disjoint(inst, CENTER)
-        if opt_c > 0:
-            assert report_c.objective / opt_c <= factor_c + 1e-9
-        report_d, _ = solve_disjoint(inst, DIAMETER, "general")
-        opt_d, _ = exact_disjoint(inst, DIAMETER)
-        if opt_d > 0:
-            assert report_d.objective / opt_d <= factor_d + 1e-9
+
+
+@pytest.mark.parametrize(
+    "strategy, p, dim",
+    [("lp", 2, None), ("lp", math.inf, None), ("doubling", 2, 2)],
+    ids=["lp-p2", "lp-pinf", "doubling-dim2"],
+)
+def test_end_to_end_ratio_within_partition_factor_on_lp_points(strategy, p, dim):
+    # the paper's O(1) factor for low-dimensional Lp and doubling metrics,
+    # on points in the unit square
+    for seed in range(30):
+        n = 8 + seed % 3
+        inst = gen_random("lp", n, 3, seed=seed + 700, p=p)
+        _assert_ratio_within_partition_factor(inst, strategy, dim)

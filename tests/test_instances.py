@@ -12,6 +12,7 @@ from conncluster import (
     clustering_cost,
     exact_assignment,
     exact_disjoint,
+    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_diameter,
     gen_random,
@@ -30,7 +31,6 @@ from conncluster.instances import (
     worstcase_I_alt_clustering,
     worstcase_I_given_center_assignment,
 )
-from conncluster.oracle import disjoint_feasible_at
 
 from _brute import clique_cover_leq, multicut_star_leq, sat_brute, set_cover_leq
 
@@ -133,9 +133,7 @@ def test_worstcase_Iprime_gap():
     meta = gen_worstcase_Iprime(2)
     inst = meta.instance
     assert exact_nondisjoint_center(inst) == 1.0
-    # disjoint optimum at least 2: no center pair serves everything at 1
-    assert not disjoint_feasible_at(inst, 1.0)
-    assert not disjoint_feasible_at(inst, 0.0)
+    assert exact_disjoint_center_via_centersets(inst) == 2.0
 
 
 # ---------------------------------------------------------------------------

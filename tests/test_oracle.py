@@ -49,7 +49,7 @@ def test_exact_disjoint_diameter_trap(trap5):
 
 
 def test_exact_disjoint_refuses_large():
-    inst = gen_random("general", 11, 2, seed=0)
+    inst = gen_random("general", 13, 2, seed=0)
     with pytest.raises(OracleLimitError):
         exact_disjoint(inst, CENTER)
 
@@ -154,4 +154,4 @@ def test_cross_check_two_independent_center_oracles():
 def test_limits_respected():
     inst = gen_random("general", 8, 5, seed=1)
     with pytest.raises(OracleLimitError):
-        exact_nondisjoint_center(inst, OracleLimits(max_k_subsets=4))
+        exact_disjoint_center_via_centersets(inst, OracleLimits(max_k_subsets=4))

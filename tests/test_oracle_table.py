@@ -1,13 +1,18 @@
 """The subset-table oracles against the searches they replaced.
 
 ``exact_disjoint`` is a min-max partition DP and the non-disjoint
-diameter oracle reads its feasible sets from the same table of connected
-subsets.  ``_oracle_refs`` keeps the partition enumerator and the
-per-probe bitmask scan they replaced; both must give the same value, the
-same clustering and the same errors.
+oracles read their feasible sets from the same table of connected
+subsets.  ``_oracle_refs`` keeps the partition enumerator, the per-probe
+bitmask scan and the center-combination search they replaced.  The first
+two must give the same value, the same clustering and the same errors;
+the center oracle the same value or error, with a witness of its own
+that is valid and costs the value (up to the tolerance that merges near
+ties among the candidate radii).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +21,22 @@ from hypothesis import strategies as st
 
 import _oracle_refs as refs
 from conncluster.instances import gen_random
-from conncluster.model import CENTER, DIAMETER, REL_TOL, InfeasibleError, make_instance
+import conncluster.oracle
+from conncluster.model import (
+    CENTER,
+    DIAMETER,
+    REL_TOL,
+    InfeasibleError,
+    clustering_cost,
+    dist_leq,
+    make_instance,
+    validate_clustering,
+)
 from conncluster.oracle import (
     OracleLimitError,
     OracleLimits,
     exact_disjoint,
+    exact_nondisjoint_center_with_witness,
     exact_nondisjoint_diameter_with_witness,
 )
 
@@ -60,6 +76,15 @@ def assert_matches_refs(inst):
     assert outcome(exact_nondisjoint_diameter_with_witness, inst) == outcome(
         refs.exact_nondisjoint_diameter_with_witness, inst
     )
+    got = outcome(exact_nondisjoint_center_with_witness, inst)
+    want = outcome(refs.exact_nondisjoint_center_with_witness, inst, OracleLimits(max_k_subsets=8))
+    assert got[0] == want[0]
+    if got[0] != "infeasible":
+        assert validate_clustering(inst, got[1]).feasible
+        cost = clustering_cost(inst, got[1], CENTER)
+        assert dist_leq(cost, got[0]) and dist_leq(got[0], cost)
+    else:
+        assert got[1] == want[1]
 
 
 @settings(max_examples=300)
@@ -103,8 +128,21 @@ def test_zero_time_budget_stops_the_dp():
 
 
 def test_size_limits_keep_their_messages():
-    inst = gen_random("general", 11, 2, seed=0)
-    with pytest.raises(OracleLimitError, match=r"n=11 exceeds partition-enumeration limit 10"):
+    inst = gen_random("general", 13, 2, seed=0)
+    with pytest.raises(OracleLimitError, match=r"n=13 exceeds partition-enumeration limit 12"):
         exact_disjoint(inst, DIAMETER)
-    with pytest.raises(OracleLimitError, match=r"n=11 exceeds enumeration limit 10"):
-        exact_nondisjoint_diameter_with_witness(inst)
+    for oracle in (exact_nondisjoint_center_with_witness, exact_nondisjoint_diameter_with_witness):
+        with pytest.raises(OracleLimitError, match=r"n=13 exceeds enumeration limit 12"):
+            oracle(inst)
+
+
+def test_oracle_imports_no_algorithm_it_checks():
+    tree = ast.parse(Path(conncluster.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"greedy", "disjoint", "exact", "wsp"}

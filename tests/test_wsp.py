@@ -20,7 +20,6 @@ from conncluster.wsp import (
     general_layer_bound,
     lp_diameter_bound,
     lp_layer_bound,
-    partition_from_doc,
 )
 
 
@@ -100,11 +99,13 @@ def test_general_seven_spaced_golden():
     # hand-executed ring growth on 7 centers spaced R with r=R
     d = spaced_line(7, 1.0)
     p = partition_general_metric(d, range(7), 1.0)
-    assert p.to_doc() == {
-        "r": 1.0,
-        "layers": [[[0, 1, 2], [5]], [[3], [6]], [[4]]],
-        "h": [2.0, 0.0, 0.0],
-    }
+    assert p.r == 1.0
+    assert p.layers == (
+        (frozenset({0, 1, 2}), frozenset({5})),
+        (frozenset({3}), frozenset({6})),
+        (frozenset({4}),),
+    )
+    assert p.h == (2.0, 0.0, 0.0)
     assert verify_wsp(d, range(7), p).feasible
     assert p.num_layers <= general_layer_bound(7) == 5
     assert all(h <= general_diameter_bound(7, 1.0) for h in p.h)
@@ -128,12 +129,6 @@ def test_general_bounds_and_growth_on_random_metrics():
             assert 3 * placed >= unassigned
             unassigned -= placed
         assert unassigned == 0
-
-
-def test_general_doc_round_trip():
-    d = spaced_line(7, 1.0)
-    p = partition_general_metric(d, range(7), 1.0)
-    assert partition_from_doc(p.to_doc()) == p
 
 
 # ---------------------------------------------------------------------------
