@@ -56,6 +56,7 @@ from .model import (
     validate_clustering,
 )
 from .oracle import (
+    DEFAULT_LIMITS,
     OracleLimitError,
     exact_assignment,
     exact_disjoint,
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--objective", choices=[CENTER, DIAMETER], default=CENTER)
     b.add_argument("--mode", choices=[DISJOINT, NON_DISJOINT], default=DISJOINT)
     b.add_argument("--dim", type=int, default=2)
-    b.add_argument("--oracle-limit", type=int, default=10)
+    b.add_argument("--oracle-limit", type=int, default=DEFAULT_LIMITS.max_n_partition)
     b.add_argument("--out", default=None)
     b.set_defaults(func=lambda args: cmd_bench(args))
     return ap

@@ -149,6 +149,61 @@ def solve_line_diameter(inst: Instance) -> tuple[SolveReport, Clustering]:
 # ---------------------------------------------------------------------------
 # tree structure shared by the DP and the assignment algorithm
 
+#: A height level with at least this many nodes is handled as one batch;
+#: a smaller one node by node with slices, which takes fewer NumPy calls.
+_BATCH = 3
+
+
+@dataclass
+class _Level:
+    """The nodes of one subtree height, with the flat indices that handle
+    them as one batch.  No node of a level lies in another's subtree, so
+    their subtrees are disjoint and their rows independent.
+
+    ``nodes`` runs by child count, descending, so the nodes that have a
+    j-th child, ``kids[j]``, come first.  ``rows`` holds the flat index
+    a*n + b of each node a and each b in its subtree [a, out[a]), node
+    after node, each node's run opening with its diagonal at ``starts``;
+    ``frows`` holds the same pairs in the level's own gathered rows.
+    ``inner`` picks the entries with b > a, and ``below`` holds c*n + b
+    for each of them, c the child of a whose subtree holds b.
+    """
+
+    nodes: np.ndarray
+    parents: np.ndarray
+    kids: list[np.ndarray]
+    rows: np.ndarray
+    frows: np.ndarray
+    starts: np.ndarray
+    inner: np.ndarray
+    below: np.ndarray
+
+
+def _level(nodes: np.ndarray, parent: np.ndarray, nkids: np.ndarray, out: np.ndarray) -> _Level:
+    n = len(out)
+    nodes = nodes[np.argsort(-nkids[nodes], kind="stable")]
+    counts = nkids[nodes]
+    # above the leaves every node has a child: the first follows it in
+    # pre-order, and each next one starts where the one before it ends
+    kids = [nodes + 1] if counts[0] else []
+    for j in range(1, counts[0]):
+        kids.append(out[kids[-1][: np.count_nonzero(counts > j)]])
+    size = out[nodes] - nodes
+    starts = np.cumsum(size) - size
+    b = np.arange(size.sum()) - np.repeat(starts - nodes, size)
+    rows = np.repeat(nodes * n, size) + b
+    frows = np.repeat(np.arange(len(nodes)) * n, size) + b
+    inner = np.ones(len(b), dtype=bool)
+    inner[starts] = False
+    inner = np.flatnonzero(inner)
+    # each node's children, in order, cover the rest of its run
+    grid = np.full((len(nodes), len(kids)), -1)
+    for j, c in enumerate(kids):
+        grid[: len(c), j] = c
+    sub = grid[grid >= 0]
+    below = np.repeat(sub * n, out[sub] - sub) + b[inner]
+    return _Level(nodes, parent[nodes], kids, rows, frows, starts, inner, below)
+
 
 @dataclass
 class _TreeContext:
@@ -156,13 +211,30 @@ class _TreeContext:
 
     In position space node index == its pre-order position, every
     subtree is the contiguous range [v, out[v]), and children have
-    larger positions than their parents.
+    larger positions than their parents.  ``levels`` groups the nodes by
+    subtree height, leaves first: each a ``_Level`` batch, or a list of
+    nodes taken one by one.
     """
 
     nodes: list[int]  # position -> original id
     children: list[list[int]]
     out: list[int]
-    dprime: np.ndarray  # dprime[u, v] = max_{w on path u->v} dist[u, w]
+    _dprime: Optional[np.ndarray]  # see ``dprime``
+    levels: tuple[_Level | list[int], ...] = ()
+    # on a path: the path matrix (``_path_matrix``) and each position's
+    # index along the path
+    path: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def dprime(self) -> np.ndarray:
+        """dprime[u, v] = max_{w on path u->v} dist[u, w], held column by
+        column, so that dprime.T[a], every center's reach to a, is one
+        contiguous row.  On a path it is built on first use only: the
+        solve reads the reaches along the path instead (``_hosts``)."""
+        if self._dprime is None:
+            D, at = self.path
+            self._dprime = _dprime(self, D[np.ix_(at, at)])
+        return self._dprime
 
 
 def _tree_context(inst: Instance) -> _TreeContext:
@@ -181,21 +253,79 @@ def _tree_context(inst: Instance) -> _TreeContext:
     for v in range(1, n):
         children[parent[v]].append(v)
     out = [0] * n
+    height = [0] * n
     for v in range(n - 1, -1, -1):
         out[v] = out[children[v][-1]] if children[v] else v + 1
-
-    dp = inst.dist[np.ix_(nodes, nodes)]  # permuted metric
-    dprime = np.zeros((n, n))
-    for v in range(n - 1, -1, -1):  # rows inside the subtree, bottom-up
-        for c in children[v]:
-            cs, ce = c, out[c]
-            dprime[cs:ce, v] = np.maximum(dprime[cs:ce, c], dp[cs:ce, v])
-    for v in range(1, n):  # rows outside the subtree, top-down
         p = parent[v]
-        s, e = v, out[v]
-        dprime[:s, v] = np.maximum(dprime[:s, p], dp[:s, v])
-        dprime[e:, v] = np.maximum(dprime[e:, p], dp[e:, v])
-    return _TreeContext(nodes, children, out, dprime)
+        if p >= 0 and height[p] <= height[v]:
+            height[p] = height[v] + 1
+    parent_a, out_a = np.array(parent), np.array(out)
+    nkids = np.bincount(parent_a[1:], minlength=n)
+    by_height = np.split(np.argsort(height, kind="stable"), np.cumsum(np.bincount(height))[:-1])
+    levels = tuple(
+        _level(g, parent_a, nkids, out_a) if len(g) >= _BATCH else g.tolist() for g in by_height
+    )
+    ctx = _TreeContext(nodes, children, out, None, levels)
+    if tree.path is None:
+        ctx._dprime = _dprime(ctx, inst.dist[np.ix_(nodes, nodes)])
+    else:
+        order, D = _path_matrix(inst)
+        along = np.empty(n, dtype=np.intp)
+        along[list(order)] = np.arange(n)
+        ctx.path = D, along[nodes]
+    return ctx
+
+
+def _dprime(ctx: _TreeContext, dp: np.ndarray) -> np.ndarray:
+    """``dprime`` from the metric permuted into positions, one height
+    level at a time.
+
+    host[v, u] = dprime[u, v] starts as dp, and each entry is raised
+    once: inside v's subtree bottom-up, from the child whose subtree
+    holds u, and outside it top-down, from v's parent.
+    """
+    children, out = ctx.children, ctx.out
+    parent = [-1] * len(out)
+    for p, kids in enumerate(children):
+        for c in kids:
+            parent[c] = p
+    host = dp
+    flat = host.reshape(-1)
+    for level in ctx.levels[1:]:  # leaves have nothing below
+        if isinstance(level, _Level):
+            at = level.rows[level.inner]
+            flat[at] = np.maximum(flat[level.below], flat[at])
+            continue
+        for v in level:
+            for c in children[v]:
+                s = slice(c, out[c])
+                np.maximum(host[c, s], host[v, s], out=host[v, s])
+    for level in reversed(ctx.levels[:-1]):  # the root, alone on top, has no parent
+        if isinstance(level, _Level):
+            keep = flat[level.rows]
+            host[level.nodes] = np.maximum(host[level.parents], host[level.nodes])
+            flat[level.rows] = keep
+            continue
+        for v in level:
+            p, e = parent[v], out[v]
+            np.maximum(host[p, :v], host[v, :v], out=host[v, :v])
+            np.maximum(host[p, e:], host[v, e:], out=host[v, e:])
+    return host.T
+
+
+def _hosts(ctx: _TreeContext, r: float) -> np.ndarray:
+    """feas[b, a]: whether center b can host a at radius r, in positions.
+
+    On a path, b hosts a iff a lies within b's reach (``_reach``): that
+    is what dprime says there, the largest distance from b on the way to
+    a being within r."""
+    if ctx.path is None:
+        return dist_leq_arr(ctx.dprime, r)
+    D, at = ctx.path
+    if not dist_leq(0.0, r):  # no point can host even itself
+        return np.zeros((len(at), len(at)), dtype=bool)
+    lo, hi = (x[at][:, None] for x in _reach(D, r))
+    return (lo <= at) & (at <= hi)
 
 
 def _tree_tables(
@@ -208,36 +338,57 @@ def _tree_tables(
     minimum clusters when a's parent is assigned to b; entries inside
     the subtree are zeroed so that child rows can be summed blindly.
 
-    Counts are whole numbers or inf, so adding ``miss`` (0 where the host
-    is feasible, inf where not) masks them exactly.  Each row is written
-    in place, over its subtree only.
+    Counts are whole numbers up to n, or inf, so float32 holds them
+    exactly, and adding ``miss`` (0 where the host is feasible, inf where
+    not) masks them exactly.  The rows are filled one height level at a
+    time, leaves first: a batch level gathers its children's rows slot by
+    slot and its subtree entries by flat index; a small level goes node
+    by node, each row written in place over its subtree only.
     """
     n = len(ctx.nodes)
     out = ctx.out
-    feas = dist_leq_arr(ctx.dprime, r)  # feas[b, a]: center b can host a
-    miss = np.where(feas.T, 0.0, np.inf)  # miss[a, b]: 0 where b can host a
-    I = np.full((n, n), np.inf)
-    Fz = np.zeros((n, n))
-    Ia = np.zeros(n)
-    for a in range(n - 1, -1, -1):
-        children = ctx.children[a]
-        if not children:
-            Ia[a] = I[a, a] = ia = 1.0 + miss[a, a]
-            np.minimum(miss[a], ia, out=Fz[a])
-            Fz[a, a] = 0.0
+    feas = _hosts(ctx, r)
+    miss = np.where(feas.T, np.float32(0.0), np.float32(np.inf))  # miss[a, b]
+    I = np.full((n, n), np.inf, dtype=np.float32)
+    Fz = np.zeros((n, n), dtype=np.float32)
+    Ia = np.zeros(n, dtype=np.float32)
+    flat = I.reshape(-1)
+    for level in ctx.levels:
+        if isinstance(level, _Level):
+            # f = S + miss[a] per node a, where S sums the children's Fz rows
+            if level.kids:
+                f = Fz[level.kids[0]]
+                for kids in level.kids[1:]:
+                    f[: len(kids)] += Fz[kids]
+                f += miss[level.nodes]
+            else:
+                f = miss[level.nodes]
+            fflat = f.reshape(-1)
+            vals = fflat[level.frows]
+            vals[level.inner] += flat[level.below]
+            vals[level.starts] += 1.0
+            flat[level.rows] = vals
+            Ia[level.nodes] = ia = np.minimum.reduceat(vals, level.starts)
+            np.minimum(f, ia[:, None], out=f)
+            fflat[level.frows] = 0.0
+            Fz[level.nodes] = f
             continue
-        # f = S + miss[a], where S sums the children's Fz rows
-        f = Fz[a]
-        np.add(Fz[children[0]], miss[a], out=f)
-        for c in children[1:]:
-            f += Fz[c]
-        row = I[a]
-        row[a] = 1.0 + f[a]
-        for c in children:
-            np.add(I[c, c : out[c]], f[c : out[c]], out=row[c : out[c]])
-        Ia[a] = ia = np.minimum.reduce(row[a : out[a]])
-        np.minimum(f, ia, out=f)
-        f[a : out[a]] = 0.0
+        for a in level:
+            children = ctx.children[a]
+            f = Fz[a]
+            if children:
+                np.add(Fz[children[0]], miss[a], out=f)
+                for c in children[1:]:
+                    f += Fz[c]
+            else:
+                f[:] = miss[a]
+            row = I[a]
+            row[a] = 1.0 + f[a]
+            for c in children:
+                np.add(I[c, c : out[c]], f[c : out[c]], out=row[c : out[c]])
+            Ia[a] = ia = np.minimum.reduce(row[a : out[a]])
+            np.minimum(f, ia, out=f)
+            f[a : out[a]] = 0.0
     return I, Fz, Ia, feas
 
 
@@ -317,9 +468,8 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     the table search would make: the clustering is the same.
     """
     ctx = _tree_context(inst)
-    path = inst.tree.path is not None
-    if path:
-        _, D = _path_matrix(inst)
+    if ctx.path is not None:
+        D = ctx.path[0]
 
         def probe(r: float) -> Optional[bool]:
             return True if _path_count(D, r) <= inst.k else None
@@ -333,7 +483,7 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     assert found is not None  # a tree is connected, one cluster always works
     r, tables = found
-    I, Fz, Ia, feas = _tree_tables(ctx, r) if path else tables
+    I, Fz, Ia, feas = _tree_tables(ctx, r) if ctx.path is not None else tables
     assign = _reconstruct(ctx, I, Fz, Ia, feas)
     by_center: dict[int, set[int]] = {}
     for a, b in assign.items():

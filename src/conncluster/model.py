@@ -280,24 +280,29 @@ def _connectivity(
     self-loop, then for repeating an earlier edge in either orientation;
     the first edge that fails raises.
     """
-    pairs = list(edges)
     stop: Optional[Exception] = None
-    try:  # converts every id as int() does, and raises where int64 ends
-        e = np.array(pairs, dtype=np.int64)
-        if e.shape != (len(pairs), 2):
-            raise ValueError("not a list of pairs")
-    except (TypeError, ValueError, OverflowError):
-        # ids past int64 (out of range for any n, so -1 stands in for
-        # them), or a malformed or empty list: convert pair by pair up to
-        # the first pair that does not convert, which raises after the
-        # edges before it are checked
-        rows = []
-        try:
-            for u, v in pairs:
-                rows.append([x if _INT64.min <= x <= _INT64.max else -1 for x in (int(u), int(v))])
-        except (TypeError, ValueError, OverflowError) as exc:
-            stop = exc
-        e = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
+        pairs = e = edges  # as ``instance_from_doc`` reads a document's edges
+    else:
+        pairs = list(edges)
+        try:  # converts every id as int() does, and raises where int64 ends
+            e = np.array(pairs, dtype=np.int64)
+            if e.shape != (len(pairs), 2):
+                raise ValueError("not a list of pairs")
+        except (TypeError, ValueError, OverflowError):
+            # ids past int64 (out of range for any n, so -1 stands in for
+            # them), or a malformed or empty list: convert pair by pair up
+            # to the first pair that does not convert, which raises after
+            # the edges before it are checked
+            rows = []
+            try:
+                for u, v in pairs:
+                    rows.append(
+                        [x if _INT64.min <= x <= _INT64.max else -1 for x in (int(u), int(v))]
+                    )
+            except (TypeError, ValueError, OverflowError) as exc:
+                stop = exc
+            e = np.array(rows, dtype=np.int64).reshape(-1, 2)
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     # lo*n + hi tells the edges in range apart; an edge out of range may
@@ -413,6 +418,22 @@ def _require_ids(values: Iterable) -> None:
             raise TypeError(f"point id {x!r} is not an integer")
 
 
+def _edge_array(edges) -> Optional[np.ndarray]:
+    """A document's connectivity edges as an m x 2 int64 array, read in
+    one pass over the ids, or None unless every edge is a pair of plain
+    ints within int64 (a boolean, a float, a string or a NumPy integer
+    id takes the per-edge reading)."""
+    try:
+        if set(map(len, edges)) - {2}:
+            return None
+        flat = list(itertools.chain.from_iterable(edges))
+        if set(map(type, flat)) - {int}:
+            return None
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        return None
+
+
 def _numbers(value, what: str, bools: bool) -> np.ndarray:
     """``value`` as a float array.
 
@@ -495,11 +516,13 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
         raise InstanceFormatError('"labels" must be valid Unicode') from exc
     spec = _metric_from_doc(doc["metric"], bools)
     matrix = spec.realize(n)
-    try:
-        edges = [(u, v) for u, v in doc["edges"]]
-        _require_ids(itertools.chain.from_iterable(edges))
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
+    edges = _edge_array(doc["edges"])
+    if edges is None:  # read edge by edge, for the message or the odd id
+        try:
+            edges = [(u, v) for u, v in doc["edges"]]
+            _require_ids(itertools.chain.from_iterable(edges))
+        except (TypeError, ValueError) as exc:
+            raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
     coords = spec.coords if isinstance(spec, LpMetric) else None
     p = spec.p if isinstance(spec, LpMetric) else None
     kind = {ExplicitMetric: "explicit", LpMetric: "lp", GraphMetric: "graph"}[type(spec)]

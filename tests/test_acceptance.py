@@ -15,7 +15,6 @@ import numpy as np
 from conncluster import (
     CENTER,
     DIAMETER,
-    OracleLimits,
     clustering_cost,
     exact_assignment,
     exact_disjoint,
@@ -288,7 +287,7 @@ def test_criterion_5_gadget_dichotomies():
             sets.append(list(range(ne)))
         k = rng.randint(1, min(3, len(sets)))
         meta = gen_star_set_cover(ne, sets, k)
-        value = exact_nondisjoint_center(meta.instance, OracleLimits(max_k_subsets=6))
+        value = exact_nondisjoint_center(meta.instance)
         assert value in (1.0, 2.0)
         assert (value == 1.0) == set_cover_leq(ne, sets, k)
         sc_checked += 1

@@ -1112,6 +1112,19 @@ def test_bench_center_only_diameter_ratio_is_at_least_one(tmp_path, capsys, seed
         assert ratio == "" or float(ratio) >= 1.0 - 1e-9, row
 
 
+def test_bench_oracle_limit_defaults_to_the_oracles_own(tmp_path, capsys):
+    """An 11-point document is inside the oracles' default size limit, so
+    the default bench cut-off fills the oracle and ratio columns."""
+    path = str(tmp_path / "g11.json")
+    run_cli(["gen", "--family", "general", "--n", "11", "--k", "3", "--seed", "1",
+             "--out", path], capsys)
+    code, out, _ = run_cli(["bench", "--in", path, "--algos", "greedy"], capsys)
+    assert code == 0
+    (row,) = out.splitlines()[1:]
+    value, oracle, ratio = row.split(",")[4:7]
+    assert float(oracle) > 0 and float(ratio) == float(value) / float(oracle)
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_doubling_dimension_below_one_exits_3(tmp_path, capsys, command, dim):

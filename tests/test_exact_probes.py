@@ -54,7 +54,7 @@ from conncluster.model import (
     make_report,
 )
 
-from _tree_refs import is_tree, path_order
+from _tree_refs import is_tree, path_order, tree_context
 
 
 def loop_line_reach(inst, order, r):
@@ -300,8 +300,10 @@ def probe_radii(inst):
 
 
 def assert_same_tables(got, want):
+    """Equal entry for entry, sign bits included; the counts are held
+    in float32, which is exact for whole numbers up to 2**24 and inf."""
     for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.dtype == (bool if w.dtype == bool else np.float32) and g.shape == w.shape
         assert np.array_equal(g, w)
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
@@ -357,6 +359,60 @@ def test_tree_tables_match_loop(inst):
     ctx = _tree_context(inst)
     for r in probe_radii(inst):
         assert_same_tables(_tree_tables(ctx, r), loop_tree_tables(ctx, r))
+
+
+def _shape_edges(draw, shape, n):
+    """Edges of a tree of the given shape on 0..n-1, before relabeling."""
+    if shape == "star":
+        return [(0, i) for i in range(1, n)]
+    if shape == "binary":  # complete: i hangs from (i - 1) // 2
+        return [((i - 1) // 2, i) for i in range(1, n)]
+    if shape == "caterpillar":  # a spine, every other point on one of it
+        spine = draw(st.integers(1, n))
+        legs = [(draw(st.integers(0, spine - 1)), i) for i in range(spine, n)]
+        return [(i, i + 1) for i in range(spine - 1)] + legs
+    return [(i, i + 1) for i in range(n - 1)]  # path
+
+
+@st.composite
+def shaped_trees(draw):
+    """Trees whose height levels are large, small or single: stars,
+    caterpillars, complete binary trees, paths with point 0 inside (so
+    that pre-order differs from the order along the path), and n = 1, 2.
+    The root, point 0, may land anywhere."""
+    shape = draw(st.sampled_from(("star", "caterpillar", "binary", "path", "tiny")))
+    n = draw(st.integers(1, 2) if shape == "tiny" else st.integers(3, 16))
+    perm = draw(st.permutations(range(n)))
+    if shape == "path":  # point 0 at neither end
+        at = perm.index(0)
+        inner = draw(st.integers(1, n - 2))
+        perm[at], perm[inner] = perm[inner], perm[at]
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(distance())
+    edges = [(perm[u], perm[v]) for u, v in _shape_edges(draw, shape, n)]
+    return make_instance(m, edges, draw(st.integers(1, n)))
+
+
+@settings(max_examples=150)
+@given(shaped_trees())
+def test_level_fill_matches_loops_on_tree_shapes(inst):
+    """The level-by-level ``dprime`` equals the old loops', and the
+    tables equal the loop fill over the old context at every radius."""
+    ctx, ref = _tree_context(inst), tree_context(inst)
+    assert (ctx.nodes, ctx.children, ctx.out) == (ref.nodes, ref.children, ref.out)
+    assert np.array_equal(ctx.dprime, ref.dprime)
+    for r in probe_radii(inst):
+        assert_same_tables(_tree_tables(ctx, r), loop_tree_tables(ref, r))
+
+
+def test_tree_shapes_reach_batch_and_single_levels():
+    """A star's leaves make one batch; a path has no level as wide."""
+    star = make_instance(np.ones((8, 8)) - np.eye(8), [(0, i) for i in range(1, 8)], 2)
+    path = make_instance(np.ones((8, 8)) - np.eye(8), [(i, i + 1) for i in range(7)], 2)
+    kinds = [[isinstance(g, exact._Level) for g in _tree_context(inst).levels] for inst in (star, path)]
+    assert kinds == [[True, False], [False] * 8]
 
 
 def test_tree_dp_fills_tables_once_per_probe(monkeypatch):

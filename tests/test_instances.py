@@ -7,7 +7,6 @@ from conncluster import (
     CENTER,
     DIAMETER,
     InstanceFormatError,
-    OracleLimits,
     check_triangle_inequality,
     clustering_cost,
     exact_assignment,
@@ -248,7 +247,7 @@ def test_star_gadgets_agree_with_brute_force_small():
             sets.append(list(range(ne)))
         k2 = rng.randint(1, min(3, len(sets)))
         meta2 = gen_star_set_cover(ne, sets, k2)
-        val2 = exact_nondisjoint_center(meta2.instance, OracleLimits(max_k_subsets=6))
+        val2 = exact_nondisjoint_center(meta2.instance)
         assert (val2 == 1.0) == set_cover_leq(ne, sets, k2)
 
         nl = rng.randint(2, 5)

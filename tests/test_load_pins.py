@@ -13,6 +13,7 @@ lists, edge list and first error.
 import copy
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -28,7 +29,7 @@ from conncluster.model import (
     make_instance,
     read_json_file,
 )
-from test_cli_fuzz import INSTANCES, _mutate, _paths
+from test_cli_fuzz import INSTANCES, _mutate, _paths, values
 
 
 def reference_load(source):
@@ -298,3 +299,33 @@ def test_valid_documents_take_the_orjson_path(monkeypatch, tmp_path):
         assert _outcome(load_instance_file, str(path)) == expected
         assert _outcome(load_instance, data) == expected
         assert _outcome(load_instance, data.decode()) == expected
+
+
+def edge_by_edge(doc):
+    """``instance_from_doc`` with the connectivity edges read edge by edge,
+    as the loader read them before the one-pass reading."""
+    with mock.patch.object(model, "_edge_array", lambda edges: None):
+        return instance_from_doc(doc)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(INSTANCES))
+def test_edges_read_in_one_pass_as_edge_by_edge(data, doc):
+    """Edits to the edge list only: an id, an edge or the whole list
+    replaced by any JSON value, a far or NumPy id, or an edge appended."""
+    doc = copy.deepcopy(doc)
+    odd = values | st.sampled_from(FAR_IDS) | st.integers(0, 4).map(_as_numpy)
+    for _ in range(data.draw(st.integers(1, 3))):
+        edges = doc["edges"]
+        op = data.draw(st.sampled_from(["id", "edge", "append", "list"]))
+        if op == "list" or not isinstance(edges, list) or not edges:
+            doc["edges"] = data.draw(odd)
+        elif op == "append":
+            edges.append(data.draw(odd | st.lists(odd, max_size=3)))
+        else:
+            at = data.draw(st.integers(0, len(edges) - 1))
+            if op == "edge" or not isinstance(edges[at], list) or not edges[at]:
+                edges[at] = data.draw(odd | st.lists(odd, max_size=3))
+            else:
+                edges[at][data.draw(st.integers(0, len(edges[at]) - 1))] = data.draw(odd)
+    assert _outcome(instance_from_doc, doc) == _outcome(edge_by_edge, doc)

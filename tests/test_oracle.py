@@ -59,8 +59,7 @@ def test_exact_nondisjoint_center_line6(line6):
 
 
 def test_exact_nondisjoint_center_k_equals_n():
-    limits = OracleLimits(max_k_subsets=6)
-    assert exact_nondisjoint_center(line6_with_k(6), limits) == 0.0
+    assert exact_nondisjoint_center(line6_with_k(6)) == 0.0
 
 
 def test_exact_nondisjoint_center_iprime():
