@@ -233,7 +233,7 @@ class _TreeContext:
         solve reads the reaches along the path instead (``_hosts``)."""
         if self._dprime is None:
             D, at = self.path
-            self._dprime = _dprime(self, D[np.ix_(at, at)])
+            self._dprime = _fill_dprime(self, D[np.ix_(at, at)])
         return self._dprime
 
 
@@ -267,7 +267,7 @@ def _tree_context(inst: Instance) -> _TreeContext:
     )
     ctx = _TreeContext(nodes, children, out, None, levels)
     if tree.path is None:
-        ctx._dprime = _dprime(ctx, inst.dist[np.ix_(nodes, nodes)])
+        ctx._dprime = _fill_dprime(ctx, inst.dist[np.ix_(nodes, nodes)])
     else:
         order, D = _path_matrix(inst)
         along = np.empty(n, dtype=np.intp)
@@ -276,7 +276,7 @@ def _tree_context(inst: Instance) -> _TreeContext:
     return ctx
 
 
-def _dprime(ctx: _TreeContext, dp: np.ndarray) -> np.ndarray:
+def _fill_dprime(ctx: _TreeContext, dp: np.ndarray) -> np.ndarray:
     """``dprime`` from the metric permuted into positions, one height
     level at a time.
 
