@@ -367,7 +367,7 @@ def _shape_edges(draw, shape, n):
         return [(0, i) for i in range(1, n)]
     if shape == "binary":  # complete: i hangs from (i - 1) // 2
         return [((i - 1) // 2, i) for i in range(1, n)]
-    if shape == "caterpillar":  # a spine, every other point on one of it
+    if shape == "caterpillar":  # a spine, each other point hung from one spine point
         spine = draw(st.integers(1, n))
         legs = [(draw(st.integers(0, spine - 1)), i) for i in range(spine, n)]
         return [(i, i + 1) for i in range(spine - 1)] + legs
