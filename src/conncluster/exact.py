@@ -149,8 +149,10 @@ def solve_line_diameter(inst: Instance) -> tuple[SolveReport, Clustering]:
 # ---------------------------------------------------------------------------
 # tree structure shared by the DP and the assignment algorithm
 
-#: A height level with at least this many nodes is handled as one batch;
-#: a smaller one node by node with slices, which takes fewer NumPy calls.
+#: A height level with at least this many nodes is handled as one batch,
+#: a smaller one node by node with slices.  A one-node level is slower as
+#: a batch; a two-node level fills the tables as fast either way, and
+#: ``dprime`` a little faster node by node.
 _BATCH = 3
 
 
@@ -219,22 +221,12 @@ class _TreeContext:
     nodes: list[int]  # position -> original id
     children: list[list[int]]
     out: list[int]
-    _dprime: Optional[np.ndarray]  # see ``dprime``
+    parent: list[int]  # -1 at the root
+    # dprime[u, v] = max_{w on path u->v} dist[u, w], held column by
+    # column, so that dprime.T[a], every center's reach to a, is one
+    # contiguous row
+    dprime: np.ndarray
     levels: tuple[_Level | list[int], ...] = ()
-    # on a path: the path matrix (``_path_matrix``) and each position's
-    # index along the path
-    path: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def dprime(self) -> np.ndarray:
-        """dprime[u, v] = max_{w on path u->v} dist[u, w], held column by
-        column, so that dprime.T[a], every center's reach to a, is one
-        contiguous row.  On a path it is built on first use only: the
-        solve reads the reaches along the path instead (``_hosts``)."""
-        if self._dprime is None:
-            D, at = self.path
-            self._dprime = _fill_dprime(self, D[np.ix_(at, at)])
-        return self._dprime
 
 
 def _tree_context(inst: Instance) -> _TreeContext:
@@ -261,35 +253,27 @@ def _tree_context(inst: Instance) -> _TreeContext:
             height[p] = height[v] + 1
     parent_a, out_a = np.array(parent), np.array(out)
     nkids = np.bincount(parent_a[1:], minlength=n)
-    by_height = np.split(np.argsort(height, kind="stable"), np.cumsum(np.bincount(height))[:-1])
+    by_height: list[list[int]] = [[] for _ in range(height[0] + 1)]  # the root is highest
+    for v in range(n):
+        by_height[height[v]].append(v)
     levels = tuple(
-        _level(g, parent_a, nkids, out_a) if len(g) >= _BATCH else g.tolist() for g in by_height
+        _level(np.array(g), parent_a, nkids, out_a) if len(g) >= _BATCH else g for g in by_height
     )
-    ctx = _TreeContext(nodes, children, out, None, levels)
-    if tree.path is None:
-        ctx._dprime = _fill_dprime(ctx, inst.dist[np.ix_(nodes, nodes)])
-    else:
-        order, D = _path_matrix(inst)
-        along = np.empty(n, dtype=np.intp)
-        along[list(order)] = np.arange(n)
-        ctx.path = D, along[nodes]
+    ctx = _TreeContext(nodes, children, out, parent, inst.dist[np.ix_(nodes, nodes)], levels)
+    ctx.dprime = _fill_dprime(ctx)
     return ctx
 
 
-def _fill_dprime(ctx: _TreeContext, dp: np.ndarray) -> np.ndarray:
-    """``dprime`` from the metric permuted into positions, one height
-    level at a time.
+def _fill_dprime(ctx: _TreeContext) -> np.ndarray:
+    """``dprime`` from ``ctx.dprime`` holding the metric permuted into
+    positions, which it overwrites, one height level at a time.
 
-    host[v, u] = dprime[u, v] starts as dp, and each entry is raised
-    once: inside v's subtree bottom-up, from the child whose subtree
-    holds u, and outside it top-down, from v's parent.
+    host[v, u] = dprime[u, v] starts as the metric, and each entry is
+    raised once: inside v's subtree bottom-up, from the child whose
+    subtree holds u, and outside it top-down, from v's parent.
     """
-    children, out = ctx.children, ctx.out
-    parent = [-1] * len(out)
-    for p, kids in enumerate(children):
-        for c in kids:
-            parent[c] = p
-    host = dp
+    children, out, parent = ctx.children, ctx.out, ctx.parent
+    host = ctx.dprime
     flat = host.reshape(-1)
     for level in ctx.levels[1:]:  # leaves have nothing below
         if isinstance(level, _Level):
@@ -313,21 +297,6 @@ def _fill_dprime(ctx: _TreeContext, dp: np.ndarray) -> np.ndarray:
     return host.T
 
 
-def _hosts(ctx: _TreeContext, r: float) -> np.ndarray:
-    """feas[b, a]: whether center b can host a at radius r, in positions.
-
-    On a path, b hosts a iff a lies within b's reach (``_reach``): that
-    is what dprime says there, the largest distance from b on the way to
-    a being within r."""
-    if ctx.path is None:
-        return dist_leq_arr(ctx.dprime, r)
-    D, at = ctx.path
-    if not dist_leq(0.0, r):  # no point can host even itself
-        return np.zeros((len(at), len(at)), dtype=bool)
-    lo, hi = (x[at][:, None] for x in _reach(D, r))
-    return (lo <= at) & (at <= hi)
-
-
 def _tree_tables(
     ctx: _TreeContext, r: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -347,7 +316,7 @@ def _tree_tables(
     """
     n = len(ctx.nodes)
     out = ctx.out
-    feas = _hosts(ctx, r)
+    feas = dist_leq_arr(ctx.dprime, r)
     miss = np.where(feas.T, np.float32(0.0), np.float32(np.inf))  # miss[a, b]
     I = np.full((n, n), np.inf, dtype=np.float32)
     Fz = np.zeros((n, n), dtype=np.float32)
@@ -468,8 +437,9 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     the table search would make: the clustering is the same.
     """
     ctx = _tree_context(inst)
-    if ctx.path is not None:
-        D = ctx.path[0]
+    path = inst.tree.path is not None
+    if path:
+        _, D = _path_matrix(inst)
 
         def probe(r: float) -> Optional[bool]:
             return True if _path_count(D, r) <= inst.k else None
@@ -483,7 +453,7 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     assert found is not None  # a tree is connected, one cluster always works
     r, tables = found
-    I, Fz, Ia, feas = _tree_tables(ctx, r) if ctx.path is not None else tables
+    I, Fz, Ia, feas = _tree_tables(ctx, r) if path else tables
     assign = _reconstruct(ctx, I, Fz, Ia, feas)
     by_center: dict[int, set[int]] = {}
     for a, b in assign.items():

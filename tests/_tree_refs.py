@@ -89,7 +89,7 @@ def tree_context(inst):
         s, e = v, out[v]
         dprime[:s, v] = np.maximum(dprime[:s, p], dp[:s, v])
         dprime[e:, v] = np.maximum(dprime[e:, p], dp[e:, v])
-    return _TreeContext(nodes, children, out, dprime)
+    return _TreeContext(nodes, children, out, parent, dprime)
 
 
 def tree_parents(ctx):
