@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -44,6 +45,7 @@ from .model import (
     Instance,
     InstanceFormatError,
     SolveReport,
+    _scalar,
     clustering_cost,
     clustering_from_doc,
     clustering_to_doc,
@@ -56,7 +58,6 @@ from .model import (
     validate_clustering,
 )
 from .oracle import (
-    DEFAULT_LIMITS,
     OracleLimitError,
     exact_assignment,
     exact_disjoint,
@@ -285,11 +286,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report = make_report(
             inst, result, args.objective, report.algorithm, bound=report.bound
         )
-    doc = {
-        "report": report.to_doc(),
-        "clustering": clustering_to_doc(inst, result, args.objective),
-    }
-    _emit(doc, args.out)
+    # every entry reports its cost under the requested objective
+    clustering_doc = clustering_to_doc(result)
+    clustering_doc.update(objective=args.objective, value=report.objective)
+    _emit({"report": report.to_doc(), "clustering": clustering_doc}, args.out)
     return EXIT_OK
 
 
@@ -312,10 +312,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise InstanceFormatError("the center objective needs a clustering with centers")
     value = clustering_cost(inst, result, objective)
     declared = doc.get("value")
-    try:
-        matches = declared is None or dist_eq(float(declared), value)
+    try:  # the loader's number rule (no strings, no booleans), and finite
+        if declared is not None and not math.isfinite(_scalar(declared)):
+            raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f'"value" must be a number, got {declared!r}') from exc
+    matches = declared is None or dist_eq(float(declared), value)
     _emit(
         {
             "objective": objective,
@@ -351,15 +353,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for path in args.infiles:
         inst = load_instance_file(path)
-        oracle: float | str = ""  # the column's cell: empty without an oracle value
-        if inst.n <= args.oracle_limit:
-            with contextlib.suppress(OracleLimitError):
-                if args.mode == DISJOINT:
-                    oracle = exact_disjoint(inst, args.objective)[0]
-                elif args.objective == CENTER:
-                    oracle = exact_nondisjoint_center(inst)
-                else:
-                    oracle = exact_nondisjoint_diameter(inst)
+        oracle: float | str = ""  # the column's cell: empty where the oracle declines
+        with contextlib.suppress(OracleLimitError):
+            if args.mode == DISJOINT:
+                oracle = exact_disjoint(inst, args.objective)[0]
+            elif args.objective == CENTER:
+                oracle = exact_nondisjoint_center(inst)
+            else:
+                oracle = exact_nondisjoint_diameter(inst)
         for algo in algos:
             t0 = time.perf_counter()
             report, _ = ALGORITHMS[algo](inst, query)
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--objective", choices=[CENTER, DIAMETER], default=CENTER)
     b.add_argument("--mode", choices=[DISJOINT, NON_DISJOINT], default=DISJOINT)
     b.add_argument("--dim", type=int, default=2)
-    b.add_argument("--oracle-limit", type=int, default=DEFAULT_LIMITS.max_n_partition)
     b.add_argument("--out", default=None)
     b.set_defaults(func=lambda args: cmd_bench(args))
     return ap

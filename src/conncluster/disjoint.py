@@ -36,6 +36,7 @@ from .model import (
     SolveReport,
     binary_search_min_feasible,
     candidate_radii,
+    cluster_radius,
     clustering,
     clustering_cost,
     dist_eq,
@@ -76,11 +77,6 @@ def _bfs_tree(inst: Instance, points: set[int], root: int) -> dict[int, list[int
             f"cluster around {root} does not induce a connected subgraph"
         )
     return children
-
-
-def _radius(inst: Instance, points: set[int], center: int) -> float:
-    idx = np.fromiter(points, dtype=int)
-    return float(inst.dist[idx, center].max())
 
 
 def make_disjoint(
@@ -161,7 +157,7 @@ def make_disjoint(
             )
         bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
         for center, points in zip(centers, clusters):
-            rad = _radius(inst, points, center)
+            rad = cluster_radius(inst.dist, points, center)
             if not dist_leq(rad, bound):
                 raise DisjointInvariantError(
                     f"after layer {li + 1}: cluster of center {center} has "

@@ -593,7 +593,5 @@ def gen_random(
         from .model import LpMetric
 
         dist = LpMetric(coords, p).realize(n)
-        return make_instance(
-            dist, _prim_mst(dist), k, coords=coords, p=p, metric_kind="lp"
-        )
+        return make_instance(dist, _prim_mst(dist), k, coords=coords, p=p)
     raise InstanceFormatError(f"unknown random family {family!r}")

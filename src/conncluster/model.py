@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 import orjson
@@ -207,7 +207,6 @@ class Instance:
     dist: np.ndarray
     adj: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    metric_kind: str
     labels: Optional[tuple[str, ...]] = None
     coords: Optional[np.ndarray] = None
     p: Optional[float] = None
@@ -339,7 +338,6 @@ def make_instance(
     labels: Optional[Sequence[str]] = None,
     coords: Optional[np.ndarray] = None,
     p: Optional[float] = None,
-    metric_kind: str = "explicit",
 ) -> Instance:
     """Build a validated Instance from an in-memory matrix and edge list."""
     m = np.asarray(dist, dtype=float)
@@ -378,7 +376,6 @@ def make_instance(
         dist=m,
         adj=adj,
         edges=edge_list,
-        metric_kind=metric_kind,
         labels=tuple(labels) if labels is not None else None,
         coords=coords,
         p=p,
@@ -525,16 +522,7 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
             raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
     coords = spec.coords if isinstance(spec, LpMetric) else None
     p = spec.p if isinstance(spec, LpMetric) else None
-    kind = {ExplicitMetric: "explicit", LpMetric: "lp", GraphMetric: "graph"}[type(spec)]
-    return make_instance(
-        matrix,
-        edges,
-        doc["k"],
-        labels=labels,
-        coords=coords,
-        p=p,
-        metric_kind=kind,
-    )
+    return make_instance(matrix, edges, doc["k"], labels=labels, coords=coords, p=p)
 
 
 #: What ``json`` raises on a malformed document: ``ValueError`` also
@@ -751,6 +739,20 @@ def validate_clustering(inst: Instance, c: Clustering) -> Verdict:
     return Verdict(feasible=not violations, violations=tuple(violations))
 
 
+def cluster_radius(dist: np.ndarray, points: Collection[int], center: int) -> float:
+    """Largest distance from ``center`` to a point of a nonempty cluster."""
+    idx = np.fromiter(points, dtype=int)
+    return float(dist[idx, center].max())
+
+
+def cluster_diameter(dist: np.ndarray, points: Collection[int]) -> float:
+    """Largest distance between two points of the cluster; 0.0 below two."""
+    if len(points) < 2:
+        return 0.0
+    idx = np.fromiter(points, dtype=int)
+    return float(dist[np.ix_(idx, idx)].max())
+
+
 def clustering_cost(inst: Instance, c: Clustering, objective: str) -> float:
     """Maximum radius (center objective) or maximum diameter of the clusters."""
     if objective not in OBJECTIVES:
@@ -758,31 +760,20 @@ def clustering_cost(inst: Instance, c: Clustering, objective: str) -> float:
     if objective == CENTER:
         if c.centers is None:
             raise ValueError("center objective needs centers")
-        worst = 0.0
-        for cl, ctr in zip(c.clusters, c.centers):
-            idx = np.fromiter(cl, dtype=int)
-            worst = max(worst, float(inst.dist[idx, ctr].max()))
-        return worst
-    worst = 0.0
-    for cl in c.clusters:
-        idx = np.fromiter(cl, dtype=int)
-        if len(idx) > 1:
-            worst = max(worst, float(inst.dist[np.ix_(idx, idx)].max()))
-    return worst
+        costs = map(functools.partial(cluster_radius, inst.dist), c.clusters, c.centers)
+    else:
+        costs = map(functools.partial(cluster_diameter, inst.dist), c.clusters)
+    # max keeps the first of equal values: a zero cost is the leading
+    # 0.0, never a -0.0 distance
+    return max((0.0, *costs))
 
 
-def clustering_to_doc(
-    inst: Instance, c: Clustering, objective: Optional[str] = None
-) -> dict:
-    doc = {
+def clustering_to_doc(c: Clustering) -> dict:
+    return {
         "mode": c.mode,
         "clusters": [sorted(cl) for cl in c.clusters],
         "centers": list(c.centers) if c.centers is not None else None,
     }
-    if objective is not None:
-        doc["objective"] = objective
-        doc["value"] = clustering_cost(inst, c, objective)
-    return doc
 
 
 def clustering_from_doc(doc: dict) -> Clustering:

@@ -14,14 +14,15 @@ known doubling dimension.  Every construction is re-checkable with
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Verdict, dist_leq
+from .model import Verdict, cluster_diameter, dist_leq
 
 
 @dataclass(frozen=True)
@@ -40,23 +41,19 @@ class WellSeparatedPartition:
         return set().union(*(g for layer in self.layers for g in layer))
 
 
-def _group_diameter(dist: np.ndarray, group: frozenset[int]) -> float:
-    if len(group) < 2:
-        return 0.0
-    idx = np.fromiter(group, dtype=int)
-    return float(dist[np.ix_(idx, idx)].max())
-
-
 def _finalize(
-    dist: np.ndarray, r: float, layers: list[list[set[int]]]
+    r: float,
+    layers: list[list[set[int]]],
+    diameter: Callable[[frozenset[int]], float],
 ) -> WellSeparatedPartition:
-    """Freeze layers with deterministic group order and actual diameters."""
+    """Freeze layers with deterministic group order, each layer's h the
+    largest group ``diameter``."""
     frozen_layers = []
     hs = []
     for layer in layers:
         groups = tuple(sorted((frozenset(g) for g in layer), key=min))
         frozen_layers.append(groups)
-        hs.append(max(_group_diameter(dist, g) for g in groups))
+        hs.append(max(map(diameter, groups)))
     return WellSeparatedPartition(r=r, layers=tuple(frozen_layers), h=tuple(hs))
 
 
@@ -90,7 +87,7 @@ def verify_wsp(
                             )
         if li < len(p.h):
             for g in layer:
-                diam = _group_diameter(dist, g)
+                diam = cluster_diameter(dist, g)
                 if not dist_leq(diam, p.h[li]):
                     violations.append(
                         f"layer {li}: group {sorted(g)} diameter {diam} > h={p.h[li]}"
@@ -148,7 +145,7 @@ def partition_general_metric(
                     break
             layer.append(group)
         layers.append(layer)
-    return _finalize(dist, r, layers)
+    return _finalize(r, layers, partial(cluster_diameter, dist))
 
 
 def general_layer_bound(k: int) -> int:
@@ -213,6 +210,14 @@ def _lp_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
     return float((diff**p).sum() ** (1.0 / p))
 
 
+def _lp_diameter(coords: np.ndarray, p: float, group: frozenset[int]) -> float:
+    """A group's diameter under the Lp norm itself.  It is not read off
+    the realized matrix: for p = 2 that takes ``np.sqrt``, which can
+    differ from the scalar power here in the last bit."""
+    pairs = itertools.combinations(group, 2)
+    return max((_lp_distance(coords[a], coords[b], p) for a, b in pairs), default=0.0)
+
+
 def _grid_cells(coords: np.ndarray, centers: Sequence[int], r: float) -> np.ndarray:
     """Per center, the float index of its grid cell along each axis:
     coordinates shifted into the nonnegative orthant, over the edge 2r.
@@ -260,20 +265,7 @@ def partition_lp(
     for (color, _block), members in sorted(groups.items(), key=lambda kv: min(kv[1])):
         by_color.setdefault(color, []).append(members)
     layers = [by_color[c] for c in sorted(by_color)]
-    # diameters under the Lp norm itself
-    frozen_layers = []
-    hs = []
-    for layer in layers:
-        frozen = tuple(sorted((frozenset(g) for g in layer), key=min))
-        frozen_layers.append(frozen)
-        h = 0.0
-        for g in frozen:
-            for a in g:
-                for b in g:
-                    if a < b:
-                        h = max(h, _lp_distance(coords[a], coords[b], p))
-        hs.append(h)
-    return WellSeparatedPartition(r=r, layers=tuple(frozen_layers), h=tuple(hs))
+    return _finalize(r, layers, partial(_lp_diameter, coords, p))
 
 
 def lp_layer_bound(d: int) -> int:
@@ -365,7 +357,7 @@ def partition_doubling(
     for i, (_seed, members) in enumerate(cover):
         by_color.setdefault(color[i], []).append(members)
     layers = [by_color[c] for c in sorted(by_color)]
-    return _finalize(dist, r, layers)
+    return _finalize(r, layers, partial(cluster_diameter, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +372,6 @@ def partition_two_centers(
     centers = sorted(int(c) for c in centers)
     if not 1 <= len(centers) <= 2:
         raise ValueError("this construction handles one or two centers")
-    if len(centers) == 1:
-        return _finalize(dist, r, [[{centers[0]}]])
-    c1, c2 = centers
-    if dist_leq(float(dist[c1, c2]), 2.0 * r):
-        return _finalize(dist, r, [[{c1, c2}]])
-    return _finalize(dist, r, [[{c1}, {c2}]])
+    apart = len(centers) == 2 and not dist_leq(float(dist[centers[0], centers[1]]), 2.0 * r)
+    groups = [{c} for c in centers] if apart else [set(centers)]
+    return _finalize(r, [groups], partial(cluster_diameter, dist))

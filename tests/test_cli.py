@@ -12,7 +12,14 @@ import pytest
 import conncluster
 from conncluster import cli
 from conncluster.cli import main
-from conncluster.model import dist_leq, instance_to_doc
+from conncluster.model import (
+    check_triangle_inequality,
+    clustering_cost,
+    clustering_from_doc,
+    dist_leq,
+    instance_to_doc,
+    load_instance_file,
+)
 
 
 def run_cli(args, capsys):
@@ -41,6 +48,23 @@ def test_gen_is_deterministic(tmp_path, capsys):
     run_cli(["gen", "--family", "tree", "--n", "7", "--k", "3", "--seed", "5",
              "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("family, broken", [("line", 76), ("tree", 72)])
+def test_gen_metric_repair_closes_the_random_matrix(tmp_path, capsys, family, broken):
+    """Random line and tree matrices break the triangle inequality unless
+    ``--metric-repair`` replaces them by their shortest-path closure."""
+    insts = []
+    for repair in ([], ["--metric-repair"]):
+        path = tmp_path / f"{family}{len(repair)}.json"
+        code, _, _ = run_cli(["gen", "--family", family, "--n", "9", "--k", "2", "--seed", "1",
+                              *repair, "--out", str(path)], capsys)
+        assert code == 0
+        insts.append(load_instance_file(str(path)))
+    plain, repaired = insts
+    assert plain.edges == repaired.edges
+    assert len(check_triangle_inequality(plain)) == broken
+    assert check_triangle_inequality(repaired) == []
 
 
 def test_gen_writes_annotation_side_file(tmp_path, capsys):
@@ -592,6 +616,10 @@ def test_float_point_id_in_clustering_exits_2(line_file, tmp_path, capsys):
     [
         ({"centers": None}, "the center objective needs a clustering with centers"),
         ({"value": "abc"}, "\"value\" must be a number, got 'abc'"),
+        # the loader's number rule: a numeric string or a boolean is no number
+        ({"value": "2.0"}, "\"value\" must be a number, got '2.0'"),
+        ({"value": True}, "\"value\" must be a number, got True"),
+        ({"value": float("nan")}, "\"value\" must be a number, got nan"),
     ],
 )
 def test_eval_rejects_unusable_clustering(line_file, tmp_path, capsys, changes, message):
@@ -1076,11 +1104,13 @@ def test_report_objective_is_the_emitted_clusterings_value(tmp_path, capsys, alg
         report = solved["report"]
         assert solved["clustering"]["objective"] == objective
         assert report["objective"] == solved["clustering"]["value"], (doc, solved)
+        emitted = clustering_from_doc(solved["clustering"])
+        assert clustering_cost(load_instance_file(path), emitted, objective) == report["objective"]
         assert report["bound"] is None or dist_leq(report["objective"], report["bound"])
         if algo in CENTERS:  # bench passes no centers
             continue
         code, out, _ = run_cli(["bench", "--in", path, "--algos", algo, "--objective", objective,
-                                "--mode", mode, "--oracle-limit", "0"], capsys)
+                                "--mode", mode], capsys)
         assert code == 0
         assert float(out.splitlines()[1].split(",")[4]) == report["objective"], (doc, out)
 
@@ -1114,7 +1144,7 @@ def test_bench_center_only_diameter_ratio_is_at_least_one(tmp_path, capsys, seed
 
 def test_bench_oracle_limit_defaults_to_the_oracles_own(tmp_path, capsys):
     """An 11-point document is inside the oracles' default size limit, so
-    the default bench cut-off fills the oracle and ratio columns."""
+    bench fills the oracle and ratio columns."""
     path = str(tmp_path / "g11.json")
     run_cli(["gen", "--family", "general", "--n", "11", "--k", "3", "--seed", "1",
              "--out", path], capsys)
@@ -1123,6 +1153,36 @@ def test_bench_oracle_limit_defaults_to_the_oracles_own(tmp_path, capsys):
     (row,) = out.splitlines()[1:]
     value, oracle, ratio = row.split(",")[4:7]
     assert float(oracle) > 0 and float(ratio) == float(value) / float(oracle)
+
+
+def test_bench_leaves_the_oracle_cells_empty_past_the_oracles_limit(tmp_path, capsys):
+    """The oracles decline a 13-point document at once, so its oracle and
+    ratio cells stay empty while the algorithm's value is written."""
+    path = str(tmp_path / "g13.json")
+    run_cli(["gen", "--family", "general", "--n", "13", "--k", "3", "--seed", "1",
+             "--out", path], capsys)
+    code, out, err = run_cli(["bench", "--in", path, "--algos", "greedy"], capsys)
+    assert (code, err) == (0, "")
+    (row,) = out.splitlines()[1:]
+    assert row.split(",")[1:4] == ["greedy", "13", "3"]
+    value, oracle, ratio = row.split(",")[4:7]
+    assert float(value) > 0 and oracle == ratio == ""
+
+
+@pytest.mark.parametrize("objective", ["center", "diameter"])
+@pytest.mark.parametrize("algo", ["auto", "greedy", "line", "tree-dp", "general", "oracle"])
+def test_zero_cost_prints_as_positive_zero(tmp_path, capsys, algo, objective):
+    """Distances of -0.0 load; a cost over them prints as 0.0, not -0.0."""
+    doc = {"n": 2, "k": 1, "metric": {"type": "explicit", "matrix": [[0.0, -0.0], [-0.0, 0.0]]},
+           "edges": [[0, 1]]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    mode = "non_disjoint" if algo == "line" and objective == "center" else "disjoint"
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", algo,
+                              "--objective", objective, "--mode", mode], capsys)
+    assert (code, err) == (0, "")
+    assert '"objective": 0.0\n' in out and '"value": 0.0\n' in out
+    assert "-0.0" not in out
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -68,7 +68,6 @@ def _outcome(load, arg):
         inst.labels,
         coords,
         repr(inst.p),
-        inst.metric_kind,
     )
 
 

@@ -52,7 +52,6 @@ def test_load_single_point():
 def test_load_graph_metric_expands(trap5):
     assert trap5.d(1, 2) == 3.0  # u-z goes through x
     assert trap5.d(0, 4) == 3.0  # x-e goes through z
-    assert trap5.metric_kind == "graph"
 
 
 def test_load_rejects_asymmetric():

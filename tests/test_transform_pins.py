@@ -22,7 +22,6 @@ from conncluster import disjoint
 from conncluster.disjoint import (
     DisjointInvariantError,
     _bfs_tree,
-    _radius,
     make_disjoint,
     partition_bound,
     solve_assignment_given_centers,
@@ -36,6 +35,7 @@ from conncluster.model import (
     DISJOINT,
     AlgorithmPreconditionError,
     InfeasibleError,
+    cluster_radius,
     clustering,
     clustering_cost,
     dist_eq,
@@ -151,7 +151,7 @@ def old_make_disjoint(inst, g, p, objective):
             )
         bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
         for f in forest.finalized:
-            rad = _radius(inst, f.points, f.center)
+            rad = cluster_radius(inst.dist, f.points, f.center)
             if not dist_leq(rad, bound):
                 raise DisjointInvariantError(
                     f"after layer {li + 1}: cluster of center {f.center} has "
