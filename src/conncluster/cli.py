@@ -11,6 +11,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -73,13 +74,18 @@ EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none.
+    Line ends are written as they are (bench's CSV rows end in ``\\r\\n``)."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _int_lists(text: str, what: str, width: Optional[int] = None) -> list[list[int]]:
@@ -160,11 +166,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise InstanceFormatError(f"unknown family {args.family!r}")
     meta = FAMILIES[args.family](args)
     _emit(instance_to_doc(meta.instance), args.out)
-    if meta.annotations and args.out:
-        ann_path = args.annotations or (args.out + ".ann.json")
-        with open(ann_path, "w", encoding="utf-8") as fh:
-            json.dump(meta.annotations, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    ann_path = args.annotations or (args.out and args.out + ".ann.json")
+    if meta.annotations and ann_path:
+        _emit(meta.annotations, ann_path)
     return EXIT_OK
 
 
@@ -335,12 +339,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     result = None
     if args.clustering:
         _, result = _load_clustering(args.clustering, inst)
-    text = to_dot(inst, result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(to_dot(inst, result), args.out)
     return EXIT_OK
 
 
@@ -369,16 +368,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append(
                 [path, algo, inst.n, inst.k, report.objective, oracle, ratio, f"{elapsed:.4f}"]
             )
-    with (
-        open(args.out, "w", newline="", encoding="utf-8")
-        if args.out
-        else contextlib.nullcontext(sys.stdout)
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["instance", "algo", "n", "k", "value", "oracle", "ratio", "seconds"]
-        )
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["instance", "algo", "n", "k", "value", "oracle", "ratio", "seconds"])
+    writer.writerows(rows)
+    _write(text.getvalue(), args.out)
     return EXIT_OK
 
 

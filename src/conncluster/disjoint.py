@@ -34,6 +34,7 @@ from .model import (
     InfeasibleError,
     Instance,
     SolveReport,
+    bfs_parents,
     binary_search_min_feasible,
     candidate_radii,
     cluster_radius,
@@ -57,26 +58,6 @@ from .wsp import (
 class DisjointInvariantError(RuntimeError):
     """An intermediate invariant of the disjointification transform failed
     (typically because the distances are not a metric)."""
-
-
-def _bfs_tree(inst: Instance, points: set[int], root: int) -> dict[int, list[int]]:
-    """Children lists of a BFS spanning tree of the induced subgraph."""
-    children: dict[int, list[int]] = {root: []}
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u in inst.adj[v]:
-                if u in points and u not in children:
-                    children[u] = []
-                    children[v].append(u)
-                    nxt.append(u)
-        queue = nxt
-    if len(children) != len(points):
-        raise DisjointInvariantError(
-            f"cluster around {root} does not induce a connected subgraph"
-        )
-    return children
 
 
 def make_disjoint(
@@ -134,10 +115,14 @@ def make_disjoint(
             else:
                 # along a spanning tree, each point joins the piece of its
                 # nearest owned ancestor (itself included), else the root's
-                anchor = {center: center}
-                for v, kids in _bfs_tree(inst, points, center).items():
-                    for u in kids:
-                        anchor[u] = u if u in owned else anchor[v]
+                parent = bfs_parents(inst, points, [center])
+                if len(parent) != len(points):
+                    raise DisjointInvariantError(
+                        f"cluster around {center} does not induce a connected subgraph"
+                    )
+                anchor: dict[int, int] = {}
+                for u, v in parent.items():  # discovery order: v is anchored
+                    anchor[u] = u if v == -1 or u in owned else anchor[v]
                 pieces = {}
                 for v, a in anchor.items():
                     pieces.setdefault(a, set()).add(v)
@@ -372,8 +357,8 @@ def pad_to_k(inst: Instance, c: Clustering) -> Clustering:
         ]
         _, _, i = max(sizes, key=lambda t: (t[0], -t[1]))
         root = centers[i] if centers is not None else min(clusters[i])
-        children = _bfs_tree(inst, clusters[i], root)
-        leaf = min(v for v, ch in children.items() if not ch and v != root)
+        parent = bfs_parents(inst, clusters[i], [root])
+        leaf = min(parent.keys() - parent.values())  # no point's parent: a leaf
         clusters[i].discard(leaf)
         new_singletons.append(leaf)
     out_clusters = clusters + [{x} for x in new_singletons]

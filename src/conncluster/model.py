@@ -17,8 +17,8 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
+from dataclasses import asdict, dataclass
+from typing import Callable, Collection, Container, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 import orjson
@@ -216,24 +216,6 @@ class Instance:
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
-
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
 
     @functools.cached_property
     def tree(self) -> Optional[Tree]:
@@ -690,18 +672,26 @@ class Verdict:
         return self.feasible
 
 
-def _is_connected_subset(inst: Instance, points: frozenset[int]) -> bool:
-    it = iter(points)
-    start = next(it)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in inst.adj[v]:
-            if u in points and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(points)
+def bfs_parents(
+    inst: Instance, points: Container[int], roots: Iterable[int]
+) -> dict[int, int]:
+    """Breadth-first search from ``roots`` over the subgraph that ``points``
+    induces: each point reached, in discovery order, mapped to the point it
+    was reached from, a root to -1.  Neighbours are scanned in ascending
+    order.  The one connectivity search: clusters, the transform's
+    spanning trees, padding and the assignment oracle all ask it.
+    """
+    parent = dict.fromkeys(roots, -1)
+    queue = list(parent)
+    adj = inst.adj
+    for v in queue:  # the list grows while it is read: a FIFO queue
+        for u in adj[v]:
+            # most neighbours of a cluster's point lie in that cluster and
+            # are reached already, so the cheaper test to fail comes first
+            if u not in parent and u in points:
+                parent[u] = v
+                queue.append(u)
+    return parent
 
 
 def validate_clustering(inst: Instance, c: Clustering) -> Verdict:
@@ -722,7 +712,7 @@ def validate_clustering(inst: Instance, c: Clustering) -> Verdict:
         missing = sorted(set(range(inst.n)) - covered)
         violations.append(f"points not covered: {missing}")
     for i, cl in enumerate(c.clusters):
-        if not _is_connected_subset(inst, cl):
+        if len(bfs_parents(inst, cl, [next(iter(cl))])) != len(cl):
             violations.append(f"cluster {i} ({sorted(cl)}) is not connected")
     if c.mode == DISJOINT:
         total = sum(len(cl) for cl in c.clusters)
@@ -799,13 +789,7 @@ class SolveReport:
     feasible: bool = True
 
     def to_doc(self) -> dict:
-        return {
-            "objective": self.objective,
-            "clusters_used": self.clusters_used,
-            "algorithm": self.algorithm,
-            "bound": self.bound,
-            "feasible": self.feasible,
-        }
+        return asdict(self)
 
 
 def make_report(

@@ -27,6 +27,7 @@ from .model import (
     Clustering,
     InfeasibleError,
     Instance,
+    bfs_parents,
     binary_search_min_feasible,
     candidate_radii,
     clustering,
@@ -284,17 +285,7 @@ def _assignment_dfs(
     def feasible_full() -> bool:
         for c in C:
             block = frozenset(v for v, s in side.items() if s == c)
-            pts = list(block)
-            start = c
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for u in inst.adj[x]:
-                    if u in block and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != len(pts):
+            if len(bfs_parents(inst, block, [c])) != len(block):
                 return False
         return True
 
@@ -343,9 +334,8 @@ def exact_assignment(
         raise ValueError("centers must be distinct")
     if not C or not all(0 <= c < inst.n for c in C):
         raise ValueError("center ids out of range")
-    for comp in inst.connected_components():
-        if not any(c in comp for c in C):
-            return None
+    if len(bfs_parents(inst, range(inst.n), C)) != inst.n:  # a component has no center
+        return None
     if objective == CENTER:
         cands = dedup_radii(inst.dist[:, C], leq=True)
     else:

@@ -12,7 +12,7 @@ tests called.
 import numpy as np
 
 from conncluster.exact import _tree_context, _tree_tables, _TreeContext
-from conncluster.model import AlgorithmPreconditionError
+from conncluster.model import AlgorithmPreconditionError, bfs_parents
 
 
 def path_order(inst):
@@ -42,7 +42,7 @@ def path_order(inst):
 
 def is_tree(inst):
     """Whether the connectivity graph is a tree: connected, n-1 edges."""
-    return len(inst.edges) == inst.n - 1 and len(inst.connected_components()) == 1
+    return len(inst.edges) == inst.n - 1 and len(bfs_parents(inst, range(inst.n), [0])) == inst.n
 
 
 def tree_context(inst):

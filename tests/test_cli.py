@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -75,6 +76,30 @@ def test_gen_writes_annotation_side_file(tmp_path, capsys):
     assert code == 0
     ann = json.loads((tmp_path / "i2.json.ann.json").read_text())
     assert ann["centers"] == [0, 1]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+#: sha256 prefixes of ``gen --family sat``'s instance and annotations
+SAT_DOC, SAT_ANN = "fd6eff73fea20a54", "cefd669e6b465450"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_gen_annotations_go_to_their_path(tmp_path, capsys, to_file):
+    """``--annotations`` names the side file whether the instance goes to
+    ``--out`` or to stdout; without it, ``<out>.ann.json`` is the path."""
+    ann, out = tmp_path / "ann.json", tmp_path / "sat.json"
+    argv = ["gen", "--family", "sat", "--annotations", str(ann)]
+    code, stdout, err = run_cli(argv + ["--out", str(out)] * to_file, capsys)
+    assert (code, err) == (0, "")
+    doc = out.read_bytes() if to_file else stdout.encode()
+    assert (_sha(doc), _sha(ann.read_bytes())) == (SAT_DOC, SAT_ANN)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.json", "sat.json"][: 1 + to_file]
+    code, _, _ = run_cli(["gen", "--family", "sat", "--out", str(out)], capsys)
+    assert code == 0
+    assert _sha((tmp_path / "sat.json.ann.json").read_bytes()) == SAT_ANN
 
 
 def test_solve_auto_disjoint_center(line_file, capsys):
@@ -358,6 +383,27 @@ def test_bench_csv_out_file(line_file, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "instance,algo,n,k,value,oracle,ratio,seconds"
     assert len(lines) == 3
+
+
+def test_bench_bytes(line_file, tmp_path, capsys):
+    """A bench file's raw bytes, ``\\r\\n`` line ends included, and stdout's
+    text are the same CSV; only the seconds column varies."""
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--in", line_file, "--algos", "auto,greedy"]
+    assert run_cli(argv + ["--out", str(out)], capsys) == (0, "", "")
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+
+    def untimed(raw):
+        return re.sub(rb",\d+\.\d{4}\r\n", b",S\r\n", raw)
+
+    want = (
+        b"instance,algo,n,k,value,oracle,ratio,seconds\r\n"
+        + f"{line_file},auto,6,2,6.0,6.0,1.0,S\r\n".encode()
+        + f"{line_file},greedy,6,2,7.0,6.0,1.1666666666666667,S\r\n".encode()
+    )
+    assert untimed(out.read_bytes()) == want
+    assert untimed(stdout.encode()) == want
 
 
 @pytest.mark.parametrize("algo", ["tree-assign", "assign"])

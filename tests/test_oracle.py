@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conncluster import (
@@ -102,6 +103,15 @@ def test_exact_assignment_infeasible_component():
     m = [[0, 1, 5, 5], [1, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]]
     inst = make_instance(m, [(0, 1), (2, 3)], 2)
     assert exact_assignment(inst, [0, 1], CENTER) is None
+    # three components: centers in two of them leave the third unserved
+    m3 = np.full((6, 6), 5.0)
+    np.fill_diagonal(m3, 0.0)
+    inst3 = make_instance(m3, [(0, 1), (2, 3), (4, 5)], 3)
+    for centers in ([0, 2], [1, 5], [3, 4], [0, 1, 2]):
+        assert exact_assignment(inst3, centers, CENTER) is None
+    value, best = exact_assignment(inst3, [1, 2, 5], CENTER)
+    assert value == 5.0
+    assert best.clusters == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
 
 
 def test_exact_assignment_diameter(trap5):

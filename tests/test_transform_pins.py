@@ -8,8 +8,15 @@ clusters.  The one-pass transform must return the same clustering, with
 its clusters and centers in the same order, or raise the same exception
 with the same message, so that every report and every CLI byte stays
 the same.
+
+``_bfs_tree``, ``old_validate_clustering`` (with ``_is_connected_subset``)
+and ``old_pad_to_k`` are the spanning trees, the connectivity test and
+the padding the package ran before one breadth-first search
+(``model.bfs_parents``) answered every connectivity question; the
+verdicts and the padded clusterings must stay the same.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,8 +28,8 @@ from hypothesis import strategies as st
 from conncluster import disjoint
 from conncluster.disjoint import (
     DisjointInvariantError,
-    _bfs_tree,
     make_disjoint,
+    pad_to_k,
     partition_bound,
     solve_assignment_given_centers,
     solve_disjoint,
@@ -33,8 +40,10 @@ from conncluster.model import (
     CENTER,
     DIAMETER,
     DISJOINT,
+    MODES,
     AlgorithmPreconditionError,
     InfeasibleError,
+    Verdict,
     cluster_radius,
     clustering,
     clustering_cost,
@@ -52,6 +61,98 @@ from conncluster.wsp import (
 )
 
 from test_exact_probes import distance, probe_radii
+
+
+def _bfs_tree(inst, points, root):
+    """Children lists of a BFS spanning tree of the induced subgraph."""
+    children: dict[int, list[int]] = {root: []}
+    queue = [root]
+    while queue:
+        nxt = []
+        for v in queue:
+            for u in inst.adj[v]:
+                if u in points and u not in children:
+                    children[u] = []
+                    children[v].append(u)
+                    nxt.append(u)
+        queue = nxt
+    if len(children) != len(points):
+        raise DisjointInvariantError(
+            f"cluster around {root} does not induce a connected subgraph"
+        )
+    return children
+
+
+def _is_connected_subset(inst, points):
+    it = iter(points)
+    start = next(it)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in inst.adj[v]:
+            if u in points and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(points)
+
+
+def old_validate_clustering(inst, c):
+    for cl in c.clusters:
+        for x in cl:
+            if not (0 <= x < inst.n):
+                raise ValueError(f"point id {x} out of range")
+    violations: list[str] = []
+    covered: set[int] = set()
+    for cl in c.clusters:
+        covered |= cl
+    if covered != set(range(inst.n)):
+        missing = sorted(set(range(inst.n)) - covered)
+        violations.append(f"points not covered: {missing}")
+    for i, cl in enumerate(c.clusters):
+        if not _is_connected_subset(inst, cl):
+            violations.append(f"cluster {i} ({sorted(cl)}) is not connected")
+    if c.mode == DISJOINT:
+        total = sum(len(cl) for cl in c.clusters)
+        if total != len(covered):
+            for i in range(len(c.clusters)):
+                for j in range(i + 1, len(c.clusters)):
+                    inter = c.clusters[i] & c.clusters[j]
+                    if inter:
+                        violations.append(
+                            f"clusters {i} and {j} overlap on {sorted(inter)}"
+                        )
+    if c.clusters_used > inst.k:
+        violations.append(f"{c.clusters_used} clusters exceed budget k={inst.k}")
+    return Verdict(feasible=not violations, violations=tuple(violations))
+
+
+def old_pad_to_k(inst, c):
+    if c.mode != DISJOINT:
+        raise AlgorithmPreconditionError("padding needs a disjoint clustering")
+    verdict = old_validate_clustering(inst, c)
+    if not verdict.feasible:
+        raise AlgorithmPreconditionError(
+            f"padding needs a feasible clustering: {'; '.join(verdict.violations)}"
+        )
+    if c.clusters_used == inst.k:
+        return c
+    clusters = [set(cl) for cl in c.clusters]
+    centers = list(c.centers) if c.centers is not None else None
+    new_singletons: list[int] = []
+    while len(clusters) + len(new_singletons) < inst.k:
+        sizes = [
+            (len(cl), min(cl), i) for i, cl in enumerate(clusters) if len(cl) >= 2
+        ]
+        _, _, i = max(sizes, key=lambda t: (t[0], -t[1]))
+        root = centers[i] if centers is not None else min(clusters[i])
+        children = _bfs_tree(inst, clusters[i], root)
+        leaf = min(v for v, ch in children.items() if not ch and v != root)
+        clusters[i].discard(leaf)
+        new_singletons.append(leaf)
+    out_clusters = clusters + [{x} for x in new_singletons]
+    out_centers = centers + new_singletons if centers is not None else None
+    return clustering(out_clusters, out_centers, DISJOINT)
 
 
 @dataclass
@@ -303,3 +404,45 @@ def test_seeded_solves_match_old(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(disjoint, "make_disjoint", old_make_disjoint)
                 assert got == run_all()
+
+
+def _with_centers(data, clusters):
+    """One center drawn from each cluster, or None."""
+    if not data.draw(st.booleans()):
+        return None
+    return [data.draw(st.sampled_from(sorted(cl))) for cl in clusters]
+
+
+@settings(max_examples=300)
+@given(st.data(), instances())
+def test_validation_matches_old(data, inst):
+    """Any clusters, disconnected, overlapping or missing points included."""
+    points = st.sets(st.integers(0, inst.n - 1), min_size=1)
+    clusters = data.draw(st.lists(points, min_size=1, max_size=4))
+    mode = data.draw(st.sampled_from(MODES))
+    c = clustering(clusters, _with_centers(data, clusters), mode)
+    assert validate_clustering(inst, c) == old_validate_clustering(inst, c)
+
+
+@settings(max_examples=300)
+@given(st.data(), instances())
+def test_padding_matches_old(data, inst):
+    """Connected disjoint covers, from the components of a drawn subset of
+    the edges, padded to a drawn budget."""
+    kept = data.draw(st.lists(st.sampled_from(inst.edges), unique=True)) if inst.edges else []
+    root = list(range(inst.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in kept:
+        root[find(u)] = find(v)
+    comps: dict[int, set[int]] = {}
+    for x in range(inst.n):
+        comps.setdefault(find(x), set()).add(x)
+    clusters = data.draw(st.permutations(list(comps.values())))
+    inst = dataclasses.replace(inst, k=data.draw(st.integers(1, inst.n)))
+    c = clustering(clusters, _with_centers(data, clusters), DISJOINT)
+    assert outcome(pad_to_k, inst, c) == outcome(old_pad_to_k, inst, c)
