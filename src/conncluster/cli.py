@@ -1,7 +1,8 @@
 """Command-line interface: generate, solve, validate, evaluate, export.
 
-Exit codes: 0 success, 1 infeasible, 2 bad input, 3 algorithm
-precondition failure.
+Exit codes: 0 success, 1 infeasible, 2 bad input (including a request
+too large for the memory the process may use), 3 algorithm precondition
+failure.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise InstanceFormatError(f"unknown family {args.family!r}")
     meta = FAMILIES[args.family](args)
     _emit(instance_to_doc(meta.instance), args.out)
-    ann_path = args.annotations or (args.out and args.out + ".ann.json")
-    if meta.annotations and ann_path:
-        _emit(meta.annotations, ann_path)
+    if args.annotations:  # a named path always gets a file, {} without roles
+        _emit(meta.annotations, args.annotations)
+    elif meta.annotations and args.out:
+        _emit(meta.annotations, args.out + ".ann.json")
     return EXIT_OK
 
 
@@ -470,6 +472,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -16,14 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    DISJOINT,
-    Clustering,
-    Instance,
-    InstanceFormatError,
-    clustering,
-    make_instance,
-)
+from .model import Instance, InstanceFormatError, make_instance
 
 Vector = tuple[int, ...]  # positive entries are plain values, -j encodes the
 # j-th special symbol
@@ -141,56 +134,6 @@ def gen_worstcase_I(m: int) -> GadgetMeta:
         }
     )
     return GadgetMeta(inst, ann)
-
-
-def worstcase_I_given_center_assignment(meta: GadgetMeta) -> Clustering:
-    """The explicit radius-(2m-1) assignment to the annotated centers:
-    a vector with its special at coordinate t joins the center that is
-    all-ones up to t and matches it afterwards."""
-    m = meta.annotations["m"]
-    points = [tuple(v) for v in meta.annotations["points"]]
-    index = {v: i for i, v in enumerate(points)}
-    centers = meta.annotations["centers"]
-    blocks: dict[int, set[int]] = {c: {c} for c in centers}
-    for i, v in enumerate(points):
-        sp = [t for t in range(m) if v[t] < 0]
-        if not sp:
-            continue
-        t = sp[0]
-        target = tuple([1] * (t + 1)) + v[t + 1 :]
-        blocks[index[target]].add(i)
-    return clustering(
-        [blocks[c] for c in centers if blocks[c]],
-        [c for c in centers if blocks[c]],
-        DISJOINT,
-    )
-
-
-def worstcase_I_alt_clustering(meta: GadgetMeta) -> Clustering:
-    """The radius-2 disjoint clustering around the alternative centers
-    (vectors whose special sits before the last coordinate)."""
-    m = meta.annotations["m"]
-    points = [tuple(v) for v in meta.annotations["points"]]
-    index = {v: i for i, v in enumerate(points)}
-    if m == 1:
-        centers = meta.annotations["centers"]
-        blocks = {c: {c} for c in centers}
-        for i, v in enumerate(points):
-            if v[0] < 0:
-                blocks[centers[0]].add(i)
-        return clustering([blocks[c] for c in centers], centers, DISJOINT)
-    alt = meta.annotations["alt_centers"]
-    blocks = {c: {c} for c in alt}
-    for i, v in enumerate(points):
-        sp = [t for t in range(m) if v[t] < 0]
-        if not sp:  # a plain vector joins its first-coordinate specialization
-            target = (-1,) + v[1:]
-            blocks[index[target]].add(i)
-        elif sp[0] == m - 1:  # last-coordinate specials slide one step left
-            t = m - 1
-            target = v[: t - 1] + (-1, 1)
-            blocks[index[target]].add(i)
-    return clustering([blocks[c] for c in alt], alt, DISJOINT)
 
 
 def gen_worstcase_Iprime(m: int) -> GadgetMeta:
@@ -341,52 +284,6 @@ def gen_sat_gadget(
     raise InstanceFormatError(f"unknown SAT gadget variant {variant!r}")
 
 
-def sat_two_center_clustering(
-    meta: GadgetMeta, assignment: dict[int, bool]
-) -> Clustering:
-    """The radius-1 clustering induced by a satisfying assignment."""
-    ann = meta.annotations
-    t, f = ann["centers"]
-    t_side, f_side = {t}, {f}
-    for i_str, (xi, nxi, ai) in ann["variables"].items():
-        if assignment[int(i_str)]:
-            t_side.add(xi)
-            f_side.add(nxi)
-        else:
-            t_side.add(nxi)
-            f_side.add(xi)
-        f_side.add(ai)
-    t_side.update(ann["clause_points"])
-    return clustering([t_side, f_side], [t, f], DISJOINT)
-
-
-def sat_four_center_clustering(
-    meta: GadgetMeta, assignment: dict[int, bool]
-) -> Clustering:
-    """The radius-1 four-cluster solution induced by a satisfying
-    assignment of the linked five-copy gadget."""
-    ann = meta.annotations
-    hubs = ann["centers"]
-    blocks: dict[int, set[int]] = {h: {h} for h in hubs}
-    # owner hub of each sub-instance role, per the linking pattern
-    true_lit = {1: 0, 2: 1, 3: 2, 4: 3, 5: 0}  # x_sj -> hub when assignment true
-    false_lit = {1: 1, 2: 2, 3: 3, 4: 0, 5: 2}
-    a_owner = {1: 1, 2: 2, 3: 3, 4: 0, 5: 2}  # a_sj always joins F_s
-    b_owner = {1: 0, 2: 1, 3: 2, 4: 3, 5: 0}  # b_sj always joins T_s
-    for s_idx, sub in enumerate(ann["subinstances"], start=1):
-        for i_str, (xi, nxi, ai) in sub["variables"].items():
-            if assignment[int(i_str)]:
-                blocks[hubs[true_lit[s_idx]]].add(xi)
-                blocks[hubs[false_lit[s_idx]]].add(nxi)
-            else:
-                blocks[hubs[true_lit[s_idx]]].add(nxi)
-                blocks[hubs[false_lit[s_idx]]].add(xi)
-            blocks[hubs[a_owner[s_idx]]].add(ai)
-        for bj in sub["clause_points"]:
-            blocks[hubs[b_owner[s_idx]]].add(bj)
-    return clustering([blocks[h] for h in hubs], hubs, DISJOINT)
-
-
 # ---------------------------------------------------------------------------
 # star gadgets
 
@@ -505,20 +402,64 @@ def gen_star_multicut(
 # random families
 
 
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit outputs of ``rng``, in order: CPython's
+    ``getrandbits`` puts its first output in the least significant word."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+def _randints(rng: random.Random, count: int, high: int) -> np.ndarray:
+    """``count`` draws of ``rng.randint(1, high)``, ``1 <= high < 2**32``,
+    as uint32, leaving ``rng`` where the scalar calls would.
+
+    A scalar draw keeps the top ``high.bit_length()`` bits of one output
+    and retries while they reach ``high``, so the values are the accepted
+    outputs in order. Each round takes as many outputs as values are still
+    missing, so the stream never runs past the last accepted one."""
+    shift = 32 - high.bit_length()
+    out = np.empty(count, dtype=np.uint32)
+    filled = 0
+    while filled < count:
+        r = _words(rng, count - filled) >> shift
+        r = r[r < high]
+        out[filled : filled + r.size] = r + 1
+        filled += r.size
+    return out
+
+
+def _randoms(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` draws of ``rng.random()``: two outputs each, combined as
+    CPython combines them."""
+    a, b = _words(rng, 2 * count).reshape(count, 2).T
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def _random_symmetric_matrix(rng: random.Random, n: int, max_distance: int) -> np.ndarray:
+    """Symmetric matrix with a zero diagonal whose strict upper triangle,
+    in row-major order, holds ``randint(1, max_distance)`` draws."""
     m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = float(rng.randint(1, max_distance))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    m[upper] = m.T[upper] = _randints(rng, n * (n - 1) // 2, max_distance)
     return m
 
 
-def _shortest_path_closure(m: np.ndarray) -> np.ndarray:
-    out = m.copy()
-    n = out.shape[0]
-    for t in range(n):
-        out = np.minimum(out, out[:, t][:, None] + out[t, :][None, :])
-    return out
+def _general_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """A random spanning tree ``(randrange(i), i)`` plus each other pair
+    ``i < j`` with chance ``EDGE_PROB``, one ``random()`` per pair in
+    row-major order; sorted."""
+    parent = np.array([rng.randrange(i) for i in range(1, n)], dtype=int)
+    chosen = np.zeros((n, n), dtype=bool)
+    chosen[parent, np.arange(1, n)] = True
+    free = np.triu(~chosen, 1)
+    chosen[free] = _randoms(rng, int(free.sum())) < EDGE_PROB
+    return list(zip(*(ids.tolist() for ids in np.nonzero(chosen))))
+
+
+def _shortest_path_closure(m: np.ndarray) -> None:
+    """Replace ``m`` in place by its shortest-path closure. Each sum is
+    built before it is written, so working in place changes no value."""
+    for t in range(m.shape[0]):
+        np.minimum(m, m[:, t, None] + m[t], out=m)
 
 
 def _prim_mst(dist: np.ndarray) -> list[tuple[int, int]]:
@@ -560,36 +501,39 @@ def gen_random(
     integer-grid distance matrix (non-metric unless repaired); general
     adds extra edges to a random spanning tree and repairs the metric by
     default; lp samples unit-cube coordinates and connects them by their
-    minimum spanning tree.
+    minimum spanning tree. ``max_distance`` lies in ``[1, 2**32 - 1]``.
+
+    Each family's numbers come in a few bulk draws from one
+    ``random.Random(seed)`` stream, equal to the scalar ``randint`` and
+    ``random`` calls on that stream, so a seed always gives the same
+    instance.
     """
     if not 1 <= k <= n:
         raise InstanceFormatError("need 1 <= k <= n")
+    if not 1 <= max_distance < 2**32:
+        raise InstanceFormatError(f"need 1 <= max_distance <= 2**32 - 1, got {max_distance}")
     rng = random.Random(seed)
     if family == "line":
         m = _random_symmetric_matrix(rng, n, max_distance)
         if metric_repair:
-            m = _shortest_path_closure(m)
+            _shortest_path_closure(m)
         return make_instance(m, [(i, i + 1) for i in range(n - 1)], k)
     if family == "tree":
         edges = [(rng.randrange(i), i) for i in range(1, n)]
         m = _random_symmetric_matrix(rng, n, max_distance)
         if metric_repair:
-            m = _shortest_path_closure(m)
+            _shortest_path_closure(m)
         return make_instance(m, edges, k)
     if family == "general":
-        edges = {(rng.randrange(i), i) for i in range(1, n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in edges and rng.random() < EDGE_PROB:
-                    edges.add((i, j))
+        edges = _general_edges(rng, n)
         m = _random_symmetric_matrix(rng, n, max_distance)
         if metric_repair is None or metric_repair:
-            m = _shortest_path_closure(m)
-        return make_instance(m, sorted(edges), k)
+            _shortest_path_closure(m)
+        return make_instance(m, edges, k)
     if family == "lp":
         if dim < 0:
             raise InstanceFormatError("need dim >= 0")
-        coords = np.array([[rng.random() for _ in range(dim)] for _ in range(n)])
+        coords = _randoms(rng, n * dim).reshape(n, dim)
         from .model import LpMetric
 
         dist = LpMetric(coords, p).realize(n)

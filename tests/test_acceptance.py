@@ -42,7 +42,6 @@ from conncluster.instances import (
     gen_star_clique_cover,
     gen_star_multicut,
     gen_star_set_cover,
-    worstcase_I_alt_clustering,
 )
 from conncluster.model import dist_leq
 from conncluster.wsp import (
@@ -54,6 +53,7 @@ from conncluster.wsp import (
 )
 
 from _brute import clique_cover_leq, multicut_star_leq, sat_brute, set_cover_leq
+from _gadget_witnesses import worstcase_I_alt_clustering
 
 
 def _sizes(seed, max_k):

@@ -102,6 +102,26 @@ def test_gen_annotations_go_to_their_path(tmp_path, capsys, to_file):
     assert _sha((tmp_path / "sat.json.ann.json").read_bytes()) == SAT_ANN
 
 
+@pytest.mark.parametrize("family", ["line", "tree", "general", "lp"])
+def test_gen_named_annotations_path_gets_a_file_for_every_family(tmp_path, capsys, family):
+    """A family without annotations writes ``{}`` to a named
+    ``--annotations`` path, with or without ``--out``; the implicit
+    ``<out>.ann.json`` is written only for families with annotations."""
+    ann, out = tmp_path / "ann.json", tmp_path / "inst.json"
+    argv = ["gen", "--family", family, "--n", "5", "--k", "2", "--seed", "3"]
+    code, stdout, err = run_cli(argv + ["--annotations", str(ann)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["n"] == 5
+    assert ann.read_text() == "{}\n"
+    ann.unlink()
+    code, _, _ = run_cli(argv + ["--annotations", str(ann), "--out", str(out)], capsys)
+    assert code == 0 and ann.read_text() == "{}\n"
+    ann.unlink()
+    code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_solve_auto_disjoint_center(line_file, capsys):
     code, out, _ = run_cli(
         ["solve", "--in", line_file, "--objective", "center", "--mode", "disjoint"],
@@ -336,6 +356,29 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["n"] == 4
+
+
+def test_out_of_memory_exits_2():
+    """A request larger than the process may allocate exits 2 with a
+    message, not a traceback.  The child's address space is capped at
+    1 GiB, so the 3.2 GB matrix of ``gen --n 20000`` is refused at once and
+    no memory is exhausted."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "conncluster", "gen", "--family", "line", "--n", "20000"],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_exit_code_non_finite_distance(tmp_path, capsys):

@@ -25,14 +25,16 @@ from conncluster.instances import (
     gen_star_clique_cover,
     gen_star_multicut,
     gen_star_set_cover,
+)
+from conncluster.model import bfs_parents
+
+from _brute import clique_cover_leq, multicut_star_leq, sat_brute, set_cover_leq
+from _gadget_witnesses import (
     sat_four_center_clustering,
     sat_two_center_clustering,
     worstcase_I_alt_clustering,
     worstcase_I_given_center_assignment,
 )
-from conncluster.model import bfs_parents
-
-from _brute import clique_cover_leq, multicut_star_leq, sat_brute, set_cover_leq
 
 
 def connected(inst):
@@ -304,6 +306,17 @@ def test_gen_random_general_repair_default():
 def test_gen_random_rejects_bad_sizes():
     with pytest.raises(InstanceFormatError):
         gen_random("line", 3, 5, seed=0)
+
+
+@pytest.mark.parametrize("family", ["line", "tree", "general", "lp"])
+def test_gen_random_max_distance_domain(family):
+    """``max_distance`` lies in [1, 2**32 - 1]: one 32-bit output per draw."""
+    for bad in (0, -1, 2**32):
+        with pytest.raises(InstanceFormatError, match="max_distance"):
+            gen_random(family, 4, 2, seed=0, max_distance=bad)
+    inst = gen_random(family, 4, 2, seed=0, max_distance=2**32 - 1, metric_repair=False)
+    if family != "lp":
+        assert inst.dist.max() <= 2**32 - 1 and inst.dist[0, 1] >= 1
 
 
 def test_sat_gadget_skips_variables_that_do_not_occur():
