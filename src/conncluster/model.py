@@ -12,11 +12,14 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, Collection, Container, Iterable, Optional, Sequence, TypeVar
 
@@ -99,6 +102,11 @@ class ExplicitMetric:
         return m  # make_instance checks and symmetrizes the entries
 
 
+#: Rows of an Lp distance matrix realized at a time.  A block of rows and
+#: its difference buffer stay in cache, and no second n x n array exists.
+_LP_BLOCK_ROWS = 32
+
+
 @dataclass(frozen=True)
 class LpMetric:
     coords: np.ndarray
@@ -108,36 +116,44 @@ class LpMetric:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 2 or c.shape[0] != n:
             raise InstanceFormatError(f"coordinate list must have {n} rows")
-        if not (self.p == math.inf or (self.p >= 1 and float(self.p).is_integer())):
+        p = self.p
+        if not (p == math.inf or (p >= 1 and float(p).is_integer())):
             raise InstanceFormatError("norm exponent p must be a positive integer or inf")
+        # NumPy sums 8 or more terms pairwise; a running sum would differ
+        # from that in the last bits, so from 8 coordinates on (finite p)
+        # each block sums its rows x n x d difference tensor.  Below 8
+        # terms NumPy's sum is the running sum over one coordinate at a
+        # time, bit for bit.
+        tensor = c.shape[1] >= 8 and p != math.inf
+        out = np.empty((n, n))
+        diff = None if tensor else np.empty((min(n, _LP_BLOCK_ROWS), n))
         # overflowing or infinite coordinates give non-finite distances,
         # which make_instance rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            if c.shape[1] >= 8 and self.p != math.inf:
-                # NumPy sums 8 or more terms pairwise; a running sum would
-                # differ from that in the last bits, so keep its order
-                diff = np.abs(c[:, None, :] - c[None, :, :])
-                diff **= self.p
-                total = diff.sum(axis=2)
-            else:
-                # one coordinate at a time into one n x n buffer; below 8
-                # terms NumPy's sum is this running sum, bit for bit
-                total = np.zeros((n, n))
-                diff = np.empty((n, n))
-                for col in c.T:
-                    np.subtract(col[:, None], col[None, :], out=diff)
-                    np.abs(diff, out=diff)
-                    if self.p == math.inf:
-                        np.maximum(total, diff, out=total)
-                    else:
-                        diff **= self.p
-                        total += diff
-            if self.p in (1, math.inf):
-                return total
-            if self.p == 2:
-                return np.sqrt(total, out=total)
-            total **= 1.0 / self.p
-            return total
+            for lo in range(0, n, _LP_BLOCK_ROWS):
+                rows = c[lo : lo + _LP_BLOCK_ROWS]
+                block = out[lo : lo + _LP_BLOCK_ROWS]
+                if tensor:
+                    cube = np.subtract(rows[:, None, :], c[None, :, :])
+                    np.abs(cube, out=cube)
+                    cube **= p
+                    cube.sum(axis=2, out=block)
+                else:
+                    block.fill(0.0)
+                    part = diff[: len(rows)]
+                    for row_col, col in zip(rows.T, c.T):
+                        np.subtract(row_col[:, None], col[None, :], out=part)
+                        np.abs(part, out=part)
+                        if p == math.inf:
+                            np.maximum(block, part, out=block)
+                        else:
+                            part **= p
+                            block += part
+                if p == 2:
+                    np.sqrt(block, out=block)
+                elif p not in (1, math.inf):
+                    block **= 1.0 / p
+        return out  # make_instance rejects a distance that underflows to 0
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,10 @@ class Instance:
 
 _INT64 = np.iinfo(np.int64)
 
+#: The bit pattern of 2**1023.  A float64 whose bits, read as an unsigned
+#: integer, reach it is negative (its sign bit set) or at least 2**1023.
+_SIGN_OR_HUGE = np.uint64(0x7FE0000000000000)
+
 
 def _connectivity(
     edges: Iterable[tuple[int, int]], n: int
@@ -321,8 +341,29 @@ def make_instance(
     coords: Optional[np.ndarray] = None,
     p: Optional[float] = None,
 ) -> Instance:
-    """Build a validated Instance from an in-memory matrix and edge list."""
+    """Build a validated Instance from an in-memory matrix and edge list.
+
+    The instance's ``dist`` is the symmetrized matrix ``(m + m.T) / 2``.
+    A ``dist`` array passed in is left as it is: writable, and sharing no
+    memory with the instance.  With ``coords``, the matrix is their Lp
+    realization, and a distance that underflowed to 0 between points
+    with different coordinates is rejected."""
     m = np.asarray(dist, dtype=float)
+    if isinstance(dist, np.ndarray) and np.may_share_memory(m, dist):
+        m = m.copy()
+    return _make_instance(m, edges, k, labels, coords, p)
+
+
+def _make_instance(
+    m: np.ndarray,
+    edges: Iterable[tuple[int, int]],
+    k: int,
+    labels: Optional[Sequence[str]],
+    coords: Optional[np.ndarray],
+    p: Optional[float],
+) -> Instance:
+    """``make_instance`` on a float64 array ``m`` that no one else holds:
+    the instance may keep it as its ``dist``."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InstanceFormatError("distance matrix must be square")
     n = m.shape[0]
@@ -330,27 +371,36 @@ def make_instance(
         raise InstanceFormatError("instance needs at least one point")
     if not (1 <= k <= n):
         raise InstanceFormatError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    # an entry above half the float range overflows to inf here: rejected
-    with np.errstate(over="ignore"):
-        sym = (m + m.T) / 2.0
-        if not np.isfinite(sym).all():
-            raise InstanceFormatError("distance matrix has non-finite entries")
-        # the exact test is cheap and decides most documents; NaN fails
-        # it, but the finiteness check above has already rejected NaN
-        if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL)):
-            raise InstanceFormatError("distance matrix is not symmetric")
+    # Below _SIGN_OR_HUGE no entry has its sign bit set (-0.0 included)
+    # and none is 2**1023 or more (inf and NaN included).  On such an
+    # exactly symmetric matrix (m + m.T) / 2 is m, bit for bit, and of the
+    # matrix checks below only the diagonal's can fail.
+    kept = bool(m.view(np.uint64).max() < _SIGN_OR_HUGE) and np.array_equal(m, m.T)
+    if not kept:
+        # an entry above half the float range overflows to inf here: rejected
+        with np.errstate(over="ignore"):
+            sym = (m + m.T) / 2.0
+            if not np.isfinite(sym).all():
+                raise InstanceFormatError("distance matrix has non-finite entries")
+            # the exact test is cheap and decides most documents; NaN fails
+            # it, but the finiteness check above has already rejected NaN
+            if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL)):
+                raise InstanceFormatError("distance matrix is not symmetric")
     if np.any(np.diag(m) != 0.0):
         raise InstanceFormatError("distance matrix has nonzero diagonal")
-    if np.any(m < 0.0):
-        raise InstanceFormatError("distance matrix has negative entries")
+    if not kept:
+        if np.any(m < 0.0):
+            raise InstanceFormatError("distance matrix has negative entries")
+        m = sym
+    if coords is not None:
+        coords = np.asarray(coords, dtype=float)
+        _reject_underflow(m, coords)
     adj, edge_list = _connectivity(edges, n)
     if labels is not None and len(labels) != n:
         raise InstanceFormatError("labels length must equal n")
 
-    m = sym
     m.setflags(write=False)
     if coords is not None:
-        coords = np.asarray(coords, dtype=float)
         coords.setflags(write=False)
     return Instance(
         n=n,
@@ -362,6 +412,22 @@ def make_instance(
         coords=coords,
         p=p,
     )
+
+
+def _reject_underflow(dist: np.ndarray, coords: np.ndarray) -> None:
+    """Raise if two points whose coordinates differ as numbers (-0.0 and
+    0.0 do not) are at distance 0 in the symmetric Lp matrix ``dist``:
+    all their powered differences underflowed, as 1e-200 apart at p = 2
+    or 1e-10 apart at p = 40 do."""
+    zero = dist == 0.0
+    np.fill_diagonal(zero, False)
+    for i in np.flatnonzero(zero.any(axis=1)):  # rows with a repeated point, most often none
+        j = np.flatnonzero(zero[i])
+        distinct = (coords[j] != coords[i]).any(axis=1)
+        if distinct.any():  # the first such row has i < j: the matrix is symmetric
+            raise InstanceFormatError(
+                f"lp distance between points {i} and {j[np.argmax(distinct)]} underflows to 0"
+            )
 
 
 def check_triangle_inequality(inst: Instance) -> list[tuple[int, int, int]]:
@@ -424,7 +490,7 @@ def _numbers(value, what: str, bools: bool) -> np.ndarray:
     entry types are read as well.
     """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value, dtype=float)  # a new array, which the instance may keep
         if arr.ndim == 2:
             sum(map(sum, value, itertools.repeat(0.0)))
             if bools and bool in set(map(type, itertools.chain.from_iterable(value))):
@@ -504,7 +570,7 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
             raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
     coords = spec.coords if isinstance(spec, LpMetric) else None
     p = spec.p if isinstance(spec, LpMetric) else None
-    return make_instance(matrix, edges, doc["k"], labels=labels, coords=coords, p=p)
+    return _make_instance(matrix, edges, doc["k"], labels, coords, p)
 
 
 #: What ``json`` raises on a malformed document: ``ValueError`` also
@@ -523,9 +589,34 @@ _METRIC_KEYS = {
 }
 
 
+_collector_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off, then restore the state it
+    was in.  That state is the process's: the lock keeps one thread's
+    restore from falling between another's reading of the state and its
+    turning the collector off, so threads leave it as they found it."""
+    with _collector_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            with _collector_lock:
+                gc.enable()
+
+
 def _orjson_instance(data: bytes | str) -> Optional[Instance]:
     """The instance in ``data`` as orjson decodes it, or None to leave
     the document to ``json``.
+
+    The decoded document and the instance built from it hold no
+    reference cycles, so the collector is paused for the decode: its
+    passes over the document's many new lists would find nothing to
+    free.  The document is dropped before the collector resumes.
 
     Where both decoders take a document they give equal values, with two
     exceptions.  orjson turns integers outside [-2**63, 2**64) into
@@ -541,19 +632,21 @@ def _orjson_instance(data: bytes | str) -> Optional[Instance]:
     # neither letter, and one byte is found fast
     u, f = ("u", "f") if isinstance(data, str) else (b"u", b"f")
     bools = u in data or f in data
-    try:
-        doc = orjson.loads(data)
-        del data  # a file's bytes are not needed past the decode
-        inst = instance_from_doc(doc, bools=bools)
-    except Exception:  # the caller reads the document again with json
-        return None
-    metric = doc["metric"]
-    unread = itertools.chain(
-        (v for key, v in doc.items() if key not in _DOC_KEYS),
-        (v for key, v in metric.items() if key not in _METRIC_KEYS[metric["type"]]),
-    )
-    if any(isinstance(v, (list, dict)) for v in unread):
-        return None
+    with _collector_paused():
+        try:
+            doc = orjson.loads(data)
+            del data  # a file's bytes are not needed past the decode
+            inst = instance_from_doc(doc, bools=bools)
+        except Exception:  # the caller reads the document again with json
+            return None
+        metric = doc["metric"]
+        unread = itertools.chain(
+            (v for key, v in doc.items() if key not in _DOC_KEYS),
+            (v for key, v in metric.items() if key not in _METRIC_KEYS[metric["type"]]),
+        )
+        if any(isinstance(v, (list, dict)) for v in unread):
+            inst = None
+        del doc, metric, unread
     return inst
 
 

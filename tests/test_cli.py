@@ -399,6 +399,35 @@ def test_exit_code_non_finite_distance(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "coords, p",
+    [
+        ([[0.0], [1e-200]], 2),
+        ([[0.0], [1e-10]], 40),
+        ([[0.0, 1.0], [-0.0, 1.0], [1e-200, 1.0]], 2),  # -0.0 is 0.0: 0 and 1 may meet
+    ],
+)
+def test_lp_distance_underflowing_to_zero_exits_2(tmp_path, capsys, coords, p):
+    inst = {"n": len(coords), "k": 2, "metric": {"type": "lp", "coords": coords, "p": p},
+            "edges": [[i, i + 1] for i in range(len(coords) - 1)]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "general"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: lp distance between points 0 and {len(coords) - 1} underflows to 0\n"
+
+
+def test_gen_lp_with_underflowing_distances_exits_2(tmp_path, capsys):
+    path = tmp_path / "lp.json"
+    argv = ["gen", "--family", "lp", "--n", "20", "--k", "2", "--seed", "1", "--out", str(path)]
+    code, out, err = run_cli(argv + ["--p", "1000"], capsys)
+    assert code == 2
+    assert err == "error: lp distance between points 0 and 2 underflows to 0\n"
+    assert not path.exists()
+    assert run_cli(argv + ["--p", "40"], capsys)[0] == 0
+
+
 def test_tree_assign_rejects_more_centers_than_k(tmp_path, capsys):
     path = tmp_path / "tree.json"
     run_cli(

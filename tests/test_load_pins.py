@@ -11,17 +11,22 @@ lists, edge list and first error.
 """
 
 import copy
+import gc
 import json
+import math
+import sys
 import tempfile
 from unittest import mock
 
 import numpy as np
 import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conncluster.model as model
 from conncluster.model import (
+    REL_TOL,
     InstanceFormatError,
     instance_from_doc,
     load_instance,
@@ -328,3 +333,183 @@ def test_edges_read_in_one_pass_as_edge_by_edge(data, doc):
             else:
                 edges[at][data.draw(st.integers(0, len(edges[at]) - 1))] = data.draw(odd)
     assert _outcome(instance_from_doc, doc) == _outcome(edge_by_edge, doc)
+
+
+def reference_make_instance(dist, edges, k, *, labels=None, coords=None, p=None):
+    """``make_instance`` before it kept a matrix that symmetrizing leaves
+    as it is: it checked every matrix the same way and always built
+    ``(m + m.T) / 2``."""
+    m = np.asarray(dist, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InstanceFormatError("distance matrix must be square")
+    n = m.shape[0]
+    if n == 0:
+        raise InstanceFormatError("instance needs at least one point")
+    if not (1 <= k <= n):
+        raise InstanceFormatError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    # an entry above half the float range overflows to inf here: rejected
+    with np.errstate(over="ignore"):
+        sym = (m + m.T) / 2.0
+        if not np.isfinite(sym).all():
+            raise InstanceFormatError("distance matrix has non-finite entries")
+        # the exact test is cheap and decides most documents; NaN fails
+        # it, but the finiteness check above has already rejected NaN
+        if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=REL_TOL, atol=REL_TOL)):
+            raise InstanceFormatError("distance matrix is not symmetric")
+    if np.any(np.diag(m) != 0.0):
+        raise InstanceFormatError("distance matrix has nonzero diagonal")
+    if np.any(m < 0.0):
+        raise InstanceFormatError("distance matrix has negative entries")
+    adj, edge_list = model._connectivity(edges, n)
+    if labels is not None and len(labels) != n:
+        raise InstanceFormatError("labels length must equal n")
+
+    m = sym
+    m.setflags(write=False)
+    if coords is not None:
+        coords = np.asarray(coords, dtype=float)
+        coords.setflags(write=False)
+    return model.Instance(
+        n=n,
+        k=int(k),
+        dist=m,
+        adj=adj,
+        edges=edge_list,
+        labels=tuple(labels) if labels is not None else None,
+        coords=coords,
+        p=p,
+    )
+
+
+HALF_MAX = sys.float_info.max / 2
+#: Entries at the edges of each check: signed zeros, the largest value
+#: whose doubling is finite and the smallest whose doubling is not, NaN,
+#: infinities, negatives, a subnormal, and a hair above 1 within REL_TOL.
+MATRIX_VALUES = [
+    0.0, -0.0, 1.0, 2.5, 1.0 + 1e-12, 1.0 + 1e-6, 5e-324, HALF_MAX, 2.0**1023,
+    sys.float_info.max, math.nan, math.inf, -math.inf, -1.0, 3.0,
+]
+
+
+def _make_outcome(make, dist):
+    try:
+        inst = make(dist, [], 1)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return inst.dist.dtype, inst.dist.shape, inst.dist.tobytes(), inst.dist.flags.writeable
+
+
+@st.composite
+def distance_inputs(draw):
+    """A symmetric matrix of ``MATRIX_VALUES`` with a zero diagonal, then
+    a few entries overwritten on one side or both, passed as a C-ordered,
+    Fortran-ordered or transposed array, as integers, or as lists."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(MATRIX_VALUES)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i, j] = draw(entry)
+        if draw(st.booleans()):
+            m[j, i] = m[i, j]
+    form = draw(st.sampled_from(["c", "fortran", "transposed", "int", "list"]))
+    if form == "fortran":
+        return np.asfortranarray(m)
+    if form == "transposed":
+        return np.ascontiguousarray(m).T
+    if form == "int" and (abs(m) < 2**53).all() and (m == np.round(m)).all():
+        return m.astype(np.int64)
+    return m.tolist() if form == "list" else m
+
+
+@settings(max_examples=500)
+@given(distance_inputs())
+def test_make_instance_keeps_the_old_checks_and_bytes(dist):
+    expected = _make_outcome(reference_make_instance, copy.deepcopy(dist))
+    assert _make_outcome(make_instance, dist) == expected
+    if isinstance(dist, np.ndarray):
+        assert dist.flags.writeable
+        if not isinstance(expected[0], type):
+            assert not np.shares_memory(make_instance(dist, [], 1).dist, dist)
+
+
+def test_make_instance_fixed_cases():
+    cases = [
+        [[0.0, -0.0], [0.0, 0.0]],  # -0.0 on one side: stored as 0.0
+        [[0.0, -0.0], [-0.0, 0.0]],  # on both sides: kept as -0.0
+        [[-0.0, 1.0], [1.0, 0.0]],  # a -0.0 on the diagonal is zero
+        [[0.0, 2.0**1023], [2.0**1023, 0.0]],  # doubles to inf: non-finite
+        [[0.0, HALF_MAX], [HALF_MAX, 0.0]],
+        [[0.0, math.nan], [math.nan, 0.0]],
+        [[0.0, 1.0], [1.0 + 1e-12, 0.0]],  # asymmetric within REL_TOL
+        [[0.0, 1.0], [1.0 + 1e-6, 0.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 0.0]],
+    ]
+    sym = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    arrays = [np.array(c) for c in cases]
+    arrays += [np.asfortranarray(sym), sym.T, sym.astype(np.int64), np.array(cases[0]).T]
+    for dist in cases + arrays:
+        assert _make_outcome(make_instance, dist) == _make_outcome(
+            reference_make_instance, copy.deepcopy(dist)
+        )
+    for dist in arrays:
+        assert dist.flags.writeable
+        try:
+            inst = make_instance(dist, [], 1)
+        except InstanceFormatError:
+            continue
+        assert not np.shares_memory(inst.dist, dist)
+
+
+def _doc_bytes(**changes) -> bytes:
+    lp = copy.deepcopy(next(d for d in INSTANCES if d["metric"]["type"] == "lp"))
+    lp.update(changes)
+    return json.dumps(lp).encode()
+
+
+#: One document for each way out of the loaders: a success, a document
+#: orjson rejects (NaN) and ``json`` then reads, one orjson reads but
+#: leaves to ``json`` (a nested value under an unread key), and one that
+#: ``instance_from_doc`` rejects.
+LOADER_EXITS = {
+    "success": _doc_bytes(),
+    "json fallback": _doc_bytes(x=[[1]]),
+    "orjson rejects": _doc_bytes(k=1).replace(b'"k": 1', b'"k": NaN'),
+    "rejected": _doc_bytes(k=0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit", sorted(LOADER_EXITS))
+def test_loaders_restore_the_collector_state(tmp_path, monkeypatch, enabled, exit):
+    paused = []
+    build = model.instance_from_doc
+
+    def recording(doc, **kwargs):
+        paused.append(not gc.isenabled())
+        return build(doc, **kwargs)
+
+    monkeypatch.setattr(model, "instance_from_doc", recording)
+    path = tmp_path / "inst.json"
+    path.write_bytes(LOADER_EXITS[exit])
+    missing = str(tmp_path / "missing.json")
+    loads = [(load_instance, LOADER_EXITS[exit]), (load_instance, LOADER_EXITS[exit].decode()),
+             (load_instance_file, str(path)), (load_instance_file, missing)]
+    was = gc.isenabled()
+    try:
+        for load, arg in loads:
+            (gc.enable if enabled else gc.disable)()
+            paused.clear()
+            try:
+                load(arg)
+            except (InstanceFormatError, OSError):
+                pass
+            assert gc.isenabled() == enabled
+            if exit in ("success", "json fallback", "rejected") and arg != missing:
+                assert paused[0]  # orjson's reading ran with the collector off
+    finally:
+        (gc.enable if was else gc.disable)()
