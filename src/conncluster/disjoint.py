@@ -217,8 +217,10 @@ def solve_disjoint(
     if strategy == "auto":
         strategy = "lp" if inst.coords is not None else "general"
 
+    cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
+
     def probe(r: float) -> Optional[GreedyOutput]:
-        return greedy_clustering(inst, r, max_centers=inst.k)
+        return greedy_clustering(inst, r, max_centers=inst.k, cache=cache)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:
@@ -313,8 +315,10 @@ def solve_assignment_given_centers(
     if not 1 <= len(C) <= inst.k:
         raise AlgorithmPreconditionError("need 1 <= |C| <= k centers")
 
+    cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
+
     def probe(r: float) -> Optional[GreedyOutput]:
-        return greedy_with_given_centers(inst, C, r)
+        return greedy_with_given_centers(inst, C, r, cache)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:

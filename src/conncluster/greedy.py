@@ -9,7 +9,10 @@ With growth budget 2r (center) or r (diameter) this yields non-disjoint
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +29,7 @@ from .model import (
     candidate_radii,
     clustering,
     dist_leq_arr,
+    leq_bound,
     make_report,
 )
 
@@ -55,31 +59,102 @@ class GreedyOutput:
         )
 
 
-def compute_cluster(inst: Instance, R: float, c: int) -> frozenset[int]:
+class _Walk:
+    """A minimum-first walk from one center: the points it admitted, in
+    admission order, each with its level, and the bound it ran to."""
+
+    __slots__ = ("order", "levels", "top")
+
+    def __init__(self, c: int) -> None:
+        self.order = [c]
+        self.levels = [-math.inf]  # the center belongs to every cluster
+        self.top = -math.inf
+
+
+def compute_cluster(
+    inst: Instance, R: float, c: int, cache: Optional[dict[int, _Walk]] = None
+) -> frozenset[int]:
     """Maximal set reachable from c via vertices within distance R of c.
 
     Every vertex on the connecting paths (including the endpoints) must
     satisfy d(., c) <= R, so the result induces a connected subgraph.
-    The tolerant test runs once over c's row; the walk then clears a
-    vertex's entry as it admits it, so each scanned edge costs one list
-    lookup.
+
+    The growth is a minimum-first ("bottleneck") walk.  It admits the
+    points it can reach in order of d(c, u) and gives each the running
+    maximum of the admitted distances, its level: the smallest, over
+    connecting paths, of the largest d(c, .) on the path.  So the cluster
+    is exactly the points of level at most ``leq_bound(R)``, ties and
+    tolerance edges included, as only comparisons decide it.  ``cache``
+    is a dict that one radius search creates and passes to every growth;
+    it keeps each center's walk.  A bound at or below the one the walk
+    ran to is answered by a prefix of its admission order; a larger bound
+    resumes it.  Without a cache, the walk is thrown away.
     """
     if not (0 <= c < inst.n):
         raise ValueError(f"center {c} out of range")
     if R < 0:
         raise ValueError("growth radius must be nonnegative")
-    ok = dist_leq_arr(inst.dist[c], R).tolist()
-    ok[c] = False
+    bound = leq_bound(R)
+    if cache is None:
+        cache = {}
+    walk = cache.get(c)
+    if walk is None:
+        walk = cache[c] = _Walk(c)
+    elif bound <= walk.top:
+        return frozenset(walk.order[: bisect_right(walk.levels, bound)])
+    _resume(inst, c, bound, walk)
+    return frozenset(walk.order)
+
+
+def _resume(inst: Instance, c: int, bound: float, walk: _Walk) -> None:
+    """Run the walk from c on to ``bound``, above ``walk.top``.
+
+    The tolerant test runs once over c's row; entries are cleared for the
+    points admitted so far and for each point as it is reached, so each
+    scanned edge costs one list lookup.  A reached point whose distance
+    from c is at most the current level has that level as its own and is
+    admitted depth-first.  Any other waits in the bucket of its distance;
+    a heap holds the distances of the waiting buckets.  The buckets start
+    from the admitted points' neighbours that now fit.
+    """
+    row = inst.dist[c]
+    ok = (row <= bound).tolist()
+    key = memoryview(row)  # a Python float per point read, and no copy
+    order, levels = walk.order, walk.levels
+    for v in order:
+        ok[v] = False
     adj = inst.adj
-    members = [c]
-    stack = [c]
-    while stack:
-        for u in adj[stack.pop()]:
+    buckets: dict[float, list[int]] = {}
+    for v in order:
+        for u in adj[v]:
             if ok[u]:
                 ok[u] = False
-                members.append(u)
-                stack.append(u)
-    return frozenset(members)
+                buckets.setdefault(key[u], []).append(u)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    level = levels[-1]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d = pop(heap)
+        if d > level:
+            level = d
+        stack = buckets.pop(d)
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            levels.append(level)
+            for u in adj[v]:
+                if ok[u]:
+                    ok[u] = False
+                    d = key[u]
+                    if d <= level:
+                        stack.append(u)
+                    elif d in buckets:
+                        buckets[d].append(u)
+                    else:
+                        buckets[d] = [u]
+                        push(heap, d)
+    walk.top = bound
 
 
 def adjacency_matrix(inst: Instance) -> np.ndarray:
@@ -119,12 +194,14 @@ def greedy_clustering(
     *,
     rng: Optional[random.Random] = None,
     max_centers: Optional[int] = None,
+    cache: Optional[dict[int, _Walk]] = None,
 ) -> Optional[GreedyOutput]:
     """Cover all points by clusters grown around uncovered seeds.
 
     Seeds are the smallest-id uncovered point, or a random uncovered
     point when ``rng`` is given.  When ``max_centers`` is set, returns
     None as soon as more centers would be needed (probe early-exit).
+    ``cache`` is the radius search's growth cache (``compute_cluster``).
     """
     covered = bytearray(inst.n)
     centers: list[int] = []
@@ -142,7 +219,8 @@ def greedy_clustering(
             c = rng.choice(uncovered)
         if max_centers is not None and len(centers) >= max_centers:
             return None
-        t = compute_cluster(inst, r, c)
+        # positional: a wrapper rebound at this name may take no keywords
+        t = compute_cluster(inst, r, c, cache)
         centers.append(c)
         clusters[c] = t
         for v in t:
@@ -151,13 +229,17 @@ def greedy_clustering(
 
 
 def greedy_with_given_centers(
-    inst: Instance, C: Sequence[int], r: float
+    inst: Instance,
+    C: Sequence[int],
+    r: float,
+    cache: Optional[dict[int, _Walk]] = None,
 ) -> Optional[GreedyOutput]:
-    """Grow one cluster per given center; None if the union misses points."""
+    """Grow one cluster per given center; None if the union misses points.
+    ``cache`` is the radius search's growth cache (``compute_cluster``)."""
     C = [int(c) for c in C]
     if len(set(C)) != len(C):
         raise ValueError("centers must be distinct")
-    clusters = {c: compute_cluster(inst, r, c) for c in C}
+    clusters = {c: compute_cluster(inst, r, c, cache) for c in C}
     out = GreedyOutput(tuple(C), clusters, r)
     if len(out.covered()) != inst.n:
         return None
@@ -178,10 +260,13 @@ def solve_nondisjoint(
     guarantee holds for any order.
     """
     factor = 2.0 if objective == CENTER else 1.0
+    cache: dict[int, _Walk] = {}
 
     def probe(r: float) -> Optional[GreedyOutput]:
         rng = random.Random(f"{seed}:{r}") if seed is not None else None
-        return greedy_clustering(inst, factor * r, rng=rng, max_centers=inst.k)
+        return greedy_clustering(
+            inst, factor * r, rng=rng, max_centers=inst.k, cache=cache
+        )
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:

@@ -344,14 +344,22 @@ def make_instance(
     """Build a validated Instance from an in-memory matrix and edge list.
 
     The instance's ``dist`` is the symmetrized matrix ``(m + m.T) / 2``.
-    A ``dist`` array passed in is left as it is: writable, and sharing no
-    memory with the instance.  With ``coords``, the matrix is their Lp
-    realization, and a distance that underflowed to 0 between points
-    with different coordinates is rejected."""
-    m = np.asarray(dist, dtype=float)
-    if isinstance(dist, np.ndarray) and np.may_share_memory(m, dist):
-        m = m.copy()
+    A ``dist`` or ``coords`` array passed in is left as it is: writable,
+    and sharing no memory with the instance.  With ``coords``, the matrix
+    is their Lp realization, and a distance that underflowed to 0 between
+    points with different coordinates is rejected."""
+    m = _own(dist)
+    if coords is not None:
+        coords = _own(coords)
     return _make_instance(m, edges, k, labels, coords, p)
+
+
+def _own(x: np.ndarray | Sequence) -> np.ndarray:
+    """``x`` as a float64 array that shares no memory with an array passed in."""
+    a = np.asarray(x, dtype=float)
+    if isinstance(x, np.ndarray) and np.may_share_memory(a, x):
+        a = a.copy()
+    return a
 
 
 def _make_instance(
@@ -362,8 +370,8 @@ def _make_instance(
     coords: Optional[np.ndarray],
     p: Optional[float],
 ) -> Instance:
-    """``make_instance`` on a float64 array ``m`` that no one else holds:
-    the instance may keep it as its ``dist``."""
+    """``make_instance`` on float64 arrays ``m`` and ``coords`` that no
+    one else holds: the instance may keep them."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InstanceFormatError("distance matrix must be square")
     n = m.shape[0]
@@ -393,7 +401,6 @@ def _make_instance(
             raise InstanceFormatError("distance matrix has negative entries")
         m = sym
     if coords is not None:
-        coords = np.asarray(coords, dtype=float)
         _reject_underflow(m, coords)
     adj, edge_list = _connectivity(edges, n)
     if labels is not None and len(labels) != n:

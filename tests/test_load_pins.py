@@ -28,6 +28,7 @@ import conncluster.model as model
 from conncluster.model import (
     REL_TOL,
     InstanceFormatError,
+    LpMetric,
     instance_from_doc,
     load_instance,
     load_instance_file,
@@ -463,6 +464,15 @@ def test_make_instance_fixed_cases():
         except InstanceFormatError:
             continue
         assert not np.shares_memory(inst.dist, dist)
+
+
+def test_make_instance_leaves_the_callers_coords_alone():
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    for coords in (base, np.asfortranarray(base), base[::-1][::-1], base.astype(np.float32)):
+        inst = make_instance(LpMetric(coords, 2).realize(3), [(0, 1), (1, 2)], 1, coords=coords, p=2)
+        assert coords.flags.writeable
+        assert not np.shares_memory(inst.coords, coords)
+        assert np.array_equal(inst.coords, coords) and not inst.coords.flags.writeable
 
 
 def _doc_bytes(**changes) -> bytes:
