@@ -108,6 +108,7 @@ def make_disjoint(
         # split: cut each cluster into pieces, each anchored at an owned
         # point or at the cluster's center; a piece whose anchor is owned
         # joins the anchor's owner, any other piece is a new cluster
+        touched: set[int] = set()
         for center, points in pending:
             owned = {v for v in points if v in owner}
             if len(owned) < 2:
@@ -134,14 +135,18 @@ def make_disjoint(
                     idx = len(clusters)
                     centers.append(center)
                     clusters.append(piece)
+                touched.add(idx)
                 for v in piece:
                     owner[v] = idx
         if sum(map(len, clusters)) != len(owner):
             raise DisjointInvariantError(
                 f"finalized clusters overlap after layer {li + 1}"
             )
+        # the bound never falls from layer to layer, so a cluster this
+        # layer left alone still meets it
         bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
-        for center, points in zip(centers, clusters):
+        for i in sorted(touched):
+            center, points = centers[i], clusters[i]
             rad = cluster_radius(inst.dist, points, center)
             if not dist_leq(rad, bound):
                 raise DisjointInvariantError(

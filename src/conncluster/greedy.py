@@ -92,7 +92,7 @@ def compute_cluster(
     """
     if not (0 <= c < inst.n):
         raise ValueError(f"center {c} out of range")
-    if R < 0:
+    if not R >= 0:  # NaN too
         raise ValueError("growth radius must be nonnegative")
     bound = leq_bound(R)
     if cache is None:
@@ -115,20 +115,28 @@ def _resume(inst: Instance, c: int, bound: float, walk: _Walk) -> None:
     from c is at most the current level has that level as its own and is
     admitted depth-first.  Any other waits in the bucket of its distance;
     a heap holds the distances of the waiting buckets.  The buckets start
-    from the admitted points' neighbours that now fit.
+    from the admitted points' neighbours that now fit.  ``left`` counts
+    the points within the bound not reached yet: at 0 no list can add a
+    point, so none is read, and on a dense graph most are not.
     """
     row = inst.dist[c]
-    ok = (row <= bound).tolist()
+    within = row <= bound
+    ok = within.tolist()
     key = memoryview(row)  # a Python float per point read, and no copy
     order, levels = walk.order, walk.levels
     for v in order:
         ok[v] = False
+    # every admitted point is within the bound, its center too
+    left = int(np.count_nonzero(within)) - len(order)
     adj = inst.adj
     buckets: dict[float, list[int]] = {}
     for v in order:
+        if not left:
+            break
         for u in adj[v]:
             if ok[u]:
                 ok[u] = False
+                left -= 1
                 buckets.setdefault(key[u], []).append(u)
     heap = list(buckets)
     heapq.heapify(heap)
@@ -143,9 +151,12 @@ def _resume(inst: Instance, c: int, bound: float, walk: _Walk) -> None:
             v = stack.pop()
             order.append(v)
             levels.append(level)
+            if not left:
+                continue
             for u in adj[v]:
                 if ok[u]:
                     ok[u] = False
+                    left -= 1
                     d = key[u]
                     if d <= level:
                         stack.append(u)

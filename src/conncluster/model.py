@@ -21,7 +21,7 @@ import math
 import numbers
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Collection, Container, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 import orjson
@@ -773,18 +773,23 @@ class Verdict:
 
 
 def bfs_parents(
-    inst: Instance, points: Container[int], roots: Iterable[int]
+    inst: Instance, points: Collection[int], roots: Iterable[int]
 ) -> dict[int, int]:
     """Breadth-first search from ``roots`` over the subgraph that ``points``
     induces: each point reached, in discovery order, mapped to the point it
     was reached from, a root to -1.  Neighbours are scanned in ascending
     order.  The one connectivity search: clusters, the transform's
-    spanning trees, padding and the assignment oracle all ask it.
+    spanning trees, padding and the assignment oracle all ask it.  It
+    stops once every point is reached, so a dense cluster reads a few
+    adjacency lists, not all of them.
     """
     parent = dict.fromkeys(roots, -1)
     queue = list(parent)
+    full = len(points) + sum(v not in points for v in queue)
     adj = inst.adj
     for v in queue:  # the list grows while it is read: a FIFO queue
+        if len(parent) == full:
+            break
         for u in adj[v]:
             # most neighbours of a cluster's point lie in that cluster and
             # are reached already, so the cheaper test to fail comes first

@@ -84,6 +84,7 @@ def _instances():
     yield gen_random("lp", 60, 4, seed=4, dim=3, p=float("inf"))
     yield gen_random("general", 50, 4, seed=5)
     yield gen_random("tree", 50, 4, seed=6)
+    yield gen_random("general", 60, 6, seed=9)  # dense: a third of all pairs are edges
 
 
 def _solves(inst):
