@@ -113,12 +113,8 @@ class LpMetric:
     p: float  # 1, 2, ..., or math.inf
 
     def realize(self, n: int) -> np.ndarray:
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 2 or c.shape[0] != n:
-            raise InstanceFormatError(f"coordinate list must have {n} rows")
-        p = self.p
-        if not (p == math.inf or (p >= 1 and float(p).is_integer())):
-            raise InstanceFormatError("norm exponent p must be a positive integer or inf")
+        c, p = np.asarray(self.coords, dtype=float), self.p
+        _check_lp(c, p, n)
         # NumPy sums 8 or more terms pairwise; a running sum would differ
         # from that in the last bits, so from 8 coordinates on (finite p)
         # each block sums its rows x n x d difference tensor.  Below 8
@@ -271,39 +267,43 @@ _INT64 = np.iinfo(np.int64)
 _SIGN_OR_HUGE = np.uint64(0x7FE0000000000000)
 
 
+def _read_edges(edges: Iterable[tuple[int, int]]) -> tuple[list, np.ndarray]:
+    """The connectivity edges, read once: as a list of the edges given,
+    and as an m x 2 int64 array.
+
+    Every edge must be a pair of integer ids: a bool, a float such as 1.0
+    or 0.7, a string or None raises, as does an edge of another length.
+    Plain ints within int64 fill the array in one pass; an id past int64
+    is out of range for any n, and -1 stands in for it.
+    """
+    try:
+        pairs = list(edges)
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("an edge is not a pair")
+        flat = list(itertools.chain.from_iterable(pairs))
+        if set(map(type, flat)) - {int}:  # NumPy integers, or ids that are not integers
+            _require_ids(flat)
+            flat = list(map(int, flat))
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
+    try:
+        ids = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        fit = (x if _INT64.min <= x <= _INT64.max else -1 for x in flat)
+        ids = np.fromiter(fit, np.int64, len(flat))
+    return pairs, ids.reshape(-1, 2)
+
+
 def _connectivity(
-    edges: Iterable[tuple[int, int]], n: int
+    pairs: list, e: np.ndarray, n: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
     """Sorted adjacency lists and the sorted edge list of the connectivity
-    graph on 0..n-1.
+    graph on 0..n-1, from ``_read_edges``.
 
     Edges are checked in input order, each for its range, then for a
     self-loop, then for repeating an earlier edge in either orientation;
     the first edge that fails raises.
     """
-    stop: Optional[Exception] = None
-    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
-        pairs = e = edges  # as ``instance_from_doc`` reads a document's edges
-    else:
-        pairs = list(edges)
-        try:  # converts every id as int() does, and raises where int64 ends
-            e = np.array(pairs, dtype=np.int64)
-            if e.shape != (len(pairs), 2):
-                raise ValueError("not a list of pairs")
-        except (TypeError, ValueError, OverflowError):
-            # ids past int64 (out of range for any n, so -1 stands in for
-            # them), or a malformed or empty list: convert pair by pair up
-            # to the first pair that does not convert, which raises after
-            # the edges before it are checked
-            rows = []
-            try:
-                for u, v in pairs:
-                    rows.append(
-                        [x if _INT64.min <= x <= _INT64.max else -1 for x in (int(u), int(v))]
-                    )
-            except (TypeError, ValueError, OverflowError) as exc:
-                stop = exc
-            e = np.array(rows, dtype=np.int64).reshape(-1, 2)
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     # lo*n + hi tells the edges in range apart; an edge out of range may
@@ -321,8 +321,6 @@ def _connectivity(
         if u == v:
             raise InstanceFormatError(f"connectivity self-loop at {u}")
         raise InstanceFormatError(f"duplicate connectivity edge ({min(u, v)}, {max(u, v)})")
-    if stop is not None:
-        raise stop
     a, b = np.divmod(uniq, n)
     # both orientations, keyed and sorted by (endpoint, neighbor)
     arcs = np.sort(np.concatenate((uniq, b * n + a)))
@@ -343,23 +341,20 @@ def make_instance(
 ) -> Instance:
     """Build a validated Instance from an in-memory matrix and edge list.
 
+    The rules are an instance document's, and a breach raises
+    ``InstanceFormatError``: matrix entries and coordinates are numbers,
+    not strings or booleans; ``k`` and every point id are integers, not
+    bools or floats; ``labels`` are strings; ``coords`` have n rows and
+    come with a ``p`` that is a positive integer or inf.
     The instance's ``dist`` is the symmetrized matrix ``(m + m.T) / 2``.
     A ``dist`` or ``coords`` array passed in is left as it is: writable,
     and sharing no memory with the instance.  With ``coords``, the matrix
     is their Lp realization, and a distance that underflowed to 0 between
     points with different coordinates is rejected."""
-    m = _own(dist)
+    m = _numbers(dist, "distance matrix entries", True)
     if coords is not None:
-        coords = _own(coords)
+        coords = _numbers(coords, "lp metric coords", True)
     return _make_instance(m, edges, k, labels, coords, p)
-
-
-def _own(x: np.ndarray | Sequence) -> np.ndarray:
-    """``x`` as a float64 array that shares no memory with an array passed in."""
-    a = np.asarray(x, dtype=float)
-    if isinstance(x, np.ndarray) and np.may_share_memory(a, x):
-        a = a.copy()
-    return a
 
 
 def _make_instance(
@@ -371,12 +366,15 @@ def _make_instance(
     p: Optional[float],
 ) -> Instance:
     """``make_instance`` on float64 arrays ``m`` and ``coords`` that no
-    one else holds: the instance may keep them."""
+    one else holds: the instance may keep them.  Every instance, from a
+    document or from a caller, passes here."""
+    pairs, ids = _read_edges(edges)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InstanceFormatError("distance matrix must be square")
     n = m.shape[0]
     if n == 0:
         raise InstanceFormatError("instance needs at least one point")
+    _check_k(k)
     if not (1 <= k <= n):
         raise InstanceFormatError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     # Below _SIGN_OR_HUGE no entry has its sign bit set (-0.0 included)
@@ -401,10 +399,15 @@ def _make_instance(
             raise InstanceFormatError("distance matrix has negative entries")
         m = sym
     if coords is not None:
+        _check_lp(coords, p, n)
         _reject_underflow(m, coords)
-    adj, edge_list = _connectivity(edges, n)
-    if labels is not None and len(labels) != n:
-        raise InstanceFormatError("labels length must equal n")
+    elif p is not None:
+        raise InstanceFormatError("norm exponent p needs coords")
+    adj, edge_list = _connectivity(pairs, ids, n)
+    if labels is not None:
+        _check_labels(labels)
+        if len(labels) != n:
+            raise InstanceFormatError("labels length must equal n")
 
     m.setflags(write=False)
     if coords is not None:
@@ -417,7 +420,7 @@ def _make_instance(
         edges=edge_list,
         labels=tuple(labels) if labels is not None else None,
         coords=coords,
-        p=p,
+        p=None if p is None else float(p),
     )
 
 
@@ -464,47 +467,63 @@ def _is_int(x) -> bool:
 
 
 def _require_ids(values: Iterable) -> None:
-    """Raise a TypeError unless every point id read from a document is an integer."""
+    """Raise a TypeError unless every point id is an integer, not a bool."""
     for x in values:
         if type(x) is not int and not _is_int(x):  # JSON ids take the fast test
             raise TypeError(f"point id {x!r} is not an integer")
 
 
-def _edge_array(edges) -> Optional[np.ndarray]:
-    """A document's connectivity edges as an m x 2 int64 array, read in
-    one pass over the ids, or None unless every edge is a pair of plain
-    ints within int64 (a boolean, a float, a string or a NumPy integer
-    id takes the per-edge reading)."""
-    try:
-        if set(map(len, edges)) - {2}:
-            return None
-        flat = list(itertools.chain.from_iterable(edges))
-        if set(map(type, flat)) - {int}:
-            return None
-        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
-    except (TypeError, OverflowError):
-        return None
-
-
 def _numbers(value, what: str, bools: bool) -> np.ndarray:
-    """``value`` as a float array.
+    """``value`` as a new float array, which the instance may keep.
 
     NumPy reads strings such as "1", " 1" and "1e0" and the booleans as
-    numbers, so a table of rows is checked entry by entry.  ``sum`` fails
-    on a string; its float start turns each integer into a float on its
-    own, so large integers that load cannot overflow a running sum.  It
-    takes a boolean, so where the document may hold one (``bools``) the
-    entry types are read as well.
+    numbers, so a table of rows is checked entry by entry, unless it is
+    an array of integers or floats; an array of any other kind but
+    objects is refused.  ``sum`` fails on a string; its float start turns
+    each integer into a float on its own, so large integers that load
+    cannot overflow a running sum.  It takes a boolean, so where the
+    value may hold one (``bools``) the entry types are read as well.
     """
+    kind = value.dtype.kind if isinstance(value, np.ndarray) else "O"
     try:
-        arr = np.array(value, dtype=float)  # a new array, which the instance may keep
-        if arr.ndim == 2:
+        if kind not in "iufO":  # booleans, strings, complex numbers
+            raise TypeError(f"{value.dtype} entries are not numbers")
+        arr = np.array(value, dtype=float)
+        if arr.ndim == 2 and kind == "O":
             sum(map(sum, value, itertools.repeat(0.0)))
-            if bools and bool in set(map(type, itertools.chain.from_iterable(value))):
+            if bools and {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(value))):
                 raise TypeError("a boolean is not a number")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{what} must be numbers") from exc
     return arr
+
+
+def _check_k(k) -> None:
+    if not _is_int(k):
+        raise InstanceFormatError('"k" must be an integer')
+
+
+def _check_labels(labels) -> None:
+    """Labels are a list (or tuple) of strings that are valid Unicode."""
+    if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+        raise InstanceFormatError('"labels" must be a list of strings')
+    try:  # JSON can escape a lone surrogate, which no output encoding accepts
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InstanceFormatError('"labels" must be valid Unicode') from exc
+
+
+def _check_lp(coords: np.ndarray, p, n: int) -> None:
+    """Lp coordinates have one row per point; the exponent p is a
+    positive integer or inf (not a bool)."""
+    if coords.ndim != 2 or coords.shape[0] != n:
+        raise InstanceFormatError(f"coordinate list must have {n} rows")
+    try:
+        ok = not isinstance(p, bool) and (p == math.inf or (p >= 1 and float(p).is_integer()))
+    except (TypeError, ValueError, OverflowError):  # None, a string, ...
+        ok = False
+    if not ok:
+        raise InstanceFormatError("norm exponent p must be a positive integer or inf")
 
 
 def _scalar(x) -> float:
@@ -555,29 +574,13 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
     n = doc["n"]
     if not _is_int(n) or n < 1:
         raise InstanceFormatError('"n" must be a positive integer')
-    if not _is_int(doc["k"]):
-        raise InstanceFormatError('"k" must be an integer')
+    _check_k(doc["k"])
     labels = doc.get("labels")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-    ):
-        raise InstanceFormatError('"labels" must be a list of strings')
-    try:  # JSON can escape a lone surrogate, which no output encoding accepts
-        "".join(labels or ()).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InstanceFormatError('"labels" must be valid Unicode') from exc
+    if labels is not None:
+        _check_labels(labels)
     spec = _metric_from_doc(doc["metric"], bools)
-    matrix = spec.realize(n)
-    edges = _edge_array(doc["edges"])
-    if edges is None:  # read edge by edge, for the message or the odd id
-        try:
-            edges = [(u, v) for u, v in doc["edges"]]
-            _require_ids(itertools.chain.from_iterable(edges))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
-    coords = spec.coords if isinstance(spec, LpMetric) else None
-    p = spec.p if isinstance(spec, LpMetric) else None
-    return _make_instance(matrix, edges, doc["k"], labels, coords, p)
+    coords, p = (spec.coords, spec.p) if isinstance(spec, LpMetric) else (None, None)
+    return _make_instance(spec.realize(n), doc["edges"], doc["k"], labels, coords, p)
 
 
 #: What ``json`` raises on a malformed document: ``ValueError`` also
@@ -642,7 +645,6 @@ def _orjson_instance(data: bytes | str) -> Optional[Instance]:
     with _collector_paused():
         try:
             doc = orjson.loads(data)
-            del data  # a file's bytes are not needed past the decode
             inst = instance_from_doc(doc, bools=bools)
         except Exception:  # the caller reads the document again with json
             return None
@@ -678,9 +680,10 @@ def read_json_file(path: str) -> object:
     """The JSON document in the UTF-8 file ``path``.
 
     The file is read and decoded inside the check, so a byte that is not
-    UTF-8 is reported like any other malformed document.
+    UTF-8 is reported like any other malformed document.  Line ends are
+    read as they are, so an error's offsets count positions in the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             return json.load(fh)
         except _JSON_ERRORS as exc:
@@ -688,17 +691,10 @@ def read_json_file(path: str) -> object:
 
 
 def load_instance_file(path: str) -> Instance:
-    """The instance in the UTF-8 JSON file ``path``.
-
-    orjson decodes the file; a document that ``_orjson_instance`` leaves
-    to ``json`` is read again by ``read_json_file``, which gives the
-    result or the error."""
-    try:
-        with open(path, "rb") as fh:
-            inst = _orjson_instance(fh.read())
-    except OSError:  # read_json_file meets it again
-        inst = None
-    return inst if inst is not None else instance_from_doc(read_json_file(path))
+    """The instance in the UTF-8 JSON file ``path``: its bytes, read
+    once, through ``load_instance``."""
+    with open(path, "rb") as fh:
+        return load_instance(fh.read())
 
 
 def instance_to_doc(inst: Instance) -> dict:

@@ -187,6 +187,8 @@ def _color_cycle(level: int) -> tuple[tuple[int, ...], ...]:
 def _cell_color(cell: tuple[int, ...], level: int) -> int:
     if level == 1:
         return 1 + (cell[0] % 2)
+    if level == 0:  # no axes: one cell, one color
+        return 1
     base = _cell_color(cell, level - 1)
     seq = _color_cycle(level)
     return seq[cell[level - 1] % len(seq)][base - 1]
@@ -196,6 +198,8 @@ def _cell_block(cell: tuple[int, ...], level: int) -> tuple[int, ...]:
     """Identify the maximal same-color glued run the cell belongs to."""
     if level == 1:
         return (cell[0],)
+    if level == 0:
+        return ()
     base = _cell_color(cell, level - 1)
     t = cell[level - 1]
     p = base - 1  # pointer position that recolors this base color
@@ -206,7 +210,7 @@ def _cell_block(cell: tuple[int, ...], level: int) -> tuple[int, ...]:
 def _lp_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
     diff = np.abs(a - b)
     if p == math.inf:
-        return float(diff.max())
+        return float(diff.max(initial=0.0))  # 0.0 with no coordinates
     return float((diff**p).sum() ** (1.0 / p))
 
 

@@ -5,8 +5,10 @@ Every command exits with a documented code (0 success, 1 infeasible,
 solve never reports a bound below its objective, also on an explicit
 matrix that breaks the triangle inequality.
 Documents are mutated as JSON values and, to reach the decoder's own
-failures, as bytes.  Argument lists are mutated too, between valid
-requests in one process, since every call shares one parser.
+failures, as bytes.  Each mutated instance file loads as it did before
+documents and ``make_instance`` shared one gate (``tests/_load_refs.py``).
+Argument lists are mutated too, between valid requests in one process,
+since every call shares one parser.
 """
 
 import contextlib
@@ -19,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _load_refs as frozen
 from conncluster import gen_random
 from conncluster.cli import ALGORITHMS, FAMILIES, build_parser, main
-from conncluster.model import dist_leq, instance_to_doc
+from conncluster.model import dist_leq, instance_to_doc, load_instance_file
+
+
+def _loads_as_before(path: str) -> None:
+    assert frozen.outcome(load_instance_file, path) == frozen.outcome(
+        frozen.load_instance_file, path
+    )
 
 
 def _docs() -> list[dict]:
@@ -116,6 +125,7 @@ def test_solve_mutated_instance(data, doc, objective, mode):
         path = f"{tmp}/inst.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        _loads_as_before(path)
         code, out = _run(["solve", "--in", path, "--objective", objective, "--mode", mode])
         if code != 0:
             return
@@ -176,6 +186,7 @@ def test_check_mutated_documents(data, inst_doc, mutate_instance, command):
         for path, doc in ((inst_path, inst_doc), (cl_path, cl_doc)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+        _loads_as_before(inst_path)
         _run([command, "--in", inst_path, "--clustering", cl_path])
 
 
@@ -210,6 +221,7 @@ def test_undecodable_documents_exit_2(data, inst_doc, bad_instance, command):
         for path, doc in ((inst_path, inst_bytes), (cl_path, cl_bytes)):
             with open(path, "wb") as fh:
                 fh.write(doc)
+        _loads_as_before(inst_path)
         argv = [command, "--in", inst_path]
         if command != "solve":
             argv += ["--clustering", cl_path]

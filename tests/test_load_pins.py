@@ -2,18 +2,23 @@
 
 The loaders decode with orjson and read a document again with the
 standard library's ``json`` whenever the fast reading fails.  Each input
-here goes through the loaders and through the ``json``-only loader they
-replaced, kept below as the reference: both give an equal ``Instance``
-(``dist`` compared byte for byte) or raise the same exception type with
-the same message.  ``make_instance`` checks the connectivity edges with
-NumPy; the per-edge loop it replaced is the reference for its adjacency
-lists, edge list and first error.
+here goes through the loaders, through the ``json``-only loader they
+replaced, kept below as the reference, and through the loader from
+before documents and ``make_instance`` shared one gate
+(``tests/_load_refs.py``): all give an equal ``Instance`` (``dist``
+compared byte for byte) or raise the same exception type with the same
+message.  A file holding a CR byte is pinned apart: its error offsets
+count positions in the file.  ``make_instance`` checks the connectivity
+edges with NumPy; the per-edge loop it replaced, with the document's id
+rule in front, is the reference for its adjacency lists, edge list and
+first error.
 """
 
 import copy
 import gc
 import json
 import math
+import numbers
 import sys
 import tempfile
 from unittest import mock
@@ -24,9 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _load_refs as frozen
 import conncluster.model as model
+from _load_refs import outcome as _outcome
 from conncluster.model import (
     REL_TOL,
+    GraphMetric,
     InstanceFormatError,
     LpMetric,
     instance_from_doc,
@@ -57,36 +65,23 @@ def reference_load_file(path):
     return instance_from_doc(read_json_file(path))
 
 
-def _outcome(load, arg):
-    try:
-        inst = load(arg)
-    except Exception as exc:
-        return type(exc), str(exc)
-    coords = None if inst.coords is None else (inst.coords.shape, inst.coords.tobytes())
-    return (
-        inst.n,
-        inst.k,
-        inst.dist.dtype,
-        inst.dist.shape,
-        inst.dist.tobytes(),
-        inst.adj,
-        inst.edges,
-        inst.labels,
-        coords,
-        repr(inst.p),
-    )
-
-
 def assert_same_load(data: bytes) -> None:
-    """The file, bytes and str loaders agree with their references on ``data``."""
+    """The file, bytes and str loaders agree with their references on
+    ``data``, and the file loader with the bytes loader."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/inst.json"
         with open(path, "wb") as fh:
             fh.write(data)
-        assert _outcome(load_instance_file, path) == _outcome(reference_load_file, path)
+        loaded = _outcome(load_instance_file, path)
+        assert loaded == _outcome(reference_load_file, path)
+        assert loaded == _outcome(load_instance, data)
+        if b"\r" not in data:  # the old file loader read CR and CRLF as LF
+            assert loaded == _outcome(frozen.load_instance_file, path)
     assert _outcome(load_instance, data) == _outcome(reference_load, data)
+    assert _outcome(load_instance, data) == _outcome(frozen.load_instance, data)
     text = data.decode("utf-8", "surrogateescape")
     assert _outcome(load_instance, text) == _outcome(reference_load, text)
+    assert _outcome(load_instance, text) == _outcome(frozen.load_instance, text)
 
 
 @settings(max_examples=150)
@@ -195,7 +190,16 @@ def test_float_literals_decode_alike(literal):
 
 
 def reference_connectivity(edges, n):
-    """The per-edge loop ``make_instance`` ran before the NumPy check."""
+    """The per-edge loop ``make_instance`` ran before the NumPy check,
+    after the document's rule: every edge a pair of integer ids, not
+    bools, or no edge is checked."""
+    try:
+        edges = [(u, v) for u, v in edges]
+    except (TypeError, ValueError):
+        raise InstanceFormatError("connectivity edges must be [u, v] pairs") from None
+    ids = [x for e in edges for x in e]
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in ids):
+        raise InstanceFormatError("connectivity edges must be [u, v] pairs")
     adj = [set() for _ in range(n)]
     edge_list = []
     for u, v in edges:
@@ -258,12 +262,19 @@ def _numpy_connect(n, edges):
     return inst.adj, inst.edges
 
 
+def _frozen_connect(n, edges):
+    return frozen._connectivity(edges, n)
+
+
 @settings(max_examples=400)
 @given(edge_lists())
 def test_connectivity_matches_the_edge_loop(case):
+    """Integer ids, NumPy ones and ids past int64 included, keep the
+    outcome they had before the one edge reader."""
     n, edges = case
     expected = _connectivity_outcome(lambda n, e: reference_connectivity(e, n), n, edges)
     assert _connectivity_outcome(_numpy_connect, n, edges) == expected
+    assert _connectivity_outcome(_frozen_connect, n, edges) == expected
 
 
 def test_connectivity_fixed_cases():
@@ -284,10 +295,17 @@ def test_connectivity_fixed_cases():
         (3, [(0, 5), (1, None)]),
         (3, [(0, 1, 2)]),
         (3, [(0, 1), (1.5, 2), ("0", "2")]),
+        (3, [(0, 1), (True, 2)]),
+        (3, [(0, 5), (1.0, 2)]),
+        (3, np.array([[0, 1], [1, 2]], dtype=np.int32)),
+        (3, np.array([[0, 1], [1, 2]], dtype=np.int64)),
     ]
     for n, edges in cases:
         expected = _connectivity_outcome(lambda n, e: reference_connectivity(e, n), n, edges)
         assert _connectivity_outcome(_numpy_connect, n, edges) == expected
+    pairs = "connectivity edges must be [u, v] pairs"
+    for edges in ([(0, 5), (1, None)], [(0, 1, 2)], [(0, 1), (1.5, 2), ("0", "2")], 5, None):
+        assert _connectivity_outcome(_numpy_connect, 3, edges) == (InstanceFormatError, pairs)
 
 
 def test_valid_documents_take_the_orjson_path(monkeypatch, tmp_path):
@@ -307,10 +325,10 @@ def test_valid_documents_take_the_orjson_path(monkeypatch, tmp_path):
 
 
 def edge_by_edge(doc):
-    """``instance_from_doc`` with the connectivity edges read edge by edge,
-    as the loader read them before the one-pass reading."""
-    with mock.patch.object(model, "_edge_array", lambda edges: None):
-        return instance_from_doc(doc)
+    """The loader from before the one edge reader, with the connectivity
+    edges read edge by edge, as it read them before the one-pass reading."""
+    with mock.patch.object(frozen, "_edge_array", lambda edges: None):
+        return frozen.instance_from_doc(doc)
 
 
 @settings(max_examples=300)
@@ -361,7 +379,7 @@ def reference_make_instance(dist, edges, k, *, labels=None, coords=None, p=None)
         raise InstanceFormatError("distance matrix has nonzero diagonal")
     if np.any(m < 0.0):
         raise InstanceFormatError("distance matrix has negative entries")
-    adj, edge_list = model._connectivity(edges, n)
+    adj, edge_list = frozen._connectivity(edges, n)
     if labels is not None and len(labels) != n:
         raise InstanceFormatError("labels length must equal n")
 
@@ -523,3 +541,146 @@ def test_loaders_restore_the_collector_state(tmp_path, monkeypatch, enabled, exi
                 assert paused[0]  # orjson's reading ran with the collector off
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _make_from_values(doc):
+    """``make_instance`` on a document's values: its matrix, or its
+    metric realized, its edges, ``k``, labels, and an lp metric's
+    coordinates and exponent ("inf" read as inf)."""
+    metric, n = doc["metric"], doc["n"]
+    coords = p = None
+    if metric["type"] == "explicit":
+        dist = metric["matrix"]
+    elif metric["type"] == "lp":
+        coords, p = metric["coords"], metric["p"]
+        p = math.inf if p in ("inf", "infinity") else p
+        dist = LpMetric(np.array(coords, dtype=float), p).realize(n)
+    else:
+        dist = GraphMetric(tuple((u, v, float(w)) for u, v, w in metric["edges"])).realize(n)
+    return make_instance(dist, doc["edges"], doc["k"], labels=doc.get("labels"), coords=coords, p=p)
+
+
+@settings(max_examples=200)
+@given(st.data(), st.sampled_from(INSTANCES))
+def test_documents_and_make_instance_build_equal_instances(data, doc):
+    if data.draw(st.booleans()):
+        doc = _mutate(data, doc)
+    loaded = _outcome(instance_from_doc, doc)
+    if isinstance(loaded[0], type):  # the document does not load
+        return
+    assert _outcome(_make_from_values, doc) == loaded
+
+
+def test_every_sample_document_builds_equally_through_make_instance():
+    for doc in INSTANCES:
+        assert _outcome(_make_from_values, doc) == _outcome(instance_from_doc, doc)
+
+
+LINE3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+COORDS3 = np.array([[0.0], [1.0], [2.0]])
+PATH3 = [(0, 1), (1, 2)]
+MATRIX_NUMBERS = "distance matrix entries must be numbers"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(edges=[(0, 1), (1.7, 2)]), "connectivity edges must be [u, v] pairs"),
+        (dict(edges=[(0, 1), (True, 2)]), "connectivity edges must be [u, v] pairs"),
+        (dict(edges=[("0", 1), (1, 2)]), "connectivity edges must be [u, v] pairs"),
+        (dict(edges=[(0, 1), (1, None)]), "connectivity edges must be [u, v] pairs"),
+        (dict(edges=[(0, 1, 2)]), "connectivity edges must be [u, v] pairs"),
+        (dict(k=2.5), '"k" must be an integer'),
+        (dict(k=True), '"k" must be an integer'),
+        (dict(labels=[1, 2, 3]), '"labels" must be a list of strings'),
+        (dict(labels="abc"), '"labels" must be a list of strings'),
+        (dict(coords=COORDS3, p=None), "norm exponent p must be a positive integer or inf"),
+        (dict(coords=COORDS3, p=2.5), "norm exponent p must be a positive integer or inf"),
+        (dict(coords=COORDS3, p=0), "norm exponent p must be a positive integer or inf"),
+        (dict(coords=COORDS3, p=True), "norm exponent p must be a positive integer or inf"),
+        (dict(coords=COORDS3, p="2"), "norm exponent p must be a positive integer or inf"),
+        (dict(p=2), "norm exponent p needs coords"),
+        (dict(coords=np.zeros((2, 1)), p=1), "coordinate list must have 3 rows"),
+        (dict(coords=np.zeros(3), p=1), "coordinate list must have 3 rows"),
+        (dict(coords=np.zeros((4, 1)), p=1), "coordinate list must have 3 rows"),
+        (dict(dist=[["0", 1, 2], [1, 0, 1], [2, 1, 0]]), MATRIX_NUMBERS),
+        (dict(dist=[[0, True, 2], [True, 0, 1], [2, 1, 0]]), MATRIX_NUMBERS),
+        (dict(dist=LINE3.astype(str)), MATRIX_NUMBERS),
+        (dict(dist=LINE3.astype(bool)), MATRIX_NUMBERS),
+        (dict(dist=[list(r) for r in LINE3.astype(bool)]), MATRIX_NUMBERS),
+        (dict(coords=[["0"], [1], [2]], p=1), "lp metric coords must be numbers"),
+        (dict(coords=[[False], [True], [2]], p=1), "lp metric coords must be numbers"),
+        (dict(coords=COORDS3.astype(bool), p=1), "lp metric coords must be numbers"),
+    ],
+)
+def test_make_instance_applies_the_document_rules(kwargs, message):
+    args = dict(dist=LINE3, edges=PATH3, k=1)
+    args.update(kwargs)
+    dist, edges, k = args.pop("dist"), args.pop("edges"), args.pop("k")
+    with pytest.raises(InstanceFormatError) as info:
+        make_instance(dist, edges, k, **args)
+    assert str(info.value) == message
+
+
+def test_make_instance_takes_what_a_document_may_hold():
+    """NumPy integers for ids and k, integer matrices and coordinates,
+    tuple labels, an edge generator and p given as an int, a float or inf."""
+    base = make_instance(LINE3, PATH3, 2, labels=["a", "b", "c"])
+    alike = [
+        make_instance(LINE3.astype(np.int64), [(np.int64(0), np.int32(1)), (1, 2)], np.int64(2),
+                      labels=("a", "b", "c")),
+        make_instance(LINE3.tolist(), (e for e in [(1, 2), (0, 1)]), 2, labels=["a", "b", "c"]),
+        make_instance(LINE3, np.array(PATH3), 2, labels=["a", "b", "c"]),
+    ]
+    for inst in alike:
+        assert _outcome(lambda x: x, inst) == _outcome(lambda x: x, base)
+    for p in (1, 1.0, np.int64(1), math.inf):
+        dist = LpMetric(COORDS3, p).realize(3)
+        inst = make_instance(dist, PATH3, 1, coords=COORDS3.astype(int), p=p)
+        assert type(inst.p) is float and inst.p == p
+        assert inst.coords.dtype == np.float64
+
+
+def _crlf(text: str) -> bytes:
+    return text.replace("\n", "\r\n").encode()
+
+
+def test_crlf_instance_files_report_offsets_in_the_file(tmp_path):
+    """A CRLF or CR instance file loads as its bytes do, its error
+    offsets counted in the file, where the old file loader counted them
+    in the text with its line ends made LF."""
+    lp = next(d for d in INSTANCES if d["metric"]["type"] == "lp")
+    text = json.dumps(lp, indent=1)
+    path = tmp_path / "inst.json"
+    for data in (_crlf(text), text.replace("\n", "\r").encode()):
+        path.write_bytes(data)
+        assert _outcome(load_instance_file, str(path)) == _outcome(load_instance, data)
+        assert not isinstance(_outcome(load_instance_file, str(path))[0], type)
+        for bad in (data.replace(b'"k"', b"'k'"), data[:-1], data.replace(b'"k": 3', b'"k": NaN')):
+            path.write_bytes(bad)
+            loaded = _outcome(load_instance_file, str(path))
+            assert loaded == _outcome(load_instance, bad) == _outcome(frozen.load_instance, bad)
+            if loaded[0] is InstanceFormatError and "char" in loaded[1]:
+                try:
+                    json.loads(bad.decode())
+                except json.JSONDecodeError as exc:
+                    assert loaded[1] == f"invalid JSON: {exc}"
+                    assert f"(char {exc.pos})" in loaded[1]
+                    assert bad[: exc.pos].decode().count("\r") > 0  # offsets past a CR
+                old = _outcome(frozen.load_instance_file, str(path))
+                assert old[0] is InstanceFormatError and old[1] != loaded[1]
+
+
+def test_crlf_clustering_files_report_offsets_in_the_file(tmp_path):
+    text = json.dumps({"mode": "disjoint", "clusters": [[0, 1], [2]], "centers": [0, 2]}, indent=1)
+    path = tmp_path / "cl.json"
+    path.write_bytes(_crlf(text))
+    assert read_json_file(str(path)) == json.loads(text)
+    bad = _crlf(text)[:-1]
+    path.write_bytes(bad)
+    with pytest.raises(InstanceFormatError) as info:
+        read_json_file(str(path))
+    with pytest.raises(json.JSONDecodeError) as direct:
+        json.loads(bad.decode())
+    assert str(info.value) == f"invalid JSON: {direct.value}"
+    assert direct.value.pos == len(bad)  # the end of the file, CR bytes counted

@@ -148,6 +148,17 @@ def test_lp_single_point():
     assert p.layers[0] == (frozenset({0}),)
 
 
+@pytest.mark.parametrize("p_norm", [1, 2, math.inf])
+def test_lp_zero_dimensions_give_one_layer_of_one_group(p_norm):
+    """With no axes the grid has one cell: one layer, one group, at the
+    layer bound for d = 0."""
+    p = partition_lp(np.zeros((3, 0)), p_norm, [0, 1, 2], 1.0)
+    assert p.layers == ((frozenset({0, 1, 2}),),)
+    assert p.h == (0.0,)
+    assert p.num_layers == lp_layer_bound(0) == 1
+    assert verify_wsp(np.zeros((3, 3)), range(3), p).feasible
+
+
 def test_lp_square_corners():
     r = 1.0
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
