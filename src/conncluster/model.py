@@ -159,33 +159,88 @@ class GraphMetric:
     edges: tuple[tuple[int, int, float], ...]
 
     def realize(self, n: int) -> np.ndarray:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components, dijkstra
-
-        # parallel edges: the first one's place, the shortest one's weight
-        shortest: dict[frozenset[int], tuple[int, int, float]] = {}
+        # parallel edges: the shortest one's weight
+        shortest: dict[tuple[int, int], float] = {}
         for u, v, w in self.edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InstanceFormatError(f"bad metric-graph edge ({u}, {v})")
             if not 0 <= w < math.inf:
                 raise InstanceFormatError("metric-graph edge weights must be finite and nonnegative")
-            key = frozenset((u, v))
-            u, v, w0 = shortest.get(key, (u, v, w))
-            shortest[key] = (u, v, min(w, w0))
-        # n points need n - 1 edges to connect; the test also keeps an
-        # n past what SciPy can index (or allocate) out of the sparse graph
+            key = (u, v) if u < v else (v, u)
+            if w < shortest.get(key, math.inf):
+                shortest[key] = w
+        # n points need n - 1 edges to connect; the test also bounds n by
+        # the edge count before anything with n entries is allocated
         if len(shortest) < n - 1:
             raise InstanceFormatError("metric graph is disconnected")
-        rows, cols, vals = [], [], []
-        for u, v, w in shortest.values():
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, w]
-        g = coo_matrix((vals, (rows, cols)), shape=(n, n))
-        # on the sparse graph, before the n x n distance matrix exists
-        if connected_components(g, directed=False, return_labels=False) > 1:
+        ends = np.fromiter(itertools.chain.from_iterable(shortest), np.int64, 2 * len(shortest))
+        a, b = ends.reshape(-1, 2).T
+        weights = np.fromiter(shortest.values(), float, len(shortest))
+        # both orientations of every edge, grouped by their first point
+        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+        order = np.argsort(src)
+        src, dst = src[order], dst[order]
+        degree = np.bincount(src, minlength=n)
+        bounds = np.concatenate(([0], np.cumsum(degree)))
+        # on the edges, before anything of n x n entries exists
+        if not _connected(dst.tolist(), bounds.tolist()):
             raise InstanceFormatError("metric graph is disconnected")
-        return dijkstra(g, directed=False)  # overflow to inf: make_instance rejects it
+        # padded neighbour rows; a pad points at its row's own point with
+        # weight inf, so it never offers a shorter distance
+        width = int(degree.max())
+        slot = np.arange(len(src)) - np.repeat(bounds[:-1], degree)
+        nb = np.repeat(np.arange(n), width).reshape(n, width)
+        nb[src, slot] = dst
+        ww = np.full((n, width), np.inf)
+        ww[src, slot] = np.concatenate((weights, weights))[order]
+        return _all_sources_dijkstra(nb, ww)  # overflow to inf: make_instance rejects it
+
+
+def _connected(nbrs: list[int], bounds: list[int]) -> bool:
+    """Whether a search from point 0 reaches every point, where the
+    neighbours of point v are ``nbrs[bounds[v]:bounds[v + 1]]``."""
+    seen = [False] * (len(bounds) - 1)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in nbrs[bounds[v] : bounds[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return all(seen)
+
+
+def _all_sources_dijkstra(nb: np.ndarray, ww: np.ndarray) -> np.ndarray:
+    """Shortest-path distances from every point at once.
+
+    Point u's neighbours are the row ``nb[u]``, at the weights ``ww[u]``.
+    Each step settles, for every source s, its nearest unsettled point u
+    and relaxes ``d(s, u) + w(u, v)`` into each neighbour v where that is
+    strictly smaller.  Every distance is one such sum, as in SciPy's
+    Dijkstra, and both take the least such sum over all paths, so they
+    give the same bits, ties and zero weights included.
+    """
+    n = len(nb)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    todo = dist.copy()  # unsettled tentative distances; a settled point reads inf
+    flat, flat_todo = dist.reshape(-1), todo.reshape(-1)
+    rows = np.arange(0, n * n, n)
+    # settling the last point relaxes nothing; a sum may overflow to inf
+    with np.errstate(over="ignore"):
+        for _ in range(n - 1):
+            u = todo.argmin(axis=1)
+            at = rows + u
+            du = flat.take(at)
+            flat_todo.put(at, np.inf)
+            at = rows[:, None] + nb.take(u, axis=0)
+            cand = du[:, None] + ww.take(u, axis=0)
+            better = cand < flat.take(at)  # a settled point is never bettered
+            at, cand = at[better], cand[better]
+            flat.put(at, cand)
+            flat_todo.put(at, cand)
+    return dist
 
 
 MetricSpec = ExplicitMetric | LpMetric | GraphMetric
@@ -553,6 +608,8 @@ def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
         if "edges" not in doc:
             raise InstanceFormatError('graph metric needs weighted "edges"')
         try:
+            if not isinstance(doc["edges"], list):  # an object or a string iterates too
+                raise TypeError("metric-graph edges are not a JSON array")
             edges = tuple((u, v, _scalar(w)) for u, v, w in doc["edges"])
             _require_ids([x for u, v, _ in edges for x in (u, v)])
         except (TypeError, ValueError, OverflowError) as exc:
@@ -580,7 +637,12 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
         _check_labels(labels)
     spec = _metric_from_doc(doc["metric"], bools)
     coords, p = (spec.coords, spec.p) if isinstance(spec, LpMetric) else (None, None)
-    return _make_instance(spec.realize(n), doc["edges"], doc["k"], labels, coords, p)
+    m = spec.realize(n)
+    # make_instance takes any iterable of edges; a document's edges are a
+    # JSON array, not an object or a string, which iterate too
+    if not isinstance(doc["edges"], list):
+        raise InstanceFormatError("connectivity edges must be [u, v] pairs")
+    return _make_instance(m, doc["edges"], doc["k"], labels, coords, p)
 
 
 #: What ``json`` raises on a malformed document: ``ValueError`` also

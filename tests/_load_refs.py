@@ -12,6 +12,10 @@ against: every document gives the same instance, or the same exception
 type and message, except that a file's error offsets now count
 positions in the file.  Only the metric realization kernels are the
 package's own.
+
+One rule was added to the copy later, at the place the package checks
+it: the connectivity ``edges`` and a graph metric's ``edges`` must be
+JSON arrays.  Before it, ``{}`` and ``""`` there loaded as no edges.
 """
 
 import gc
@@ -196,6 +200,8 @@ def _metric_from_doc(doc, bools):
         if "edges" not in doc:
             raise InstanceFormatError('graph metric needs weighted "edges"')
         try:
+            if not isinstance(doc["edges"], list):
+                raise TypeError("metric-graph edges are not a JSON array")
             edges = tuple((u, v, _scalar(w)) for u, v, w in doc["edges"])
             _require_ids([x for u, v, _ in edges for x in (u, v)])
         except (TypeError, ValueError, OverflowError) as exc:
@@ -238,6 +244,8 @@ def instance_from_doc(doc, *, bools=True):
         raise InstanceFormatError('"labels" must be valid Unicode') from exc
     spec = _metric_from_doc(doc["metric"], bools)
     matrix = _realize(spec, n)
+    if not isinstance(doc["edges"], list):
+        raise InstanceFormatError("connectivity edges must be [u, v] pairs")
     edges = _edge_array(doc["edges"])
     if edges is None:
         try:

@@ -661,12 +661,28 @@ def _line3(**changes):
             _line3(metric={"type": "lp", "coords": [[0], [1], [2]], "p": " 3"}),
             'lp metric "p" must be a number or "inf"',
         ),
+        (
+            _line3(metric={"type": "graph", "edges": [[0, 1, 1e308], [1, 2, 1e308]]}),
+            "distance matrix has non-finite entries",  # d(0, 2) overflows to inf
+        ),
+        # an object or a string iterates, but only an array holds edges
+        (_line3(edges={}), "connectivity edges must be [u, v] pairs"),
+        (_line3(edges=""), "connectivity edges must be [u, v] pairs"),
+        (
+            _line3(n=1, k=1, metric={"type": "graph", "edges": {}}, edges=[]),
+            "graph metric edges must be [u, v, weight] triples",
+        ),
+        (
+            _line3(n=1, k=1, metric={"type": "graph", "edges": ""}, edges=[]),
+            "graph metric edges must be [u, v, weight] triples",
+        ),
     ],
     ids=["n-bool", "k-bool", "float-edge-id", "float-metric-edge-id", "string-matrix",
          "string-coords", "nan-matrix", "labels-not-a-list", "numeric-string-matrix",
          "spaced-string-matrix", "exponent-string-matrix", "bool-matrix", "numeric-string-coords",
          "bool-coords", "string-graph-weight", "bool-graph-weight", "nan-graph-weight", "bool-p",
-         "numeric-string-p", "spaced-string-p"],
+         "numeric-string-p", "spaced-string-p", "overflowing-graph-distance", "object-edges", "string-edges",
+         "object-metric-edges", "string-metric-edges"],
 )
 def test_malformed_instance_document_exits_2(tmp_path, capsys, doc, message):
     path = tmp_path / "inst.json"
@@ -787,8 +803,6 @@ def test_parallel_metric_graph_edges_keep_the_shortest(tmp_path, capsys):
 def test_disconnected_metric_graph_exits_2_before_the_matrix(tmp_path, capsys):
     import tracemalloc
 
-    import scipy.sparse.csgraph  # noqa: F401  (imported outside the measurement)
-
     n = 3000
     doc = {"n": n, "k": 1, "metric": {"type": "graph", "edges": [[0, 1, 1.0]]},
            "edges": [[0, 1]]}
@@ -802,6 +816,30 @@ def test_disconnected_metric_graph_exits_2_before_the_matrix(tmp_path, capsys):
         tracemalloc.stop()
     assert (code, out, err) == (2, "", "error: metric graph is disconnected\n")
     assert peak < n * n  # an n x n float matrix takes 8 n^2 bytes
+
+
+@pytest.mark.parametrize("n", [4, 3000])
+def test_disconnected_metric_graph_with_n_minus_1_edges_exits_2_before_the_matrix(
+    tmp_path, capsys, n
+):
+    """A cycle through every point but the last has n - 1 distinct edges,
+    so the edge count lets it pass; the search over the edges refuses it.
+    At n = 4 it is a triangle and an isolated point."""
+    import tracemalloc
+
+    cycle = [[i, (i + 1) % (n - 1), 1.0] for i in range(n - 1)]
+    doc = {"n": n, "k": 1, "metric": {"type": "graph", "edges": cycle}, "edges": [[0, 1]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: metric graph is disconnected\n")
+    if n == 3000:
+        assert peak < n * n  # an n x n float matrix takes 8 n^2 bytes
 
 
 DIGITS = "9" * 5000  # past the interpreter's limit on integer-string conversion

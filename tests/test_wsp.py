@@ -79,6 +79,43 @@ def test_verify_rejects_missing_center():
     assert not verify_wsp(d, [0, 1, 2], p).feasible
 
 
+@pytest.mark.parametrize(
+    "layers, h, violation",
+    [
+        (
+            ((frozenset({0}), frozenset()), (frozenset({1}),)),
+            (0.0, 0.0),
+            "empty group on layer 0",
+        ),
+        (
+            ((frozenset({0}),), (frozenset({0, 1}),)),
+            (0.0, 10.0),
+            "points [0] appear in multiple groups",
+        ),
+        (
+            ((frozenset({0, 1}),),),
+            (9.5,),
+            "layer 0: group [0, 1] diameter 10.0 > h=9.5",
+        ),
+        (
+            ((frozenset({0}),), (frozenset({1}),)),
+            (0.0,),
+            "h must have one entry per layer",
+        ),
+        (
+            ((frozenset({0}),), (frozenset({1}),)),
+            (0.0, 0.0, 0.0),
+            "h must have one entry per layer",
+        ),
+    ],
+    ids=["empty-group", "repeated-point", "diameter-above-h", "h-too-short", "h-too-long"],
+)
+def test_verify_names_each_broken_property(layers, h, violation):
+    d = spaced_line(2, 10.0)
+    verdict = verify_wsp(d, [0, 1], WellSeparatedPartition(1.0, layers, h))
+    assert (verdict.feasible, verdict.violations) == (False, (violation,))
+
+
 # ---------------------------------------------------------------------------
 # general metric construction
 
