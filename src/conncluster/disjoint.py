@@ -21,10 +21,9 @@ import numpy as np
 
 from .greedy import (
     GreedyOutput,
-    adjacency_matrix,
+    bottleneck_levels,
     greedy_clustering,
     greedy_with_given_centers,
-    grow_all_clusters,
 )
 from .model import (
     CENTER,
@@ -42,6 +41,7 @@ from .model import (
     clustering_cost,
     dist_eq,
     dist_leq,
+    leq_bound,
     make_report,
     validate_clustering,
 )
@@ -245,25 +245,25 @@ def solve_disjoint(
     return report, result
 
 
-def first_covering_pair(
-    inst: Instance, r: float, adj: np.ndarray
-) -> Optional[GreedyOutput]:
+def first_covering_pair(levels: np.ndarray, r: float) -> Optional[GreedyOutput]:
     """The first center pair, in ``itertools.combinations`` order, whose
     clusters grown with radius r cover every point; None if none does.
 
-    With U the complement of ``grow_all_clusters``, pair (a, b) covers
-    everything iff rows a and b of U share no point, i.e. iff
-    ``(U @ U.T)[a, b] == 0``; the first such entry of the strict upper
-    triangle in row-major order is the first pair in combinations order.
+    ``levels`` is ``bottleneck_levels(inst)``, so the clusters at r are
+    its entries at most ``leq_bound(r)``.  With U their complement, pair
+    (a, b) covers everything iff rows a and b of U share no point, i.e.
+    iff ``(U @ U.T)[a, b] == 0``; the first such entry of the strict
+    upper triangle in row-major order is the first pair in combinations
+    order.
     """
-    members = grow_all_clusters(inst, r, adj)
+    members = levels <= leq_bound(r)
     # float32 for BLAS: a sum of nonnegative terms is 0 iff every term is
     uncovered = (~members).astype(np.float32)
     covers = np.triu((uncovered @ uncovered.T) == 0, k=1)
     hits = np.flatnonzero(covers)
     if not hits.size:
         return None
-    a, b = divmod(int(hits[0]), inst.n)
+    a, b = divmod(int(hits[0]), len(levels))
     clusters = {c: frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b)}
     return GreedyOutput((a, b), clusters, r)
 
@@ -273,19 +273,20 @@ def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
 
     Finds the smallest candidate radius at which some center pair's grown
     clusters cover everything (the non-disjoint optimum with the best
-    centers), taking the first such pair in lexicographic order.  Each
-    probe grows all n clusters once and tests every pair with one matrix
-    product (``first_covering_pair``).  Disjoint covers are returned
-    as-is; overlapping ones are merged and re-centered at a point of the
-    intersection, doubling the radius at most.  A 2-approximation of the
-    disjoint optimum.
+    centers), taking the first such pair in lexicographic order.  Every
+    center's growth is computed once, as the matrix of levels
+    (``bottleneck_levels``); each probe compares it with the radius and
+    tests every pair with one matrix product (``first_covering_pair``).
+    Disjoint covers are returned as-is; overlapping ones are merged and
+    re-centered at a point of the intersection, doubling the radius at
+    most.  A 2-approximation of the disjoint optimum.
     """
     if inst.k != 2:
         raise AlgorithmPreconditionError("the two-center algorithm needs k=2")
-    adj = adjacency_matrix(inst)
+    levels = bottleneck_levels(inst)
 
     def probe(r: float) -> Optional[GreedyOutput]:
-        return first_covering_pair(inst, r, adj)
+        return first_covering_pair(levels, r)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:

@@ -10,6 +10,7 @@ With growth budget 2r (center) or r (diameter) this yields non-disjoint
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -28,7 +29,6 @@ from .model import (
     binary_search_min_feasible,
     candidate_radii,
     clustering,
-    dist_leq_arr,
     leq_bound,
     make_report,
 )
@@ -168,35 +168,42 @@ def _resume(inst: Instance, c: int, bound: float, walk: _Walk) -> None:
     walk.top = bound
 
 
-def adjacency_matrix(inst: Instance) -> np.ndarray:
-    """The connectivity graph as a 0/1 float32 matrix, ready for BLAS."""
-    adj = np.zeros((inst.n, inst.n), dtype=np.float32)
-    if inst.edges:
-        u, v = np.asarray(inst.edges).T
-        adj[u, v] = adj[v, u] = 1.0
-    return adj
+def bottleneck_levels(inst: Instance) -> np.ndarray:
+    """The n x n matrix of levels: entry (c, u) is the level the walk
+    from c gives u (``compute_cluster``), -inf on the diagonal and inf
+    for a point c cannot reach.  Row c at radius R is c's cluster:
+    ``levels[c] <= leq_bound(R)``.
 
-
-def grow_all_clusters(inst: Instance, R: float, adj: np.ndarray) -> np.ndarray:
-    """Boolean matrix whose row c is ``compute_cluster(inst, R, c)``.
-
-    All n clusters grow at once by frontier expansion: a row's next
-    frontier is the neighbours of its frontier that lie within R of its
-    center and are not yet members.  Rows stop once their frontier is
-    empty, so the loop runs as many times as the deepest cluster has
-    hops.  ``adj`` is ``adjacency_matrix(inst)``.
+    Label correction over (center, point) pairs, all centers at once: a
+    pair whose level dropped passes max(its level, d(c, u)) on to each
+    neighbour u of its point, through the CSR form of ``inst.adj``.
+    ``np.minimum.at`` keeps the least offer per pair, and the pairs that
+    dropped, each taken once by a stamp array, are the next frontier.
     """
-    within = dist_leq_arr(inst.dist, R)
-    members = np.eye(inst.n, dtype=bool)
-    rows = np.arange(inst.n)
-    frontier = members.copy()
-    while rows.size:
-        reached = (frontier.astype(np.float32) @ adj) > 0
-        frontier = reached & within[rows] & ~members[rows]
-        members[rows] |= frontier
-        alive = frontier.any(axis=1)
-        rows, frontier = rows[alive], frontier[alive]
-    return members
+    n = inst.n
+    deg = np.fromiter(map(len, inst.adj), dtype=np.intp, count=n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = np.fromiter(itertools.chain.from_iterable(inst.adj), dtype=np.intp)
+    dist = inst.dist.ravel()
+    levels = np.full(n * n, math.inf)
+    at = np.arange(n) * (n + 1)  # flat index c * n + v of each frontier pair
+    levels[at] = -math.inf  # the center belongs to every cluster
+    stamp = np.empty(n * n, dtype=np.intp)
+    while at.size:
+        c, v = np.divmod(at, n)
+        reps = deg[v]
+        ends = np.cumsum(reps)
+        # the position in ``indices`` of each neighbour of each frontier point
+        pos = np.arange(int(ends[-1])) + np.repeat(indptr[v] - (ends - reps), reps)
+        to = np.repeat(c * n, reps) + indices[pos]
+        offer = np.maximum(np.repeat(levels[at], reps), dist[to])
+        better = offer < levels[to]
+        to, offer = to[better], offer[better]
+        np.minimum.at(levels, to, offer)
+        first = np.arange(to.size)
+        stamp[to] = first
+        at = to[stamp[to] == first]
+    return levels.reshape(n, n)
 
 
 def greedy_clustering(

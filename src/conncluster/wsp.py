@@ -7,8 +7,8 @@ clusters get merged (bounded by h_i), far-apart clusters are already
 disjoint, and the layer structure bounds how merge chains can grow.
 
 Constructions: ring growth for general metrics, a colored grid for Lp
-metrics, and a greedy ball cover with local improvement for metrics of
-known doubling dimension.  Every construction is re-checkable with
+metrics, and a greedy ball cover for metrics of known doubling
+dimension.  Every construction is re-checkable with
 ``verify_wsp``.
 """
 
@@ -282,7 +282,7 @@ def lp_diameter_bound(d: int, p: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# doubling metrics: ball cover, local improvement, greedy coloring
+# doubling metrics: ball cover, greedy coloring
 
 
 def doubling_layer_bound(dim: int) -> int:
@@ -308,11 +308,17 @@ def partition_doubling(
     """Ball-cover partition for metrics of (caller-asserted) doubling
     dimension ``dim``.
 
-    Greedy radius-r balls form the groups; a group whose center sees at
-    least 2^(4 dim) other group centers within 4r is re-covered together
-    with those neighbors, accepted only when the group count strictly
-    drops.  Greedy coloring of the 4r-neighbor graph maps groups to at
-    most 2^(4 dim) layers, each group of diameter at most 2r.
+    Greedy radius-r balls form the groups, each of diameter at most 2r,
+    and greedy coloring of the graph joining seeds within 4r maps them to
+    layers.  Each seed is the least point left uncovered, so the seeds
+    are pairwise more than r apart.  In a metric of doubling dimension
+    ``dim``, a ball of radius 4r is covered by 2^(3 dim) balls of radius
+    r/2, each holding at most one seed, so a seed has fewer than
+    2^(3 dim) neighbours and the coloring uses at most
+    2^(3 dim) <= ``doubling_layer_bound(dim)`` layers.  That bound rests
+    only on the declared ``dim``: nothing checks it, and an under-declared
+    one can give more layers.  (Re-covering a union of cover balls gives
+    back exactly those balls, so a local re-cover cannot reduce them.)
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -321,35 +327,16 @@ def partition_doubling(
     centers = sorted(int(c) for c in centers)
     if not centers:
         raise ValueError("center set is empty")
-    cover = _greedy_ball_cover(dist, centers, r)
-
-    def neighbor_ids(i: int) -> list[int]:
-        ci = cover[i][0]
-        return [
+    cover = _greedy_ball_cover(dist, centers, r)  # in seed order
+    seeds = [s for s, _ in cover]
+    adj = [
+        {
             j
-            for j in range(len(cover))
-            if j != i and dist_leq(float(dist[ci, cover[j][0]]), 4.0 * r)
-        ]
-
-    improved = True
-    while improved:
-        improved = False
-        for i in sorted(range(len(cover)), key=lambda t: cover[t][0]):
-            nbrs = neighbor_ids(i)
-            if len(nbrs).bit_length() <= 4 * dim:  # fewer than 2^(4 dim) neighbours
-                continue
-            region: set[int] = set()
-            for j in [i] + nbrs:
-                region |= cover[j][1]
-            recovered = _greedy_ball_cover(dist, sorted(region), r)
-            if len(recovered) < 1 + len(nbrs):
-                keep = [cover[j] for j in range(len(cover)) if j != i and j not in nbrs]
-                cover = keep + recovered
-                improved = True
-                break
-
-    cover.sort(key=lambda t: t[0])
-    adj = [set(neighbor_ids(i)) for i in range(len(cover))]
+            for j, t in enumerate(seeds)
+            if t != s and dist_leq(float(dist[s, t]), 4.0 * r)
+        }
+        for s in seeds
+    ]
     color: dict[int, int] = {}
     for i in range(len(cover)):
         used = {color[j] for j in adj[i] if j in color}

@@ -1,11 +1,15 @@
-"""The matrix two-center probe against the pair scan it replaced.
+"""The matrix two-center probe against the pair scan and the dense
+probe it replaced.
 
-``pair_scan_probe`` is the probe ``solve_two_center_disjoint`` used to
-run: every center pair in ``itertools.combinations`` order, both
-clusters regrown by ``compute_cluster``.  ``pair_scan_two_center`` is
-the whole solver around it.  The new probe must return the same pair
-with the same clusters at every radius, so that the radius search, the
-merge step and every CLI byte stay the same.
+``pair_scan_probe`` is the probe ``solve_two_center_disjoint`` once ran:
+every center pair in ``itertools.combinations`` order, both clusters
+regrown by ``compute_cluster``.  ``pair_scan_two_center`` is the whole
+solver around it.  ``_two_center_refs`` keeps the dense probe that came
+next, which regrew all n clusters per probe, one matrix product per hop;
+it is fast enough to check larger inputs than the pair scan.  The probe
+over ``bottleneck_levels`` must return the same pair with the same
+clusters at every radius, so that the radius search, the merge step and
+every CLI byte stay the same.
 """
 
 import itertools
@@ -16,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _two_center_refs as dense
 from conncluster.disjoint import first_covering_pair, solve_two_center_disjoint
 from conncluster.greedy import (
-    adjacency_matrix,
+    bottleneck_levels,
     compute_cluster,
     greedy_with_given_centers,
-    grow_all_clusters,
 )
 from conncluster.instances import gen_random
 from conncluster.model import (
@@ -32,6 +36,7 @@ from conncluster.model import (
     binary_search_min_feasible,
     candidate_radii,
     clustering,
+    leq_bound,
     make_instance,
     make_report,
 )
@@ -102,23 +107,38 @@ def probe_radii(inst):
     return sorted(out)
 
 
+def assert_levels_match_walks(inst, levels, radii):
+    """Row c of ``levels`` at each radius is c's cluster, and each of its
+    entries is the level c's walk gives that point (inf off c's
+    component, -inf at c itself)."""
+    assert levels.dtype == float and levels.shape == (inst.n, inst.n)
+    for c in range(inst.n):
+        cache = {}
+        compute_cluster(inst, math.inf, c, cache)
+        walk = cache[c]
+        want = [math.inf] * inst.n
+        for u, level in zip(walk.order, walk.levels):
+            want[u] = level
+        assert want[c] == -math.inf
+        assert levels[c].tolist() == want
+    for r in radii:
+        for c in range(inst.n):
+            got = set(np.flatnonzero(levels[c] <= leq_bound(r)).tolist())
+            assert got == compute_cluster(inst, r, c)
+
+
 @settings(max_examples=200)
 @given(instances)
-def test_grow_all_clusters_matches_compute_cluster(inst):
-    adj = adjacency_matrix(inst)
-    for r in probe_radii(inst):
-        members = grow_all_clusters(inst, r, adj)
-        assert members.dtype == bool and members.shape == (inst.n, inst.n)
-        for c in range(inst.n):
-            assert set(np.flatnonzero(members[c]).tolist()) == compute_cluster(inst, r, c)
+def test_levels_match_compute_cluster(inst):
+    assert_levels_match_walks(inst, bottleneck_levels(inst), probe_radii(inst))
 
 
 @settings(max_examples=200)
 @given(instances)
 def test_first_covering_pair_matches_pair_scan(inst):
-    adj = adjacency_matrix(inst)
+    levels = bottleneck_levels(inst)
     for r in probe_radii(inst):
-        got = first_covering_pair(inst, r, adj)
+        got = first_covering_pair(levels, r)
         assert got == pair_scan_probe(inst, r)
         if got is not None:
             assert all(type(x) is int for cl in got.clusters.values() for x in cl)
@@ -180,16 +200,43 @@ def test_two_points(d, edges):
 
 def test_single_point_has_no_pair():
     inst = make_instance([[0.0]], [], 1)
-    adj = adjacency_matrix(inst)
-    assert grow_all_clusters(inst, 0.0, adj).tolist() == [[True]]
-    assert first_covering_pair(inst, 0.0, adj) is None
+    levels = bottleneck_levels(inst)
+    assert levels.tolist() == [[-math.inf]]
+    assert first_covering_pair(levels, 0.0) is None
 
 
-def test_long_path_grows_hop_by_hop():
+def test_long_path_levels_match_compute_cluster():
     n = 40
     inst = gen_random("line", n, 2, seed=3, metric_repair=True)
-    adj = adjacency_matrix(inst)
-    for r in candidate_radii(inst)[::50]:
-        members = grow_all_clusters(inst, r, adj)
-        for c in range(n):
-            assert set(np.flatnonzero(members[c]).tolist()) == compute_cluster(inst, r, c)
+    assert_levels_match_walks(inst, bottleneck_levels(inst), candidate_radii(inst)[::50])
+
+
+def with_chords(inst, chords):
+    """``inst`` with the extra connectivity edges ``chords``."""
+    return make_instance(inst.dist, list(inst.edges) + chords, inst.k)
+
+
+def long_hop_instances():
+    """Paths and lp spanning trees with long chords, up to 200 points:
+    clusters many hops deep, too large for the pair scan."""
+    for n, seed in ((60, 1), (160, 2)):
+        inst = gen_random("line", n, 2, seed, metric_repair=True)
+        yield pytest.param(inst, id=f"line-{n}")
+    for n, seed in ((60, 3), (200, 4)):
+        inst = gen_random("lp", n, 2, seed)
+        yield pytest.param(inst, id=f"lp-{n}")
+        chords = [(0, n // 2), (10, 4 * n // 5), (3, n - 1)]
+        yield pytest.param(with_chords(inst, chords), id=f"lp-{n}-chords")
+
+
+@pytest.mark.parametrize("inst", long_hop_instances())
+def test_solve_matches_dense_reference(inst):
+    assert solve_two_center_disjoint(inst) == dense.solve_two_center_disjoint(inst)
+
+
+def test_probes_match_dense_reference_on_a_path():
+    inst = gen_random("line", 80, 2, 5, metric_repair=True)
+    levels = bottleneck_levels(inst)
+    adj = dense.adjacency_matrix(inst)
+    for r in candidate_radii(inst)[::40]:
+        assert first_covering_pair(levels, r) == dense.first_covering_pair(inst, r, adj)

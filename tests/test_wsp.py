@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _wsp_refs
 from conncluster import (
     gen_random,
     partition_doubling,
@@ -12,12 +15,13 @@ from conncluster import (
     partition_two_centers,
     verify_wsp,
 )
-from conncluster.model import dist_leq
+from conncluster.model import dist_leq, dist_leq_arr
 from conncluster.wsp import (
     WellSeparatedPartition,
     doubling_layer_bound,
     general_diameter_bound,
     general_layer_bound,
+    _greedy_ball_cover,
     lp_diameter_bound,
     lp_layer_bound,
 )
@@ -289,13 +293,78 @@ def test_doubling_bounds_random():
 
 
 def test_doubling_local_improvement_triggers():
-    # 20 co-located points plus a ring of singletons within 4r makes the
-    # first cover improvable; the improved cover merges the heap
+    # 20 co-located points plus a ring of singletons within 4r: the heap
+    # is one ball, and the singletons stay their own groups
     pts = np.concatenate([np.zeros(20), np.array([3.9, 4.0, 4.1])])
     d = np.abs(pts[:, None] - pts[None, :])
     p = partition_doubling(d, range(23), 1.0, dim=1)
     assert verify_wsp(d, range(23), p).feasible
     assert all(dist_leq(h, 2.0) for h in p.h)
+
+
+# Matrices from every family, the non-metric line and tree ones included:
+# the lemma below uses nothing but the order in which seeds are taken.
+ball_cover_inputs = st.builds(
+    lambda family, n, seed: gen_random(family, n, 1, seed).dist,
+    st.sampled_from(("general", "lp", "line", "tree")),
+    st.integers(1, 30),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=300)
+@given(ball_cover_inputs, st.data())
+def test_recovering_cover_balls_gives_them_back(d, data):
+    # Each seed is the least point still uncovered, so it is its ball's
+    # least member, and a later ball's members were uncovered when every
+    # earlier seed was taken.  Re-covering any union of cover balls
+    # therefore takes the same seeds and the same balls, in order: the
+    # re-cover loop ``partition_doubling`` once had could never accept.
+    n = len(d)
+    r = data.draw(st.sampled_from(sorted({0.0, *d.ravel().tolist()})))
+    cover = _greedy_ball_cover(d, range(n), r)
+    picked = data.draw(
+        st.lists(st.integers(0, len(cover) - 1), min_size=1, unique=True)
+    )
+    picked.sort()
+    region = sorted(set().union(*(cover[j][1] for j in picked)))
+    assert _greedy_ball_cover(d, region, r) == [cover[j] for j in picked]
+
+
+def crowded_seeds(d, centers, r, dim):
+    """How many cover seeds see at least 2^(4 dim) other seeds within
+    4r: the groups the old re-cover loop tried to improve."""
+    seeds = [s for s, _ in _greedy_ball_cover(d, sorted(centers), r)]
+    near = dist_leq_arr(d[np.ix_(seeds, seeds)], 4.0 * r).sum(axis=1) - 1
+    return int((near >= doubling_layer_bound(dim)).sum())
+
+
+def test_under_declared_dimension_reaches_the_old_recover():
+    # points of the plane declared one-dimensional: several seeds are
+    # crowded, so the frozen copy runs its re-cover on them
+    d = gen_random("lp", 120, 1, 4).dist
+    assert crowded_seeds(d, range(120), 0.1, 1) > 0
+    assert partition_doubling(d, range(120), 0.1, 1) == _wsp_refs.partition_doubling(
+        d, range(120), 0.1, 1
+    )
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 100),
+    st.integers(2, 3),
+    st.integers(0, 10**6),
+    st.sampled_from((0.05, 0.1, 0.15, 0.2)),
+    st.data(),
+)
+def test_doubling_matches_frozen_copy(n, dim, seed, r, data):
+    d = gen_random("lp", n, 1, seed, dim=dim).dist
+    centers = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    assert partition_doubling(d, centers, r, 1) == _wsp_refs.partition_doubling(
+        d, centers, r, 1
+    )
 
 
 # ---------------------------------------------------------------------------
