@@ -15,6 +15,7 @@ returning an invalid clustering when it is violated.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -249,12 +250,10 @@ def first_covering_pair(levels: np.ndarray, r: float) -> Optional[GreedyOutput]:
     """The first center pair, in ``itertools.combinations`` order, whose
     clusters grown with radius r cover every point; None if none does.
 
-    ``levels`` is ``bottleneck_levels(inst)``, so the clusters at r are
-    its entries at most ``leq_bound(r)``.  With U their complement, pair
-    (a, b) covers everything iff rows a and b of U share no point, i.e.
-    iff ``(U @ U.T)[a, b] == 0``; the first such entry of the strict
-    upper triangle in row-major order is the first pair in combinations
-    order.
+    ``levels`` is ``bottleneck_levels(inst)``.  With U the complement of
+    the clusters, pair (a, b) covers everything iff ``(U @ U.T)[a, b]``
+    is 0; the first such entry of the strict upper triangle in row-major
+    order is the first pair in combinations order.
     """
     members = levels <= leq_bound(r)
     # float32 for BLAS: a sum of nonnegative terms is 0 iff every term is
@@ -274,8 +273,7 @@ def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     Finds the smallest candidate radius at which some center pair's grown
     clusters cover everything (the non-disjoint optimum with the best
     centers), taking the first such pair in lexicographic order.  Every
-    center's growth is computed once, as the matrix of levels
-    (``bottleneck_levels``); each probe compares it with the radius and
+    center's growth is computed once (``bottleneck_levels``); each probe
     tests every pair with one matrix product (``first_covering_pair``).
     Disjoint covers are returned as-is; overlapping ones are merged and
     re-centered at a point of the intersection, doubling the radius at
@@ -283,11 +281,7 @@ def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     """
     if inst.k != 2:
         raise AlgorithmPreconditionError("the two-center algorithm needs k=2")
-    levels = bottleneck_levels(inst)
-
-    def probe(r: float) -> Optional[GreedyOutput]:
-        return first_covering_pair(levels, r)
-
+    probe = partial(first_covering_pair, bottleneck_levels(inst))
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:
         raise InfeasibleError("connectivity graph has more than two components")

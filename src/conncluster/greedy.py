@@ -168,42 +168,55 @@ def _resume(inst: Instance, c: int, bound: float, walk: _Walk) -> None:
     walk.top = bound
 
 
+_OFFERS_PER_SLICE = 1 << 20  # bounds a step's arrays, whatever it settles
+
+
 def bottleneck_levels(inst: Instance) -> np.ndarray:
     """The n x n matrix of levels: entry (c, u) is the level the walk
-    from c gives u (``compute_cluster``), -inf on the diagonal and inf
-    for a point c cannot reach.  Row c at radius R is c's cluster:
-    ``levels[c] <= leq_bound(R)``.
+    from c gives u (``compute_cluster``), -inf at c and inf off c's
+    component, so row c's cluster at R is ``levels[c] <= leq_bound(R)``.
 
-    Label correction over (center, point) pairs, all centers at once: a
-    pair whose level dropped passes max(its level, d(c, u)) on to each
-    neighbour u of its point, through the CSR form of ``inst.adj``.
-    ``np.minimum.at`` keeps the least offer per pair, and the pairs that
-    dropped, each taken once by a stamp array, are the next frontier.
+    All n walks in lockstep over (center, point) pairs: each step, every
+    row settles its waiting pairs of least level and reads their lists in
+    the CSR form of ``inst.adj``, at most ``_OFFERS_PER_SLICE`` offers a
+    slice.  So a pair's first offer is its level and it is reached once,
+    and, as in the walk, a row with every point reached reads no more.
     """
     n = inst.n
     deg = np.fromiter(map(len, inst.adj), dtype=np.intp, count=n)
     indptr = np.concatenate(([0], np.cumsum(deg)))
     indices = np.fromiter(itertools.chain.from_iterable(inst.adj), dtype=np.intp)
     dist = inst.dist.ravel()
-    levels = np.full(n * n, math.inf)
-    at = np.arange(n) * (n + 1)  # flat index c * n + v of each frontier pair
-    levels[at] = -math.inf  # the center belongs to every cluster
+    per_slice = max(1, _OFFERS_PER_SLICE // max(1, int(deg.max())))
+    levels = np.full(n * n, math.inf)  # inf: not reached yet
+    front = np.arange(n) * (n + 1)  # flat index c * n + u of each waiting pair
+    levels[front] = -math.inf  # the center belongs to every cluster
+    unreached = np.full(n, n - 1)
     stamp = np.empty(n * n, dtype=np.intp)
-    while at.size:
-        c, v = np.divmod(at, n)
-        reps = deg[v]
-        ends = np.cumsum(reps)
-        # the position in ``indices`` of each neighbour of each frontier point
-        pos = np.arange(int(ends[-1])) + np.repeat(indptr[v] - (ends - reps), reps)
-        to = np.repeat(c * n, reps) + indices[pos]
-        offer = np.maximum(np.repeat(levels[at], reps), dist[to])
-        better = offer < levels[to]
-        to, offer = to[better], offer[better]
-        np.minimum.at(levels, to, offer)
-        first = np.arange(to.size)
-        stamp[to] = first
-        at = to[stamp[to] == first]
-    return levels.reshape(n, n)
+    while True:
+        front = front[unreached[front // n] > 0]
+        if not front.size:
+            return levels.reshape(n, n)
+        rows, wait = front // n, levels[front]
+        low = np.full(n, math.inf)
+        np.minimum.at(low, rows, wait)
+        now = wait == low[rows]
+        settle, reached = front[now], [front[~now]]
+        for lo in range(0, settle.size, per_slice):
+            at = settle[lo : lo + per_slice]
+            v = at % n
+            reps = deg[v]
+            ends = np.cumsum(reps)
+            # the position in ``indices`` of each neighbour of each settled point
+            pos = np.arange(int(ends[-1])) + np.repeat(indptr[v] - (ends - reps), reps)
+            to = np.repeat(at - v, reps) + indices[pos]
+            to = to[levels[to] == math.inf]
+            stamp[to] = first = np.arange(to.size)
+            to = to[stamp[to] == first]
+            levels[to] = np.maximum(low[to // n], dist[to])
+            unreached -= np.bincount(to // n, minlength=n)
+            reached.append(to)
+        front = np.concatenate(reached)
 
 
 def greedy_clustering(

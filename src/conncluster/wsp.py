@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Verdict, cluster_diameter, dist_leq
+from .model import AlgorithmPreconditionError, Verdict, cluster_diameter, dist_leq
 
 
 @dataclass(frozen=True)
@@ -310,15 +310,11 @@ def partition_doubling(
 
     Greedy radius-r balls form the groups, each of diameter at most 2r,
     and greedy coloring of the graph joining seeds within 4r maps them to
-    layers.  Each seed is the least point left uncovered, so the seeds
-    are pairwise more than r apart.  In a metric of doubling dimension
-    ``dim``, a ball of radius 4r is covered by 2^(3 dim) balls of radius
-    r/2, each holding at most one seed, so a seed has fewer than
-    2^(3 dim) neighbours and the coloring uses at most
-    2^(3 dim) <= ``doubling_layer_bound(dim)`` layers.  That bound rests
-    only on the declared ``dim``: nothing checks it, and an under-declared
-    one can give more layers.  (Re-covering a union of cover balls gives
-    back exactly those balls, so a local re-cover cannot reduce them.)
+    layers.  Each seed is the least point left uncovered, so seeds are
+    more than r apart, and in a metric of doubling dimension ``dim`` a
+    seed has fewer than 2^(3 dim) others within 4r (packing).  That
+    bound rests only on the declared ``dim``, so a coloring with more
+    than ``doubling_layer_bound(dim)`` layers raises.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -329,25 +325,20 @@ def partition_doubling(
         raise ValueError("center set is empty")
     cover = _greedy_ball_cover(dist, centers, r)  # in seed order
     seeds = [s for s, _ in cover]
-    adj = [
-        {
-            j
-            for j, t in enumerate(seeds)
-            if t != s and dist_leq(float(dist[s, t]), 4.0 * r)
-        }
-        for s in seeds
-    ]
-    color: dict[int, int] = {}
-    for i in range(len(cover)):
-        used = {color[j] for j in adj[i] if j in color}
-        c = 1
-        while c in used:
-            c += 1
-        color[i] = c
-    by_color: dict[int, list[set[int]]] = {}
-    for i, (_seed, members) in enumerate(cover):
-        by_color.setdefault(color[i], []).append(members)
-    layers = [by_color[c] for c in sorted(by_color)]
+    color: list[int] = []  # first fit over the earlier seeds within 4r
+    layers: list[list[set[int]]] = []
+    for s, members in cover:
+        used = {c for c, t in zip(color, seeds) if dist_leq(float(dist[s, t]), 4.0 * r)}
+        c = min(set(range(len(used) + 1)) - used)
+        color.append(c)
+        if c == len(layers):
+            layers.append([])
+        layers[c].append(members)
+    if len(layers) > doubling_layer_bound(dim):
+        raise AlgorithmPreconditionError(
+            f"the centers need {len(layers)} layers, more than the "
+            f"{doubling_layer_bound(dim)} a metric of doubling dimension {dim} allows"
+        )
     return _finalize(r, layers, partial(cluster_diameter, dist))
 
 

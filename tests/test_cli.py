@@ -1353,6 +1353,18 @@ def test_doubling_dimension_below_one_exits_3(tmp_path, capsys, command, dim):
     assert err == f"error: doubling dimension must be at least 1, got {dim}\n"
 
 
+def test_doubling_dimension_too_small_for_the_layers_exits_3(tmp_path, capsys):
+    path = str(tmp_path / "lp.json")
+    run_cli(["gen", "--family", "lp", "--n", "80", "--k", "40", "--dim", "3", "--seed", "0",
+             "--out", path], capsys)
+    code, out, err = run_cli(["solve", "--in", path, "--algo", "doubling", "--dim=1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: the centers need 20 layers, more than the 16 a metric of "
+                   "doubling dimension 1 allows\n")
+    code, out, err = run_cli(["solve", "--in", path, "--algo", "doubling", "--dim=3"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_sat_gadget_builds_points_only_for_used_variables(capsys):
     code, out, _ = run_cli(["gen", "--family", "sat", "--formula", "200000"], capsys)
     assert code == 0

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _two_center_refs as dense
+from conncluster import greedy
 from conncluster.disjoint import first_covering_pair, solve_two_center_disjoint
 from conncluster.greedy import (
     bottleneck_levels,
@@ -205,6 +206,20 @@ def test_single_point_has_no_pair():
     assert first_covering_pair(levels, 0.0) is None
 
 
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_sliced_steps_give_the_same_levels(monkeypatch, budget):
+    insts = [
+        gen_random("general", 40, 2, seed=7),
+        gen_random("line", 30, 2, seed=8, metric_repair=True),
+        components_instance([4, 1, 5]),
+    ]
+    want = [bottleneck_levels(inst) for inst in insts]
+    monkeypatch.setattr(greedy, "_OFFERS_PER_SLICE", budget)
+    for inst, levels in zip(insts, want):
+        assert np.array_equal(bottleneck_levels(inst), levels)
+    assert_levels_match_walks(insts[0], want[0], candidate_radii(insts[0]))
+
+
 def test_long_path_levels_match_compute_cluster():
     n = 40
     inst = gen_random("line", n, 2, seed=3, metric_repair=True)
@@ -229,7 +244,14 @@ def long_hop_instances():
         yield pytest.param(with_chords(inst, chords), id=f"lp-{n}-chords")
 
 
-@pytest.mark.parametrize("inst", long_hop_instances())
+def dense_instances():
+    """Dense general graphs with many tied distances: a step settles
+    many pairs per center, which the slice budget splits."""
+    for n, seed in ((100, 5), (200, 6)):
+        yield pytest.param(gen_random("general", n, 2, seed), id=f"general-{n}")
+
+
+@pytest.mark.parametrize("inst", [*long_hop_instances(), *dense_instances()])
 def test_solve_matches_dense_reference(inst):
     assert solve_two_center_disjoint(inst) == dense.solve_two_center_disjoint(inst)
 

@@ -15,7 +15,7 @@ from conncluster import (
     partition_two_centers,
     verify_wsp,
 )
-from conncluster.model import dist_leq, dist_leq_arr
+from conncluster.model import AlgorithmPreconditionError, dist_leq, dist_leq_arr
 from conncluster.wsp import (
     WellSeparatedPartition,
     doubling_layer_bound,
@@ -339,6 +339,19 @@ def crowded_seeds(d, centers, r, dim):
     return int((near >= doubling_layer_bound(dim)).sum())
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_layers_past_the_declared_dimension_raise(n):
+    # n points pairwise 2 apart at r = 1: each is its own ball and every
+    # two are neighbours, so n layers; dimension 1 allows 2^4 = 16
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    if n <= doubling_layer_bound(1):
+        assert partition_doubling(d, range(n), 1.0, 1).num_layers == n
+    else:
+        with pytest.raises(AlgorithmPreconditionError, match="need 17 layers, more than the 16"):
+            partition_doubling(d, range(n), 1.0, 1)
+
+
 def test_under_declared_dimension_reaches_the_old_recover():
     # points of the plane declared one-dimensional: several seeds are
     # crowded, so the frozen copy runs its re-cover on them
@@ -362,9 +375,13 @@ def test_doubling_matches_frozen_copy(n, dim, seed, r, data):
     centers = data.draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     )
-    assert partition_doubling(d, centers, r, 1) == _wsp_refs.partition_doubling(
-        d, centers, r, 1
-    )
+    want = _wsp_refs.partition_doubling(d, centers, r, 1)
+    if want.num_layers > doubling_layer_bound(1):
+        # more layers than the declared dimension allows: refused
+        with pytest.raises(AlgorithmPreconditionError, match="doubling dimension 1 allows"):
+            partition_doubling(d, centers, r, 1)
+    else:
+        assert partition_doubling(d, centers, r, 1) == want
 
 
 # ---------------------------------------------------------------------------
