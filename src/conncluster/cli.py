@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from . import instances as gens
@@ -48,6 +47,7 @@ from .model import (
     InstanceFormatError,
     SolveReport,
     _scalar,
+    center_set,
     clustering_cost,
     clustering_from_doc,
     clustering_to_doc,
@@ -55,6 +55,7 @@ from .model import (
     instance_to_doc,
     load_instance_file,
     make_report,
+    point_ids,
     read_json_file,
     to_dot,
     validate_clustering,
@@ -109,13 +110,7 @@ def _parse_centers(text: str, inst: Instance) -> list[int]:
         centers = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise InstanceFormatError(f"cannot parse centers {text!r}") from exc
-    bad = [c for c in centers if not 0 <= c < inst.n]
-    if bad:
-        raise InstanceFormatError(f"center ids {bad} out of range for n={inst.n}")
-    if len(set(centers)) < len(centers):
-        repeated = sorted(c for c, times in Counter(centers).items() if times > 1)
-        raise InstanceFormatError(f"center ids {repeated} repeated")
-    return centers
+    return center_set(centers, inst.n)  # the budget is checked where centers are used
 
 
 def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
@@ -124,9 +119,7 @@ def _load_clustering(path: str, inst: Instance) -> tuple[dict, Clustering]:
     doc = read_json_file(path)
     result = clustering_from_doc(doc)
     # centers lie inside their clusters, so the clusters hold every id
-    bad = sorted(x for x in set().union(*result.clusters) if not 0 <= x < inst.n)
-    if bad:
-        raise InstanceFormatError(f"point ids {bad} out of range for n={inst.n}")
+    point_ids(sorted(set().union(*result.clusters)), inst.n)
     if doc.get("objective", CENTER) not in OBJECTIVES:
         raise InstanceFormatError(f"unknown objective {doc['objective']!r}")
     return doc, result
@@ -238,11 +231,7 @@ def _centers(q: _Query, algo: str) -> list[int]:
 
 def _oracle(inst: Instance, q: _Query) -> Solved:
     if q.centers is not None:
-        if len(q.centers) > inst.k:
-            raise AlgorithmPreconditionError(
-                f"{len(q.centers)} centers exceed the budget k={inst.k}"
-            )
-        res = exact_assignment(inst, q.centers, q.objective)
+        res = exact_assignment(inst, center_set(q.centers, inst.n, inst.k), q.objective)
         if res is None:
             raise InfeasibleError("no feasible assignment for the given centers")
         value, result = res

@@ -37,6 +37,7 @@ from .model import (
     bfs_parents,
     binary_search_min_feasible,
     candidate_radii,
+    center_set,
     cluster_radius,
     clustering,
     clustering_cost,
@@ -309,11 +310,7 @@ def solve_assignment_given_centers(
     to two centers) and applies the disjointification transform.  For
     two centers this is a 3-approximation of the best assignment.
     """
-    C = sorted(int(c) for c in C)
-    if len(set(C)) != len(C):
-        raise AlgorithmPreconditionError("centers must be distinct")
-    if not 1 <= len(C) <= inst.k:
-        raise AlgorithmPreconditionError("need 1 <= |C| <= k centers")
+    C = center_set(C, inst.n, inst.k)
 
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 

@@ -23,11 +23,11 @@ from .model import (
     NON_DISJOINT,
     AlgorithmPreconditionError,
     Clustering,
-    InfeasibleError,
     Instance,
     SolveReport,
     binary_search_min_feasible,
     candidate_radii,
+    center_set,
     clustering,
     clustering_cost,
     dedup_radii,
@@ -495,15 +495,9 @@ class _Forest:
 
 
 def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
+    C = center_set(C, inst.n)
     if inst.tree is None:
         raise AlgorithmPreconditionError("connectivity graph is not a tree")
-    C = sorted(int(c) for c in C)
-    if not C:
-        raise AlgorithmPreconditionError("need at least one center")
-    if len(set(C)) != len(C):
-        raise AlgorithmPreconditionError("centers must be distinct")
-    if not all(0 <= c < inst.n for c in C):
-        raise AlgorithmPreconditionError("center ids out of range")
 
     col = {c: j for j, c in enumerate(C)}
     parent = [-1] * inst.n
@@ -598,14 +592,12 @@ def solve_tree_assignment(
 ) -> tuple[SolveReport, Clustering]:
     """Smallest radius at which the fixed centers, at most k of them,
     admit a connected disjoint assignment on the tree."""
-    C = sorted(int(c) for c in C)
-    if len(C) > inst.k:
-        raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={inst.k}")
-    forest = _tree_forest(inst, C)
+    forest = _tree_forest(inst, center_set(C, inst.n, inst.k))
     cands = dedup_radii(forest.dist, leq=True)
     found = binary_search_min_feasible(cands, lambda r: _assign_forest(forest, r))
-    if found is None:
-        raise InfeasibleError("the given centers cannot serve every point")
+    # the tree is connected and has a center, so at the largest candidate,
+    # every point's distance to every center, each component is served
+    assert found is not None, "the largest candidate serves every point"
     r, result = found
     report = make_report(inst, result, CENTER, algorithm="tree-assign", bound=r)
     return report, result

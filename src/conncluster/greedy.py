@@ -28,9 +28,11 @@ from .model import (
     SolveReport,
     binary_search_min_feasible,
     candidate_radii,
+    center_set,
     clustering,
     leq_bound,
     make_report,
+    point_ids,
 )
 
 
@@ -267,9 +269,8 @@ def greedy_with_given_centers(
 ) -> Optional[GreedyOutput]:
     """Grow one cluster per given center; None if the union misses points.
     ``cache`` is the radius search's growth cache (``compute_cluster``)."""
-    C = [int(c) for c in C]
-    if len(set(C)) != len(C):
-        raise ValueError("centers must be distinct")
+    C = point_ids(C, what="center")
+    center_set(C, inst.n)  # the cover keeps the given order
     clusters = {c: compute_cluster(inst, r, c, cache) for c in C}
     out = GreedyOutput(tuple(C), clusters, r)
     if len(out.covered()) != inst.n:

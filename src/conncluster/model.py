@@ -335,10 +335,7 @@ def _read_edges(edges: Iterable[tuple[int, int]]) -> tuple[list, np.ndarray]:
         pairs = list(edges)
         if set(map(len, pairs)) - {2}:
             raise ValueError("an edge is not a pair")
-        flat = list(itertools.chain.from_iterable(pairs))
-        if set(map(type, flat)) - {int}:  # NumPy integers, or ids that are not integers
-            _require_ids(flat)
-            flat = list(map(int, flat))
+        flat = point_ids(itertools.chain.from_iterable(pairs))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError("connectivity edges must be [u, v] pairs") from exc
     try:
@@ -521,11 +518,42 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _require_ids(values: Iterable) -> None:
-    """Raise a TypeError unless every point id is an integer, not a bool."""
-    for x in values:
-        if type(x) is not int and not _is_int(x):  # JSON ids take the fast test
-            raise TypeError(f"point id {x!r} is not an integer")
+def point_ids(values: Iterable, n: Optional[int] = None, *, what: str = "point") -> list[int]:
+    """``values`` as a new list of Python ints: the one rule for the point
+    ids that a document or a caller hands in.
+
+    Each id is an integer, a NumPy integer too; a bool, a float such as
+    1.7 or 1.0, a string or None raises ``InstanceFormatError``, and so
+    does, given ``n``, an id outside 0..n-1.  Nothing that is not an
+    integer is converted.  ``what`` names the ids in the messages.
+    """
+    ids = list(values)
+    kinds = set(map(type, ids)) - {int}
+    if kinds:  # NumPy integers, or ids that are not integers
+        if not all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in kinds):
+            x = next(x for x in ids if not _is_int(x))
+            raise InstanceFormatError(f"{what} id {x!r} is not an integer")
+        ids = list(map(int, ids))
+    if n is not None and ids and (min(ids) < 0 or max(ids) >= n):
+        bad = [x for x in ids if not 0 <= x < n]  # as given, repeats included
+        raise InstanceFormatError(f"{what} ids {bad} out of range for n={n}")
+    return ids
+
+
+def center_set(values: Iterable, n: int, k: Optional[int] = None) -> list[int]:
+    """A center set's ids in ascending order: ``point_ids`` in 0..n-1, at
+    least one and none repeated, or ``InstanceFormatError``.  A solver
+    that consumes the centers passes its budget ``k``: more than k
+    centers raise ``AlgorithmPreconditionError``."""
+    C = sorted(point_ids(values, n, what="center"))
+    if not C:
+        raise InstanceFormatError("need at least one center")
+    if len(set(C)) < len(C):
+        repeated = sorted({a for a, b in zip(C, C[1:]) if a == b})
+        raise InstanceFormatError(f"center ids {repeated} repeated")
+    if k is not None and len(C) > k:
+        raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={k}")
+    return C
 
 
 def _numbers(value, what: str, bools: bool) -> np.ndarray:
@@ -611,7 +639,7 @@ def _metric_from_doc(doc: dict, bools: bool) -> MetricSpec:
             if not isinstance(doc["edges"], list):  # an object or a string iterates too
                 raise TypeError("metric-graph edges are not a JSON array")
             edges = tuple((u, v, _scalar(w)) for u, v, w in doc["edges"])
-            _require_ids([x for u, v, _ in edges for x in (u, v)])
+            point_ids(x for u, v, _ in edges for x in (u, v))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError("graph metric edges must be [u, v, weight] triples") from exc
         return GraphMetric(edges)
@@ -814,9 +842,11 @@ def clustering(
     centers: Optional[Sequence[int]] = None,
     mode: str = DISJOINT,
 ) -> Clustering:
+    """A ``Clustering`` whose every id passes ``point_ids``; the ids' range
+    is an instance's, which ``validate_clustering`` checks."""
     return Clustering(
-        clusters=tuple(frozenset(int(x) for x in c) for c in clusters),
-        centers=tuple(int(c) for c in centers) if centers is not None else None,
+        clusters=tuple(frozenset(point_ids(c)) for c in clusters),
+        centers=None if centers is None else tuple(point_ids(centers)),
         mode=mode,
     )
 
@@ -861,16 +891,11 @@ def validate_clustering(inst: Instance, c: Clustering) -> Verdict:
     """Check coverage, connectivity, disjointness (if required) and budget.
 
     Violations are returned as data; out-of-range point ids are a caller
-    error and raise instead.
+    error and raise instead (``point_ids``).
     """
-    for cl in c.clusters:
-        for x in cl:
-            if not (0 <= x < inst.n):
-                raise ValueError(f"point id {x} out of range")
+    covered = set().union(*c.clusters)
+    point_ids(sorted(covered), inst.n)
     violations: list[str] = []
-    covered: set[int] = set()
-    for cl in c.clusters:
-        covered |= cl
     if covered != set(range(inst.n)):
         missing = sorted(set(range(inst.n)) - covered)
         violations.append(f"points not covered: {missing}")
@@ -935,7 +960,6 @@ def clustering_from_doc(doc: dict) -> Clustering:
     if doc["mode"] not in MODES:
         raise InstanceFormatError(f'clustering mode must be one of {MODES}')
     try:
-        _require_ids(itertools.chain(*doc["clusters"], doc.get("centers") or ()))
         return clustering(doc["clusters"], doc.get("centers"), doc["mode"])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed clustering document: {exc}") from exc

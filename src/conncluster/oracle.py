@@ -30,6 +30,7 @@ from .model import (
     bfs_parents,
     binary_search_min_feasible,
     candidate_radii,
+    center_set,
     clustering,
     dedup_radii,
     dist_leq,
@@ -329,11 +330,7 @@ def exact_assignment(
     Returns None when no feasible assignment exists at any radius (some
     component of the connectivity graph has no center).
     """
-    C = sorted(int(c) for c in C)
-    if len(set(C)) != len(C):
-        raise ValueError("centers must be distinct")
-    if not C or not all(0 <= c < inst.n for c in C):
-        raise ValueError("center ids out of range")
+    C = center_set(C, inst.n)
     if len(bfs_parents(inst, range(inst.n), C)) != inst.n:  # a component has no center
         return None
     if objective == CENTER:
@@ -347,8 +344,9 @@ def exact_assignment(
         return _assignment_dfs(inst, C, r, objective, budget, deadline)
 
     found = binary_search_min_feasible(cands, probe)
-    if found is None:
-        return None
+    # every component has a center, so at the largest candidate the
+    # multi-source BFS assignment is one the search admits
+    assert found is not None, "the largest candidate admits the BFS assignment"
     r, side = found
     blocks = {c: {c} for c in C}
     for v, c in side.items():

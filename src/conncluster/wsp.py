@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import AlgorithmPreconditionError, Verdict, cluster_diameter, dist_leq
+from .model import AlgorithmPreconditionError, Verdict, center_set, cluster_diameter, dist_leq
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def verify_wsp(
     dist: np.ndarray, centers: Sequence[int], p: WellSeparatedPartition
 ) -> Verdict:
     """Exhaustively check the four defining properties of the partition."""
-    centers = set(int(c) for c in centers)
+    centers = set(center_set(centers, len(dist)))
     violations: list[str] = []
     seen: set[int] = set()
     for li, layer in enumerate(p.layers):
@@ -115,9 +115,7 @@ def partition_general_metric(
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    centers = sorted(int(c) for c in centers)
-    if not centers:
-        raise ValueError("center set is empty")
+    centers = center_set(centers, len(dist))
     unassigned = set(centers)
     layers: list[list[set[int]]] = []
     while unassigned:
@@ -160,51 +158,41 @@ def general_diameter_bound(k: int, r: float) -> float:
 # Lp metrics: colored grid
 
 
-@lru_cache(maxsize=None)
-def _color_cycle(level: int) -> tuple[tuple[int, ...], ...]:
-    """Cyclic sequence of color substitutions for stacking one dimension.
+def _cycle_color(level: int, t: int, slot: int) -> int:
+    """The color that state t of the stacking cycle gives base color
+    ``slot + 1``, for ``level`` >= 1 base colors.
 
-    State t holds the colors assigned to the base colors 1..level; each
-    step replaces the color under a cyclically moving pointer by the one
-    color of 1..level+1 currently unused.
+    The cycle starts at the colors 1..level; step s >= 1 moves the color
+    of 1..level+1 left unused, which is (s - 2) mod (level + 1) + 1, into
+    slot (s - 1) mod level.  After level * (level + 1) steps it is back
+    at the start.  So a slot holds its own color until its first write,
+    and then the color of its last write, at step
+    s = slot + 1 + level * floor((t - slot - 1) / level).
     """
-    params = list(range(1, level + 1))
-    start = tuple(params)
-    seq = [start]
-    pointer = 0
-    while True:
-        missing = (set(range(1, level + 2)) - set(params)).pop()
-        params[pointer] = missing
-        pointer = (pointer + 1) % level
-        if tuple(params) == start and pointer == 0:
-            break
-        seq.append(tuple(params))
-        if len(seq) > 10000:  # cycle length is small; guard regardless
-            raise RuntimeError("color cycle failed to close")
-    return tuple(seq)
+    t %= level * (level + 1)
+    if t <= slot:
+        return slot + 1
+    s = slot + 1 + level * ((t - slot - 1) // level)
+    return (s - 2) % (level + 1) + 1
 
 
-def _cell_color(cell: tuple[int, ...], level: int) -> int:
-    if level == 1:
-        return 1 + (cell[0] % 2)
-    if level == 0:  # no axes: one cell, one color
-        return 1
-    base = _cell_color(cell, level - 1)
-    seq = _color_cycle(level)
-    return seq[cell[level - 1] % len(seq)][base - 1]
+def _cell_color_block(cell: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """A cell's color, and the start along each axis of the maximal
+    same-color glued run it belongs to.
 
-
-def _cell_block(cell: tuple[int, ...], level: int) -> tuple[int, ...]:
-    """Identify the maximal same-color glued run the cell belongs to."""
-    if level == 1:
-        return (cell[0],)
-    if level == 0:
-        return ()
-    base = _cell_color(cell, level - 1)
-    t = cell[level - 1]
-    p = base - 1  # pointer position that recolors this base color
-    start = max(0, t - ((t - p - 1) % level))
-    return _cell_block(cell, level - 1) + (start,)
+    Axis 1 alternates colors 1 and 2; stacking axis ``level`` recolors
+    the color of the axes before it by state ``cell[level - 1]`` of the
+    cycle of ``level`` base colors.  A run along that axis ends where the
+    cycle's pointer next reaches the slot of the base color.
+    """
+    if not cell:  # no axes: one cell, one color
+        return 1, ()
+    color, block = 1 + cell[0] % 2, [cell[0]]
+    for level in range(2, len(cell) + 1):
+        t, slot = cell[level - 1], color - 1
+        block.append(max(0, t - ((t - slot - 1) % level)))
+        color = _cycle_color(level, t, slot)
+    return color, tuple(block)
 
 
 def _lp_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -251,19 +239,14 @@ def partition_lp(
     """
     if r <= 0:
         raise ValueError("r must be positive for the grid construction")
-    centers = sorted(int(c) for c in centers)
-    if not centers:
-        raise ValueError("center set is empty")
+    centers = center_set(centers, len(coords))
     cells = _grid_cells(coords, centers, r)
     if not np.isfinite(cells).all():
         raise ValueError("r is too small for a grid over these coordinates")
-    d = cells.shape[1]
     groups: dict[tuple[int, tuple[int, ...]], set[int]] = {}
     # exact Python ints: an index past 2**63 does not wrap
     for cid, cell in zip(centers, cells.tolist()):
-        cell_t = tuple(int(x) for x in cell)
-        color = _cell_color(cell_t, d)
-        block = _cell_block(cell_t, d)
+        color, block = _cell_color_block(tuple(int(x) for x in cell))
         groups.setdefault((color, block), set()).add(cid)
     by_color: dict[int, list[set[int]]] = {}
     for (color, _block), members in sorted(groups.items(), key=lambda kv: min(kv[1])):
@@ -320,9 +303,7 @@ def partition_doubling(
         raise ValueError("r must be nonnegative")
     if dim < 1:
         raise ValueError("doubling dimension must be positive")
-    centers = sorted(int(c) for c in centers)
-    if not centers:
-        raise ValueError("center set is empty")
+    centers = center_set(centers, len(dist))
     cover = _greedy_ball_cover(dist, centers, r)  # in seed order
     seeds = [s for s, _ in cover]
     color: list[int] = []  # first fit over the earlier seeds within 4r
@@ -351,8 +332,8 @@ def partition_two_centers(
 ) -> WellSeparatedPartition:
     """Single-layer partition for up to two centers: separate groups when
     the centers are more than 2r apart, one group otherwise."""
-    centers = sorted(int(c) for c in centers)
-    if not 1 <= len(centers) <= 2:
+    centers = center_set(centers, len(dist))
+    if len(centers) > 2:
         raise ValueError("this construction handles one or two centers")
     apart = len(centers) == 2 and not dist_leq(float(dist[centers[0], centers[1]]), 2.0 * r)
     groups = [{c} for c in centers] if apart else [set(centers)]

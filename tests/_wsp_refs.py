@@ -1,4 +1,5 @@
-"""Reference copy of the doubling partition ``partition_doubling``.
+"""Reference copies of the doubling partition ``partition_doubling`` and
+of the Lp grid's recursive cell coloring.
 
 Until its re-cover loop was deleted, ``partition_doubling`` tried, for
 each group whose seed saw at least 2^(4 dim) other seeds within 4r, to
@@ -7,9 +8,15 @@ a union of cover balls gives back exactly those balls, so the loop never
 accepted.  The function and its ball cover stay here, verbatim, as the
 reference the loop-free construction is checked against: every
 partition must come out the same.
+
+The Lp grid once built each stacking level's color cycle in memory, all
+level * (level + 1) states, and gave up past 10000 of them, so a
+document of 100 or more coordinates could not be solved.  The cycle and
+the recursive color and block of a cell stay here, verbatim, as the
+reference for the closed form that replaced them.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -91,3 +98,50 @@ def partition_doubling(
         by_color.setdefault(color[i], []).append(members)
     layers = [by_color[c] for c in sorted(by_color)]
     return _finalize(r, layers, partial(cluster_diameter, dist))
+
+
+@lru_cache(maxsize=None)
+def _color_cycle(level: int) -> tuple[tuple[int, ...], ...]:
+    """Cyclic sequence of color substitutions for stacking one dimension.
+
+    State t holds the colors assigned to the base colors 1..level; each
+    step replaces the color under a cyclically moving pointer by the one
+    color of 1..level+1 currently unused.
+    """
+    params = list(range(1, level + 1))
+    start = tuple(params)
+    seq = [start]
+    pointer = 0
+    while True:
+        missing = (set(range(1, level + 2)) - set(params)).pop()
+        params[pointer] = missing
+        pointer = (pointer + 1) % level
+        if tuple(params) == start and pointer == 0:
+            break
+        seq.append(tuple(params))
+        if len(seq) > 10000:  # cycle length is small; guard regardless
+            raise RuntimeError("color cycle failed to close")
+    return tuple(seq)
+
+
+def _cell_color(cell: tuple[int, ...], level: int) -> int:
+    if level == 1:
+        return 1 + (cell[0] % 2)
+    if level == 0:  # no axes: one cell, one color
+        return 1
+    base = _cell_color(cell, level - 1)
+    seq = _color_cycle(level)
+    return seq[cell[level - 1] % len(seq)][base - 1]
+
+
+def _cell_block(cell: tuple[int, ...], level: int) -> tuple[int, ...]:
+    """Identify the maximal same-color glued run the cell belongs to."""
+    if level == 1:
+        return (cell[0],)
+    if level == 0:
+        return ()
+    base = _cell_color(cell, level - 1)
+    t = cell[level - 1]
+    p = base - 1  # pointer position that recolors this base color
+    start = max(0, t - ((t - p - 1) % level))
+    return _cell_block(cell, level - 1) + (start,)

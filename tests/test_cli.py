@@ -478,6 +478,19 @@ def test_bench_bytes(line_file, tmp_path, capsys):
     assert untimed(stdout.encode()) == want
 
 
+@pytest.mark.parametrize("dim", [100, 300])
+def test_lp_documents_past_99_coordinates_solve(tmp_path, capsys, dim):
+    """The grid's color cycle once gave up at 100 coordinates, with a
+    traceback and exit 1."""
+    path = tmp_path / "lp.json"
+    run_cli(["gen", "--family", "lp", "--n", "30", "--k", "3", "--dim", str(dim),
+             "--seed", "0", "--out", str(path)], capsys)
+    for extra in (["--algo", "lp"], ["--objective", "diameter"]):
+        code, out, err = run_cli(["solve", "--in", str(path), *extra], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["feasible"]
+
+
 @pytest.mark.parametrize("algo", ["tree-assign", "assign"])
 def test_solve_rejects_center_id_out_of_range(tmp_path, capsys, algo):
     path = tmp_path / "tree.json"

@@ -6,6 +6,7 @@ from conncluster import (
     CENTER,
     DIAMETER,
     InfeasibleError,
+    InstanceFormatError,
     candidate_radii,
     compute_cluster,
     exact_nondisjoint_center,
@@ -91,7 +92,7 @@ def test_given_centers_failure(trap5):
 
 
 def test_given_centers_rejects_duplicates(trap5):
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(InstanceFormatError, match=r"center ids \[0\] repeated"):
         greedy_with_given_centers(trap5, [0, 0], 1.0)
 
 

@@ -611,6 +611,8 @@ MATRIX_NUMBERS = "distance matrix entries must be numbers"
         (dict(coords=[["0"], [1], [2]], p=1), "lp metric coords must be numbers"),
         (dict(coords=[[False], [True], [2]], p=1), "lp metric coords must be numbers"),
         (dict(coords=COORDS3.astype(bool), p=1), "lp metric coords must be numbers"),
+        (dict(dist=np.zeros((3, 2))), "distance matrix must be square"),
+        (dict(dist=np.zeros((0, 0))), "instance needs at least one point"),
     ],
 )
 def test_make_instance_applies_the_document_rules(kwargs, message):

@@ -18,6 +18,8 @@ from conncluster import (
 from conncluster.model import AlgorithmPreconditionError, dist_leq, dist_leq_arr
 from conncluster.wsp import (
     WellSeparatedPartition,
+    _cell_color_block,
+    _cycle_color,
     doubling_layer_bound,
     general_diameter_bound,
     general_layer_bound,
@@ -198,6 +200,43 @@ def test_lp_zero_dimensions_give_one_layer_of_one_group(p_norm):
     assert p.h == (0.0,)
     assert p.num_layers == lp_layer_bound(0) == 1
     assert verify_wsp(np.zeros((3, 3)), range(3), p).feasible
+
+
+def test_cycle_color_is_the_built_cycle_over_whole_periods():
+    for level in range(1, 13):
+        seq = _wsp_refs._color_cycle(level)
+        assert len(seq) == level * (level + 1)
+        for t in range(2 * len(seq)):
+            assert tuple(_cycle_color(level, t, slot) for slot in range(level)) == seq[t % len(seq)]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 40), st.one_of(st.integers(0, 3400), st.integers(0, 2**70)), st.data())
+def test_cycle_color_is_the_built_cycle(level, t, data):
+    """The closed form gives a slot the color that state t of the cycle
+    the grid once built in memory (``_wsp_refs._color_cycle``) gives it."""
+    seq = _wsp_refs._color_cycle(level)
+    slot = data.draw(st.integers(0, level - 1))
+    assert _cycle_color(level, t, slot) == seq[t % len(seq)][slot]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**70)), max_size=40).map(tuple))
+def test_cell_color_and_block_match_the_recursion(cell):
+    d = len(cell)
+    want = (_wsp_refs._cell_color(cell, d), _wsp_refs._cell_block(cell, d))
+    assert _cell_color_block(cell) == want
+
+
+@pytest.mark.parametrize("dim", [100, 300])
+def test_lp_grid_past_99_dimensions(dim):
+    """The built cycle gave up at level 100; the closed form has no such
+    limit, and the grid keeps its layer bound."""
+    inst = gen_random("lp", 30, 3, seed=0, dim=dim)
+    for r in (0.05, 0.5, 5.0):
+        p = partition_lp(inst.coords, inst.p, range(30), r)
+        assert p.num_layers <= lp_layer_bound(dim)
+        assert verify_wsp(inst.dist, range(30), p).feasible
 
 
 def test_lp_square_corners():
