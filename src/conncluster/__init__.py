@@ -26,7 +26,6 @@ from .exact import (
     tree_dp_solve,
 )
 from .greedy import (
-    GreedyOutput,
     compute_cluster,
     greedy_clustering,
     greedy_with_given_centers,

@@ -1,8 +1,9 @@
 """Turning non-disjoint greedy covers into disjoint connected clusterings.
 
-The transform takes a greedy cover and a well-separated partition of its
-centers.  Clusters whose centers share a group are merged; the layers
-are then replayed in order, splitting each incoming cluster along its
+The transform takes a cover, a non-disjoint ``Clustering`` with one
+center per cluster, and a well-separated partition of its centers.
+Clusters whose centers share a group are merged; the layers are then
+replayed in order, splitting each incoming cluster along its
 spanning tree wherever it touches already-finalized clusters so that
 every fragment is absorbed by exactly one owner.  The layer structure
 bounds the resulting radius by (2l-1)r + sum(h_i) and the diameter by
@@ -21,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .greedy import (
-    GreedyOutput,
     bottleneck_levels,
     greedy_clustering,
     greedy_with_given_centers,
@@ -29,6 +29,7 @@ from .greedy import (
 from .model import (
     CENTER,
     DISJOINT,
+    NON_DISJOINT,
     AlgorithmPreconditionError,
     Clustering,
     InfeasibleError,
@@ -41,7 +42,6 @@ from .model import (
     cluster_radius,
     clustering,
     clustering_cost,
-    dist_eq,
     dist_leq,
     leq_bound,
     make_report,
@@ -64,24 +64,25 @@ class DisjointInvariantError(RuntimeError):
 
 def make_disjoint(
     inst: Instance,
-    g: GreedyOutput,
+    cover: Clustering,
     p: WellSeparatedPartition,
     objective: str,
 ) -> Clustering:
-    """Merge-and-split transform from a greedy cover to disjoint clusters.
+    """Merge-and-split transform from a non-disjoint cover to a disjoint
+    clustering.
 
-    ``p`` must partition exactly the cover's center set at the cover's
-    growth radius.  The per-layer induction invariants and the final
-    cost bound are verified, and a ``DisjointInvariantError`` is raised
-    on any violation.
+    ``p`` must partition exactly the cover's center set; its radius r is
+    the radius the transform assumes of the cover.  The per-layer
+    induction invariants (the first of which fails for a cover cluster
+    reaching past r) and the final cost bound are verified, and a
+    ``DisjointInvariantError`` is raised on any violation.
     """
-    if p.center_set() != set(g.centers):
+    if cover.centers is None:
+        raise AlgorithmPreconditionError("the transform needs a cover with centers")
+    if p.center_set() != set(cover.centers):
         raise AlgorithmPreconditionError("partition does not cover the center set")
-    if not dist_eq(p.r, g.radius_used):
-        raise AlgorithmPreconditionError(
-            f"partition radius {p.r} differs from cover radius {g.radius_used}"
-        )
-    r = g.radius_used
+    r = p.r
+    cluster_of = dict(zip(cover.centers, cover.clusters))
 
     # Finalized clusters in (layer, center) order, and the index of the
     # cluster that owns each point placed so far.
@@ -95,7 +96,7 @@ def make_disjoint(
         for group in layer:
             comps: list[tuple[int, set[int]]] = []
             for c in sorted(group):
-                center, points = c, set(g.clusters[c])
+                center, points = c, set(cluster_of[c])
                 rest = []
                 for other, other_points in comps:  # pairwise disjoint: one pass
                     if other_points & points:
@@ -157,7 +158,7 @@ def make_disjoint(
                 )
 
     result = clustering(clusters, centers, DISJOINT)
-    if result.clusters_used > len(g.centers):
+    if result.clusters_used > len(cover.centers):
         raise DisjointInvariantError("more clusters than centers")
     verdict = validate_clustering(inst, result)
     structural = [
@@ -198,8 +199,6 @@ def _build_partition(
     if strategy == "doubling":
         if dim is None:
             raise AlgorithmPreconditionError("doubling strategy needs dim")
-        if dim < 1:
-            raise AlgorithmPreconditionError(f"doubling dimension must be at least 1, got {dim}")
         return partition_doubling(inst.dist, centers, r, dim)
     if strategy == "general":
         return partition_general_metric(inst.dist, centers, r)
@@ -226,7 +225,7 @@ def solve_disjoint(
 
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 
-    def probe(r: float) -> Optional[GreedyOutput]:
+    def probe(r: float) -> Optional[Clustering]:
         return greedy_clustering(inst, r, max_centers=inst.k, cache=cache)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
@@ -234,9 +233,9 @@ def solve_disjoint(
         raise InfeasibleError(
             "connectivity graph has more components than the cluster budget"
         )
-    r, g = found
-    p = _build_partition(inst, g.centers, r, strategy, dim)
-    result = make_disjoint(inst, g, p, objective)
+    r, cover = found
+    p = _build_partition(inst, cover.centers, r, strategy, dim)
+    result = make_disjoint(inst, cover, p, objective)
     report = make_report(
         inst,
         result,
@@ -247,9 +246,10 @@ def solve_disjoint(
     return report, result
 
 
-def first_covering_pair(levels: np.ndarray, r: float) -> Optional[GreedyOutput]:
-    """The first center pair, in ``itertools.combinations`` order, whose
-    clusters grown with radius r cover every point; None if none does.
+def first_covering_pair(levels: np.ndarray, r: float) -> Optional[Clustering]:
+    """The non-disjoint clustering of the first center pair (a, b), in
+    ``itertools.combinations`` order, whose clusters grown with radius r
+    cover every point; None if none does.
 
     ``levels`` is ``bottleneck_levels(inst)``.  With U the complement of
     the clusters, pair (a, b) covers everything iff ``(U @ U.T)[a, b]``
@@ -264,8 +264,8 @@ def first_covering_pair(levels: np.ndarray, r: float) -> Optional[GreedyOutput]:
     if not hits.size:
         return None
     a, b = divmod(int(hits[0]), len(levels))
-    clusters = {c: frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b)}
-    return GreedyOutput((a, b), clusters, r)
+    clusters = tuple(frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b))
+    return Clustering(clusters, (a, b), NON_DISJOINT)
 
 
 def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
@@ -286,9 +286,9 @@ def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:
         raise InfeasibleError("connectivity graph has more than two components")
-    r, g = found
-    c1, c2 = g.centers
-    t1, t2 = g.clusters[c1], g.clusters[c2]
+    r, cover = found
+    c1, c2 = cover.centers
+    t1, t2 = cover.clusters
     if not (t1 & t2):
         result = clustering([t1, t2], [c1, c2], DISJOINT)
         bound = r
@@ -314,18 +314,18 @@ def solve_assignment_given_centers(
 
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 
-    def probe(r: float) -> Optional[GreedyOutput]:
+    def probe(r: float) -> Optional[Clustering]:
         return greedy_with_given_centers(inst, C, r, cache)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:
         raise InfeasibleError("the given centers cannot reach every point")
-    r, g = found
+    r, cover = found
     if len(C) <= 2:
         p = partition_two_centers(inst.dist, C, r)
     else:
         p = partition_general_metric(inst.dist, C, r)
-    result = make_disjoint(inst, g, p, objective)
+    result = make_disjoint(inst, cover, p, objective)
     report = make_report(
         inst,
         result,

@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,36 +28,10 @@ from .model import (
     binary_search_min_feasible,
     candidate_radii,
     center_set,
-    clustering,
     leq_bound,
     make_report,
     point_ids,
 )
-
-
-@dataclass(frozen=True)
-class GreedyOutput:
-    """Covering produced by the greedy algorithm.
-
-    ``centers`` preserves selection order; every point of the instance
-    lies in at least one ``clusters[c]`` and every member of a cluster
-    is within ``radius_used`` of its center.
-    """
-
-    centers: tuple[int, ...]
-    clusters: dict[int, frozenset[int]]
-    radius_used: float
-
-    def covered(self) -> set[int]:
-        out: set[int] = set()
-        for t in self.clusters.values():
-            out |= t
-        return out
-
-    def as_clustering(self) -> Clustering:
-        return clustering(
-            [self.clusters[c] for c in self.centers], list(self.centers), NON_DISJOINT
-        )
 
 
 class _Walk:
@@ -228,8 +201,9 @@ def greedy_clustering(
     rng: Optional[random.Random] = None,
     max_centers: Optional[int] = None,
     cache: Optional[dict[int, _Walk]] = None,
-) -> Optional[GreedyOutput]:
-    """Cover all points by clusters grown around uncovered seeds.
+) -> Optional[Clustering]:
+    """Cover all points by clusters grown around uncovered seeds: a
+    non-disjoint clustering, its clusters in selection order.
 
     Seeds are the smallest-id uncovered point, or a random uncovered
     point when ``rng`` is given.  When ``max_centers`` is set, returns
@@ -238,7 +212,7 @@ def greedy_clustering(
     """
     covered = bytearray(inst.n)
     centers: list[int] = []
-    clusters: dict[int, frozenset[int]] = {}
+    clusters: list[frozenset[int]] = []
     c = 0
     while True:
         if rng is None:
@@ -255,10 +229,10 @@ def greedy_clustering(
         # positional: a wrapper rebound at this name may take no keywords
         t = compute_cluster(inst, r, c, cache)
         centers.append(c)
-        clusters[c] = t
+        clusters.append(t)
         for v in t:
             covered[v] = 1
-    return GreedyOutput(tuple(centers), clusters, r)
+    return Clustering(tuple(clusters), tuple(centers), NON_DISJOINT)
 
 
 def greedy_with_given_centers(
@@ -266,16 +240,16 @@ def greedy_with_given_centers(
     C: Sequence[int],
     r: float,
     cache: Optional[dict[int, _Walk]] = None,
-) -> Optional[GreedyOutput]:
-    """Grow one cluster per given center; None if the union misses points.
+) -> Optional[Clustering]:
+    """Grow one cluster per given center, in the given order, into a
+    non-disjoint clustering; None if the union misses points.
     ``cache`` is the radius search's growth cache (``compute_cluster``)."""
     C = point_ids(C, what="center")
     center_set(C, inst.n)  # the cover keeps the given order
-    clusters = {c: compute_cluster(inst, r, c, cache) for c in C}
-    out = GreedyOutput(tuple(C), clusters, r)
-    if len(out.covered()) != inst.n:
+    clusters = tuple(compute_cluster(inst, r, c, cache) for c in C)
+    if len(frozenset().union(*clusters)) != inst.n:
         return None
-    return out
+    return Clustering(clusters, tuple(C), NON_DISJOINT)
 
 
 def solve_nondisjoint(
@@ -294,7 +268,7 @@ def solve_nondisjoint(
     factor = 2.0 if objective == CENTER else 1.0
     cache: dict[int, _Walk] = {}
 
-    def probe(r: float) -> Optional[GreedyOutput]:
+    def probe(r: float) -> Optional[Clustering]:
         rng = random.Random(f"{seed}:{r}") if seed is not None else None
         return greedy_clustering(
             inst, factor * r, rng=rng, max_centers=inst.k, cache=cache
@@ -305,8 +279,7 @@ def solve_nondisjoint(
         raise InfeasibleError(
             "connectivity graph has more components than the cluster budget"
         )
-    r, out = found
-    result = out.as_clustering()
+    r, result = found
     report = make_report(
         inst, result, objective, algorithm="greedy-nondisjoint", bound=2.0 * r
     )

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import AlgorithmPreconditionError, Verdict, center_set, cluster_diameter, dist_leq
+from .model import AlgorithmPreconditionError, Verdict, center_set, cluster_diameter, dist_leq, point_ids
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,10 @@ def _finalize(
 def verify_wsp(
     dist: np.ndarray, centers: Sequence[int], p: WellSeparatedPartition
 ) -> Verdict:
-    """Exhaustively check the four defining properties of the partition."""
+    """Exhaustively check the four defining properties of the partition.
+    Its groups, as the center set, must name points of ``dist``."""
     centers = set(center_set(centers, len(dist)))
+    point_ids(p.center_set(), len(dist))
     violations: list[str] = []
     seen: set[int] = set()
     for li, layer in enumerate(p.layers):
@@ -302,7 +304,7 @@ def partition_doubling(
     if r < 0:
         raise ValueError("r must be nonnegative")
     if dim < 1:
-        raise ValueError("doubling dimension must be positive")
+        raise AlgorithmPreconditionError(f"doubling dimension must be at least 1, got {dim}")
     centers = center_set(centers, len(dist))
     cover = _greedy_ball_cover(dist, centers, r)  # in seed order
     seeds = [s for s, _ in cover]

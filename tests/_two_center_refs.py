@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from conncluster.greedy import GreedyOutput
 from conncluster.model import (
     CENTER,
     DISJOINT,
+    NON_DISJOINT,
+    Clustering,
     InfeasibleError,
     binary_search_min_feasible,
     candidate_radii,
@@ -60,7 +61,7 @@ def grow_all_clusters(inst, R: float, adj: np.ndarray) -> np.ndarray:
 
 def first_covering_pair(
     inst, r: float, adj: np.ndarray
-) -> Optional[GreedyOutput]:
+) -> Optional[Clustering]:
     """The first center pair, in ``itertools.combinations`` order, whose
     clusters grown with radius r cover every point; None if none does.
 
@@ -77,8 +78,8 @@ def first_covering_pair(
     if not hits.size:
         return None
     a, b = divmod(int(hits[0]), inst.n)
-    clusters = {c: frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b)}
-    return GreedyOutput((a, b), clusters, r)
+    clusters = tuple(frozenset(np.flatnonzero(members[c]).tolist()) for c in (a, b))
+    return Clustering(clusters, (a, b), NON_DISJOINT)
 
 
 def solve_two_center_disjoint(inst):
@@ -91,7 +92,7 @@ def solve_two_center_disjoint(inst):
         raise InfeasibleError("connectivity graph has more than two components")
     r, g = found
     c1, c2 = g.centers
-    t1, t2 = g.clusters[c1], g.clusters[c2]
+    t1, t2 = g.clusters
     if not (t1 & t2):
         result = clustering([t1, t2], [c1, c2], DISJOINT)
         bound = r

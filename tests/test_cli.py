@@ -1,6 +1,8 @@
 import builtins
+import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -21,6 +23,7 @@ from conncluster.model import (
     instance_to_doc,
     load_instance_file,
 )
+from conncluster.oracle import exact_nondisjoint_diameter
 
 
 def run_cli(args, capsys):
@@ -289,6 +292,48 @@ def test_exit_code_infeasible_assignment(tmp_path, capsys):
     assert code == 1
 
 
+def _two_components(tmp_path, k):
+    """A 4-point document whose connectivity graph is the edges 0-1 and 2-3."""
+    path = tmp_path / f"two-k{k}.json"
+    path.write_text(json.dumps({
+        "n": 4, "k": k,
+        "metric": {"type": "explicit",
+                   "matrix": [[0, 1, 5, 5], [1, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]]},
+        "edges": [[0, 1], [2, 3]],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "k, argv, code, message",
+    [
+        (1, ["--algo", "general"], 1,
+         "connectivity graph has more components than the cluster budget"),
+        (2, ["--algo", "oracle", "--centers", "0,1"], 1,
+         "no feasible assignment for the given centers"),
+        (2, ["--algo", "assign", "--centers", "1,x"], 2, "cannot parse centers '1,x'"),
+        (2, ["--algo", "assign"], 3, "assign needs --centers"),
+        (2, ["--algo", "tree-assign"], 3, "tree-assign needs --centers"),
+        (2, ["--algo", "greedy", "--mode", "non_disjoint", "--exact-k"], 3,
+         "--exact-k needs a disjoint result"),
+    ],
+    ids=["general-infeasible", "oracle-infeasible-centers", "unparsable-centers",
+         "assign-without-centers", "tree-assign-without-centers", "exact-k-non-disjoint"],
+)
+def test_solve_exits_with_its_code_and_message(tmp_path, capsys, k, argv, code, message):
+    got = run_cli(["solve", "--in", _two_components(tmp_path, k), *argv], capsys)
+    assert got == (code, "", f"error: {message}\n")
+
+
+def test_validate_of_a_clustering_without_clusters_exits_2(line_file, tmp_path, capsys):
+    cl = tmp_path / "cl.json"
+    cl.write_text(json.dumps({"mode": "disjoint", "clusters": []}))
+    got = run_cli(["validate", "--in", line_file, "--clustering", str(cl)], capsys)
+    assert got == (
+        2, "", "error: malformed clustering document: clustering needs at least one cluster\n"
+    )
+
+
 def test_export_dot(line_file, tmp_path, capsys):
     sol = tmp_path / "sol.json"
     run_cli(["solve", "--in", line_file, "--out", str(sol)], capsys)
@@ -335,6 +380,19 @@ def test_bench_csv(line_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("instance,algo,n,k,value,oracle,ratio,seconds")
     assert len(lines) == 3
+
+
+def test_bench_non_disjoint_diameter_fills_the_oracle_column(line_file, capsys):
+    code, out, err = run_cli(["bench", "--in", line_file, "--algos", "greedy,line",
+                              "--objective", "diameter", "--mode", "non_disjoint"], capsys)
+    assert (code, err) == (0, "")
+    optimum = exact_nondisjoint_diameter(load_instance_file(line_file))
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[1] for row in rows] == ["greedy", "line"]
+    for row in rows:
+        assert float(row[5]) == optimum > 0
+        assert float(row[6]) == float(row[4]) / optimum
+    assert float(rows[1][6]) == 1.0  # the line solver is exact
 
 
 def _child_env():

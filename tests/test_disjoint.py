@@ -7,7 +7,9 @@ from conncluster import (
     CENTER,
     DIAMETER,
     DISJOINT,
+    NON_DISJOINT,
     AlgorithmPreconditionError,
+    Clustering,
     clustering,
     clustering_cost,
     exact_assignment,
@@ -26,7 +28,7 @@ from conncluster import (
     solve_two_center_disjoint,
     validate_clustering,
 )
-from conncluster.greedy import GreedyOutput
+from conncluster.disjoint import DisjointInvariantError
 from conncluster.model import dist_leq
 from conncluster.wsp import WellSeparatedPartition
 
@@ -75,14 +77,10 @@ def test_make_disjoint_splits_tree_between_owners():
         m[u, v] = m[v, u] = val
     m[0, 6] = m[6, 0] = 10.0
     inst = make_instance(m, [(i, i + 1) for i in range(6)], 3)
-    g = GreedyOutput(
+    g = Clustering(
+        clusters=(frozenset({0, 1}), frozenset({5, 6}), frozenset({1, 2, 3, 4, 5})),
         centers=(0, 6, 3),
-        clusters={
-            0: frozenset({0, 1}),
-            6: frozenset({5, 6}),
-            3: frozenset({1, 2, 3, 4, 5}),
-        },
-        radius_used=2.0,
+        mode=NON_DISJOINT,
     )
     p = WellSeparatedPartition(
         r=2.0,
@@ -104,11 +102,29 @@ def test_make_disjoint_rejects_center_mismatch(line6):
         make_disjoint(line6, g, p, CENTER)
 
 
-def test_make_disjoint_rejects_radius_mismatch(line6):
-    g = greedy_with_given_centers(line6, [2, 3], 1.0)
-    p = partition_two_centers(line6.dist, [2, 3], 2.0)
-    with pytest.raises(AlgorithmPreconditionError, match="radius"):
-        make_disjoint(line6, g, p, CENTER)
+def test_make_disjoint_rejects_a_cover_without_centers(line6):
+    p = partition_two_centers(line6.dist, [2, 3], 1.0)
+    with pytest.raises(AlgorithmPreconditionError) as info:
+        make_disjoint(line6, clustering([range(6)], None, NON_DISJOINT), p, CENTER)
+    assert str(info.value) == "the transform needs a cover with centers"
+
+
+def test_make_disjoint_rejects_a_cover_wider_than_the_partition_radius():
+    # path 0-1-2 with d(0,1) = d(1,2) = 1 and d(0,2) = 2: the cover grown
+    # around 0 at 2.0 holds 2, which lies past the partition's r = 1.0
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    inst = make_instance(m, [(0, 1), (1, 2)], 1)
+    g = greedy_clustering(inst, 2.0)
+    assert g == Clustering((frozenset({0, 1, 2}),), (0,), NON_DISJOINT)
+    p = partition_two_centers(inst.dist, [0], 1.0)
+    with pytest.raises(DisjointInvariantError) as info:
+        make_disjoint(inst, g, p, CENTER)
+    assert str(info.value) == (
+        "after layer 1: cluster of center 0 has radius 2.0 > 1r + h_1..h_1 = 1.0"
+    )
+    # at the cover's own radius the transform keeps it
+    p = partition_two_centers(inst.dist, [0], 2.0)
+    assert make_disjoint(inst, g, p, CENTER) == clustering([{0, 1, 2}], [0], DISJOINT)
 
 
 def test_solve_disjoint_k_equals_n():

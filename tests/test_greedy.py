@@ -46,12 +46,12 @@ def test_greedy_trap_two_rounds(trap5):
     out = greedy_clustering(trap5, 2.0)
     assert out.centers == (0, 3)
     assert out.clusters[0] == frozenset({0, 1, 2})
-    assert out.covered() == set(range(5))
+    assert frozenset().union(*out.clusters) == set(range(5))
 
 
 def test_greedy_random_order_covers(trap5):
     out = greedy_clustering(trap5, 2.0, rng=random.Random(3))
-    assert out.covered() == set(range(5))
+    assert frozenset().union(*out.clusters) == set(range(5))
 
 
 def test_greedy_max_centers_cutoff(line6):
@@ -63,7 +63,7 @@ def test_greedy_maximality():
         inst = gen_random("general", 8, 3, seed=seed)
         for r in candidate_radii(inst):
             out = greedy_clustering(inst, r)
-            for c, members in out.clusters.items():
+            for c, members in zip(out.centers, out.clusters):
                 frontier = {
                     u
                     for v in members
@@ -77,14 +77,14 @@ def test_greedy_maximality():
 def test_given_centers_cover(trap5):
     out = greedy_with_given_centers(trap5, [0, 2], 1.0)
     assert out is not None
-    assert out.clusters[0] == frozenset({0, 1})
-    assert out.clusters[2] == frozenset({2, 3, 4})
+    assert out.centers == (0, 2)
+    assert out.clusters == (frozenset({0, 1}), frozenset({2, 3, 4}))
 
 
 def test_given_centers_all_singletons(trap5):
     out = greedy_with_given_centers(trap5, list(range(5)), 0.0)
     assert out is not None
-    assert all(out.clusters[c] == frozenset({c}) for c in range(5))
+    assert out.clusters == tuple(frozenset({c}) for c in range(5))
 
 
 def test_given_centers_failure(trap5):
@@ -152,7 +152,7 @@ def test_cluster_radius_within_growth():
         inst = gen_random("lp", 9, 3, seed=seed)
         for r in candidate_radii(inst)[::5]:
             out = greedy_clustering(inst, r)
-            for c, members in out.clusters.items():
+            for c, members in zip(out.centers, out.clusters):
                 assert all(dist_leq(inst.d(x, c), r) for x in members)
 
 
@@ -162,7 +162,7 @@ def test_cluster_diameter_at_most_twice_growth():
         inst = gen_random("lp", 9, 3, seed=seed + 50)
         for r in candidate_radii(inst)[::5]:
             out = greedy_clustering(inst, r)
-            for members in out.clusters.values():
+            for members in out.clusters:
                 for x in members:
                     for y in members:
                         assert dist_leq(inst.d(x, y), 2.0 * r)

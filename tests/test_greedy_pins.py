@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conncluster import greedy
-from conncluster.greedy import GreedyOutput, compute_cluster, greedy_clustering
+from conncluster.greedy import compute_cluster, greedy_clustering
 from conncluster.instances import gen_random
-from conncluster.model import LpMetric, dist_leq, load_instance, make_instance
+from conncluster.model import NON_DISJOINT, Clustering, LpMetric, dist_leq, load_instance, make_instance
 
 from test_exact_probes import distance, probe_radii
 
@@ -44,16 +44,16 @@ def loop_compute_cluster(inst, R, c):
 def loop_greedy_clustering(inst, r, *, rng=None, max_centers=None):
     uncovered = set(range(inst.n))
     centers = []
-    clusters = {}
+    clusters = []
     while uncovered:
         if max_centers is not None and len(centers) >= max_centers:
             return None
         c = rng.choice(sorted(uncovered)) if rng is not None else min(uncovered)
         t = loop_compute_cluster(inst, r, c)
         centers.append(c)
-        clusters[c] = t
+        clusters.append(t)
         uncovered -= t
-    return GreedyOutput(tuple(centers), clusters, r)
+    return Clustering(tuple(clusters), tuple(centers), NON_DISJOINT)
 
 
 def loop_lp_realize(coords, p):

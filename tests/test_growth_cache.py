@@ -22,7 +22,6 @@ from conncluster.disjoint import (
     solve_disjoint,
 )
 from conncluster.greedy import (
-    GreedyOutput,
     compute_cluster,
     greedy_clustering,
     greedy_with_given_centers,
@@ -31,8 +30,10 @@ from conncluster.greedy import (
 from conncluster.instances import gen_random
 from conncluster.model import (
     CENTER,
+    NON_DISJOINT,
     OBJECTIVES,
     AlgorithmPreconditionError,
+    Clustering,
     InfeasibleError,
     clustering_to_doc,
 )
@@ -42,10 +43,10 @@ from test_greedy_pins import instances, loop_compute_cluster, loop_greedy_cluste
 
 
 def loop_given_centers(inst, C, r):
-    clusters = {c: loop_compute_cluster(inst, r, c) for c in C}
-    if len(frozenset().union(*clusters.values())) != inst.n:
+    clusters = tuple(loop_compute_cluster(inst, r, c) for c in C)
+    if len(frozenset().union(*clusters)) != inst.n:
         return None
-    return GreedyOutput(tuple(C), clusters, r)
+    return Clustering(clusters, tuple(C), NON_DISJOINT)
 
 
 @settings(max_examples=100, deadline=None)

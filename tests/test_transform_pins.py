@@ -7,7 +7,10 @@ separate branches for clusters touching no, one or several finalized
 clusters.  The one-pass transform must return the same clustering, with
 its clusters and centers in the same order, or raise the same exception
 with the same message, so that every report and every CLI byte stays
-the same.
+the same.  It took the cover with its clusters keyed by center, beside
+the radius they were grown at; ``old_make_disjoint_of_cover`` hands it a
+``Clustering`` cover in that form, at the partition's radius, which is
+the radius ``make_disjoint`` reads.
 
 ``_bfs_tree``, ``old_validate_clustering`` (with ``_is_connected_subset``)
 and ``old_pad_to_k`` are the spanning trees, the connectivity test and
@@ -20,6 +23,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -283,6 +287,15 @@ def old_make_disjoint(inst, g, p, objective):
     return result
 
 
+def old_make_disjoint_of_cover(inst, cover, p, objective):
+    """``old_make_disjoint`` on a ``Clustering`` cover, as ``make_disjoint``
+    takes it: the clusters keyed by center, grown at ``p.r``."""
+    g = SimpleNamespace(
+        centers=cover.centers, clusters=dict(zip(cover.centers, cover.clusters)), radius_used=p.r
+    )
+    return old_make_disjoint(inst, g, p, objective)
+
+
 def outcome(fn, *args):
     """The result of ``fn(*args)``, or the type and message of the
     exception it raised."""
@@ -294,7 +307,7 @@ def outcome(fn, *args):
 
 def assert_same(*args):
     got = outcome(make_disjoint, *args)
-    want = outcome(old_make_disjoint, *args)
+    want = outcome(old_make_disjoint_of_cover, *args)
     assert got == want
     if not isinstance(got, tuple):  # a Clustering: equal, in the same order
         assert got.clusters == want.clusters and got.centers == want.centers
@@ -363,7 +376,8 @@ def test_transform_matches_old(data, inst):
             for p in partitions(inst, sorted(g.centers), r):
                 for objective in (CENTER, DIAMETER):
                     assert_same(inst, g, p, objective)
-        # a partition of another radius or another center set is refused
+        # a partition at another radius: the cover is checked against that
+        # radius; a partition of another center set is refused
         g = covers[0]
         other = radii[(radii.index(r) + 1) % len(radii)]
         assert_same(inst, g, partition_general_metric(inst.dist, g.centers, other), CENTER)
@@ -402,7 +416,7 @@ def test_seeded_solves_match_old(monkeypatch):
 
             got = run_all()
             with monkeypatch.context() as m:
-                m.setattr(disjoint, "make_disjoint", old_make_disjoint)
+                m.setattr(disjoint, "make_disjoint", old_make_disjoint_of_cover)
                 assert got == run_all()
 
 

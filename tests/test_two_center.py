@@ -59,7 +59,7 @@ def pair_scan_two_center(inst):
         raise InfeasibleError("connectivity graph has more than two components")
     r, g = found
     c1, c2 = g.centers
-    t1, t2 = g.clusters[c1], g.clusters[c2]
+    t1, t2 = g.clusters
     if not (t1 & t2):
         result = clustering([t1, t2], [c1, c2], DISJOINT)
         bound = r
@@ -142,7 +142,7 @@ def test_first_covering_pair_matches_pair_scan(inst):
         got = first_covering_pair(levels, r)
         assert got == pair_scan_probe(inst, r)
         if got is not None:
-            assert all(type(x) is int for cl in got.clusters.values() for x in cl)
+            assert all(type(x) is int for cl in got.clusters for x in cl)
 
 
 @settings(max_examples=200)

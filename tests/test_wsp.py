@@ -15,7 +15,7 @@ from conncluster import (
     partition_two_centers,
     verify_wsp,
 )
-from conncluster.model import AlgorithmPreconditionError, dist_leq, dist_leq_arr
+from conncluster.model import AlgorithmPreconditionError, InstanceFormatError, dist_leq, dist_leq_arr
 from conncluster.wsp import (
     WellSeparatedPartition,
     _cell_color_block,
@@ -120,6 +120,19 @@ def test_verify_names_each_broken_property(layers, h, violation):
     d = spaced_line(2, 10.0)
     verdict = verify_wsp(d, [0, 1], WellSeparatedPartition(1.0, layers, h))
     assert (verdict.feasible, verdict.violations) == (False, (violation,))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(5, "point ids [5] out of range for n=3"), (-1, "point ids [-1] out of range for n=3")],
+)
+def test_verify_refuses_group_ids_outside_the_matrix(bad, message):
+    # 5 once raised IndexError; -1 read the last row and reported a
+    # violation of the separation, d(0,-1)=0.0
+    p = WellSeparatedPartition(1.0, ((frozenset({0}), frozenset({bad})),), (0.0,))
+    with pytest.raises(InstanceFormatError) as info:
+        verify_wsp(np.zeros((3, 3)), [0, 1], p)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +402,13 @@ def test_layers_past_the_declared_dimension_raise(n):
     else:
         with pytest.raises(AlgorithmPreconditionError, match="need 17 layers, more than the 16"):
             partition_doubling(d, range(n), 1.0, 1)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_doubling_dimension_below_one_raises(dim):
+    with pytest.raises(AlgorithmPreconditionError) as info:
+        partition_doubling(spaced_line(3, 1.0), range(3), 1.0, dim)
+    assert str(info.value) == f"doubling dimension must be at least 1, got {dim}"
 
 
 def test_under_declared_dimension_reaches_the_old_recover():
