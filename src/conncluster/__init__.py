@@ -64,7 +64,6 @@ from .model import (
 )
 from .oracle import (
     OracleLimitError,
-    OracleLimits,
     exact_assignment,
     exact_disjoint,
     exact_disjoint_center_via_centersets,

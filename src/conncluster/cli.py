@@ -175,7 +175,6 @@ class _Query:
     mode: str
     dim: int
     centers: Optional[list[int]] = None
-    seed: Optional[int] = None
 
 
 Solved = tuple[SolveReport, Clustering]
@@ -188,12 +187,12 @@ def _auto(inst: Instance, q: _Query) -> Solved:
     if path and (q.objective == DIAMETER or q.mode == NON_DISJOINT):
         return ALGORITHMS["line"](inst, q)
     if q.mode == NON_DISJOINT:
-        return ALGORITHMS["greedy"](inst, dataclasses.replace(q, seed=None))
-    if tree is not None and q.objective == CENTER:
+        return ALGORITHMS["greedy"](inst, q)
+    if tree is not None:
         return ALGORITHMS["tree-dp"](inst, q)
     if inst.k == 2 and q.objective == CENTER:
         return ALGORITHMS["two-center"](inst, q)
-    return solve_disjoint(inst, q.objective, "auto")
+    return ALGORITHMS["lp" if inst.coords is not None else "general"](inst, q)
 
 
 def _line(inst: Instance, q: _Query) -> Solved:
@@ -252,7 +251,7 @@ def _oracle(inst: Instance, q: _Query) -> Solved:
 #: one called.
 ALGORITHMS: dict[str, Entry] = {
     "auto": _auto,
-    "greedy": lambda inst, q: solve_nondisjoint(inst, q.objective, seed=q.seed),
+    "greedy": lambda inst, q: solve_nondisjoint(inst, q.objective),
     "line": _line,
     "tree-dp": _center_only(lambda inst, q: tree_dp_solve(inst)),
     "tree-assign": _center_only(
@@ -272,7 +271,7 @@ ALGORITHMS: dict[str, Entry] = {
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance_file(args.infile)
     centers = _parse_centers(args.centers, inst) if args.centers else None
-    query = _Query(args.objective, args.mode, args.dim, centers, args.seed)
+    query = _Query(args.objective, args.mode, args.dim, centers)
     report, result = ALGORITHMS[args.algo](inst, query)
     if args.exact_k:
         if result.mode != DISJOINT:
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--centers", default=None)
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--exact-k", action="store_true")
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default=None)
     s.set_defaults(func=lambda args: cmd_solve(args))
 

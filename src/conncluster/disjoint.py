@@ -17,7 +17,7 @@ returning an invalid clustering when it is violated.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -183,46 +183,47 @@ def partition_bound(p: WellSeparatedPartition, objective: str) -> float:
     return (4 * ell - 2) * p.r + p.h[0] + 2 * sum(p.h[1:])
 
 
-def _build_partition(
-    inst: Instance,
-    centers: Sequence[int],
-    r: float,
-    strategy: str,
-    dim: Optional[int],
-) -> WellSeparatedPartition:
+def _partitioner(
+    inst: Instance, strategy: str, dim: Optional[int]
+) -> Callable[[Sequence[int], float], WellSeparatedPartition]:
+    """The partition step of ``strategy`` on ``inst``, as a function of the
+    cover's centers and radius.  A strategy the instance cannot run is
+    refused here, before any radius search."""
     if strategy == "lp":
         if inst.coords is None:
             raise AlgorithmPreconditionError("lp strategy needs an lp metric")
-        if lp_grid_fits(inst.coords, centers, r):
-            return partition_lp(inst.coords, inst.p, centers, r)
-        return partition_general_metric(inst.dist, centers, r)
+
+        def lp(centers: Sequence[int], r: float) -> WellSeparatedPartition:
+            if lp_grid_fits(inst.coords, centers, r):
+                return partition_lp(inst.coords, inst.p, centers, r)
+            return partition_general_metric(inst.dist, centers, r)
+
+        return lp
     if strategy == "doubling":
         if dim is None:
             raise AlgorithmPreconditionError("doubling strategy needs dim")
-        return partition_doubling(inst.dist, centers, r, dim)
+        return lambda centers, r: partition_doubling(inst.dist, centers, r, dim)
     if strategy == "general":
-        return partition_general_metric(inst.dist, centers, r)
+        return lambda centers, r: partition_general_metric(inst.dist, centers, r)
     raise AlgorithmPreconditionError(f"unknown partition strategy {strategy!r}")
 
 
 def solve_disjoint(
     inst: Instance,
     objective: str,
-    strategy: str = "auto",
+    strategy: str,
     *,
     dim: Optional[int] = None,
 ) -> tuple[SolveReport, Clustering]:
     """Greedy cover + partition + disjointification pipeline.
 
     Finds the smallest candidate radius whose greedy cover opens at most
-    k centers, partitions those centers with the chosen strategy (auto:
-    grid partition when coordinates are available, ring growth
-    otherwise) and makes the cover disjoint.  The report carries the
-    partition-derived a-priori cost bound.
+    k centers, partitions those centers with the named strategy
+    (``"lp"``, ``"doubling"`` or ``"general"``) and makes the cover
+    disjoint.  The report carries the partition-derived a-priori cost
+    bound.
     """
-    if strategy == "auto":
-        strategy = "lp" if inst.coords is not None else "general"
-
+    partition = _partitioner(inst, strategy, dim)
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 
     def probe(r: float) -> Optional[Clustering]:
@@ -234,7 +235,7 @@ def solve_disjoint(
             "connectivity graph has more components than the cluster budget"
         )
     r, cover = found
-    p = _build_partition(inst, cover.centers, r, strategy, dim)
+    p = partition(cover.centers, r)
     result = make_disjoint(inst, cover, p, objective)
     report = make_report(
         inst,

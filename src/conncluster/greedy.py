@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 from bisect import bisect_right
 from typing import Optional, Sequence
 
@@ -198,32 +197,22 @@ def greedy_clustering(
     inst: Instance,
     r: float,
     *,
-    rng: Optional[random.Random] = None,
     max_centers: Optional[int] = None,
     cache: Optional[dict[int, _Walk]] = None,
 ) -> Optional[Clustering]:
     """Cover all points by clusters grown around uncovered seeds: a
     non-disjoint clustering, its clusters in selection order.
 
-    Seeds are the smallest-id uncovered point, or a random uncovered
-    point when ``rng`` is given.  When ``max_centers`` is set, returns
-    None as soon as more centers would be needed (probe early-exit).
-    ``cache`` is the radius search's growth cache (``compute_cluster``).
+    Each seed is the smallest-id uncovered point.  When ``max_centers``
+    is set, returns None as soon as more centers would be needed (probe
+    early-exit).  ``cache`` is the radius search's growth cache
+    (``compute_cluster``).
     """
     covered = bytearray(inst.n)
     centers: list[int] = []
     clusters: list[frozenset[int]] = []
     c = 0
-    while True:
-        if rng is None:
-            c = covered.find(0, c)  # the smallest uncovered id never decreases
-            if c < 0:
-                break
-        else:
-            uncovered = [v for v, x in enumerate(covered) if not x]
-            if not uncovered:
-                break
-            c = rng.choice(uncovered)
+    while (c := covered.find(0, c)) >= 0:  # the smallest uncovered id never decreases
         if max_centers is not None and len(centers) >= max_centers:
             return None
         # positional: a wrapper rebound at this name may take no keywords
@@ -252,27 +241,20 @@ def greedy_with_given_centers(
     return Clustering(clusters, tuple(C), NON_DISJOINT)
 
 
-def solve_nondisjoint(
-    inst: Instance, objective: str, *, seed: Optional[int] = None
-) -> tuple[SolveReport, Clustering]:
+def solve_nondisjoint(inst: Instance, objective: str) -> tuple[SolveReport, Clustering]:
     """2-approximation for non-disjoint connected clustering.
 
     Searches the smallest candidate r whose greedy cover (growth 2r for
     the center objective, r for diameter) opens at most k centers.
     Disconnected connectivity graphs are handled implicitly: the greedy
     cover opens at least one center per component, so the search finds
-    the smallest r whose total count fits the budget.  ``seed`` switches
-    the seed selection from smallest-id to seeded-random order; the
-    guarantee holds for any order.
+    the smallest r whose total count fits the budget.
     """
     factor = 2.0 if objective == CENTER else 1.0
     cache: dict[int, _Walk] = {}
 
     def probe(r: float) -> Optional[Clustering]:
-        rng = random.Random(f"{seed}:{r}") if seed is not None else None
-        return greedy_clustering(
-            inst, factor * r, rng=rng, max_centers=inst.k, cache=cache
-        )
+        return greedy_clustering(inst, factor * r, max_centers=inst.k, cache=cache)
 
     found = binary_search_min_feasible(candidate_radii(inst), probe)
     if found is None:

@@ -856,9 +856,6 @@ class Verdict:
     feasible: bool
     violations: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def bfs_parents(
     inst: Instance, points: Collection[int], roots: Iterable[int]

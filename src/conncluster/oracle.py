@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,18 +38,15 @@ from .model import (
 
 
 class OracleLimitError(RuntimeError):
-    """Input exceeds the configured brute-force budget."""
+    """Input exceeds the brute-force budget."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_n_partition: int = 12
-    max_k_subsets: int = 4
-    time_budget_s: float = 120.0
-
-
-DEFAULT_LIMITS = OracleLimits()
-
+#: Largest n the subset-table oracles enumerate (2^n bitmasks).
+MAX_N_PARTITION = 12
+#: Largest k whose center sets ``exact_disjoint_center_via_centersets`` tries.
+MAX_K_SUBSETS = 4
+#: Seconds one partition DP or one assignment search may run.
+TIME_BUDGET_S = 120.0
 #: Search nodes one fixed-center assignment probe may visit.
 MAX_ASSIGNMENT_NODES = 2_000_000
 
@@ -126,9 +122,7 @@ def _splits(connected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(masks)[order], np.concatenate(parts)[order]
 
 
-def exact_disjoint(
-    inst: Instance, objective: str, limits: OracleLimits = DEFAULT_LIMITS
-) -> tuple[float, Clustering]:
+def exact_disjoint(inst: Instance, objective: str) -> tuple[float, Clustering]:
     """Exact disjoint optimum by a min-max DP over connected set partitions.
 
     ``best[j][mask]`` is the least cost of splitting ``mask`` into at most
@@ -137,11 +131,11 @@ def exact_disjoint(
     clusters, listed by least point, have the smallest ascending point
     lists in lexicographic order.
     """
-    if inst.n > limits.max_n_partition:
+    if inst.n > MAX_N_PARTITION:
         raise OracleLimitError(
-            f"n={inst.n} exceeds partition-enumeration limit {limits.max_n_partition}"
+            f"n={inst.n} exceeds partition-enumeration limit {MAX_N_PARTITION}"
         )
-    deadline = time.monotonic() + limits.time_budget_s
+    deadline = time.monotonic() + TIME_BUDGET_S
     connected, diameter, radius, center = _subset_table(inst)
     cost = diameter if objective == DIAMETER else radius
     masks, parts = _splits(connected)
@@ -174,19 +168,15 @@ def exact_disjoint(
 # non-disjoint optima
 
 
-def _nondisjoint(
-    inst: Instance, objective: str, limits: OracleLimits
-) -> tuple[float, Clustering]:
+def _nondisjoint(inst: Instance, objective: str) -> tuple[float, Clustering]:
     """Exact non-disjoint optimum plus an optimal clustering, via exact set
     cover over the maximal connected subsets whose cost fits the radius.
 
     Under the center objective a connected set of radius at most r about
     a member c lies inside the cluster grown from c at r, which is itself
     such a set, so the maximal sets are the maximal grown clusters."""
-    if inst.n > limits.max_n_partition:
-        raise OracleLimitError(
-            f"n={inst.n} exceeds enumeration limit {limits.max_n_partition}"
-        )
+    if inst.n > MAX_N_PARTITION:
+        raise OracleLimitError(f"n={inst.n} exceeds enumeration limit {MAX_N_PARTITION}")
     n = inst.n
     full = (1 << n) - 1
     connected, diameter, radius, center = _subset_table(inst)
@@ -221,32 +211,24 @@ def _nondisjoint(
     return r, clustering(map(_points, chosen), centers, NON_DISJOINT)
 
 
-def exact_nondisjoint_center_with_witness(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> tuple[float, Clustering]:
+def exact_nondisjoint_center_with_witness(inst: Instance) -> tuple[float, Clustering]:
     """Exact non-disjoint k-center optimum plus an optimal clustering."""
-    return _nondisjoint(inst, CENTER, limits)
+    return _nondisjoint(inst, CENTER)
 
 
-def exact_nondisjoint_center(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> float:
+def exact_nondisjoint_center(inst: Instance) -> float:
     """Exact non-disjoint k-center optimum (value only)."""
-    return _nondisjoint(inst, CENTER, limits)[0]
+    return _nondisjoint(inst, CENTER)[0]
 
 
-def exact_nondisjoint_diameter_with_witness(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> tuple[float, Clustering]:
+def exact_nondisjoint_diameter_with_witness(inst: Instance) -> tuple[float, Clustering]:
     """Exact non-disjoint k-diameter optimum plus an optimal clustering."""
-    return _nondisjoint(inst, DIAMETER, limits)
+    return _nondisjoint(inst, DIAMETER)
 
 
-def exact_nondisjoint_diameter(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> float:
+def exact_nondisjoint_diameter(inst: Instance) -> float:
     """Exact non-disjoint k-diameter optimum (value only)."""
-    return _nondisjoint(inst, DIAMETER, limits)[0]
+    return _nondisjoint(inst, DIAMETER)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +305,6 @@ def exact_assignment(
     inst: Instance,
     C: Sequence[int],
     objective: str,
-    limits: OracleLimits = DEFAULT_LIMITS,
 ) -> Optional[tuple[float, Clustering]]:
     """Exact optimum over connected disjoint assignments to fixed centers.
 
@@ -337,7 +318,7 @@ def exact_assignment(
         cands = dedup_radii(inst.dist[:, C], leq=True)
     else:
         cands = candidate_radii(inst)
-    deadline = time.monotonic() + limits.time_budget_s
+    deadline = time.monotonic() + TIME_BUDGET_S
 
     def probe(r: float) -> Optional[dict[int, int]]:
         budget = [MAX_ASSIGNMENT_NODES]
@@ -355,18 +336,16 @@ def exact_assignment(
     return r, result
 
 
-def exact_disjoint_center_via_centersets(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> float:
+def exact_disjoint_center_via_centersets(inst: Instance) -> float:
     """Independent disjoint k-center oracle: minimize the assignment
     optimum over all center sets of size at most k.  Cross-checks the
     partition enumerator."""
-    if inst.k > limits.max_k_subsets:
-        raise OracleLimitError(f"k={inst.k} exceeds subset limit {limits.max_k_subsets}")
+    if inst.k > MAX_K_SUBSETS:
+        raise OracleLimitError(f"k={inst.k} exceeds subset limit {MAX_K_SUBSETS}")
     best = float("inf")
     for size in range(1, inst.k + 1):
         for C in itertools.combinations(range(inst.n), size):
-            res = exact_assignment(inst, C, CENTER, limits)
+            res = exact_assignment(inst, C, CENTER)
             if res is not None and res[0] < best:
                 best = res[0]
     if best == float("inf"):

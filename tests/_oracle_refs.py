@@ -12,6 +12,7 @@ for the first two the same clustering.
 
 import itertools
 import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,21 @@ from conncluster.model import (
     clustering,
     dist_leq,
 )
-from conncluster.oracle import DEFAULT_LIMITS, OracleLimitError, OracleLimits
+from conncluster.oracle import OracleLimitError
+
+
+@dataclass(frozen=True)
+class OracleLimits:
+    """The limits the package's oracles once took as an argument; their
+    defaults are the package's ``MAX_N_PARTITION``, ``MAX_K_SUBSETS`` and
+    ``TIME_BUDGET_S``."""
+
+    max_n_partition: int = 12
+    max_k_subsets: int = 4
+    time_budget_s: float = 120.0
+
+
+DEFAULT_LIMITS = OracleLimits()
 
 
 def _canonical(clusters: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:

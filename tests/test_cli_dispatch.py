@@ -71,6 +71,8 @@ def files(tmp_path):
     docs = {name: instance_to_doc(gen_random(family, n, k, seed))
             for name, (family, n, k, seed) in FAMILIES.items()}
     out = {}
+    # the lp document's MST plus one chord: a cycle, so not a tree
+    docs["lp-cycle"] = {**docs["lp"], "edges": [*docs["lp"]["edges"], [0, 1]]}
     for name, doc in {**docs, **SHAPES}.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -81,13 +83,13 @@ def files(tmp_path):
 @pytest.fixture
 def calls(monkeypatch):
     """Wrap every solver name bound in ``conncluster.cli``; the list
-    collects ``(name, kwargs)`` of each call in order."""
+    collects ``(name, args, kwargs)`` of each call in order."""
     seen = []
     for name in SOLVERS:
         fn = getattr(cli, name)
 
         def wrapper(*args, _fn=fn, _name=name, **kwargs):
-            seen.append((_name, kwargs))
+            seen.append((_name, args, kwargs))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, functools.wraps(fn)(wrapper))
@@ -102,7 +104,7 @@ CASES = [
     ("auto", "tree", [], "tree_dp_solve"),
     ("auto", "general-k2", [], "solve_two_center_disjoint"),
     ("auto", "general", [], "solve_disjoint"),
-    ("auto", "lp", ["--objective", "diameter"], "solve_disjoint"),
+    ("auto", "lp", ["--objective", "diameter"], "tree_dp_solve"),
     # every --algo
     ("greedy", "general", ["--mode", "non_disjoint"], "solve_nondisjoint"),
     ("line", "line", ["--objective", "diameter"], "solve_line_diameter"),
@@ -137,7 +139,7 @@ def test_every_algo_calls_its_solver_through_the_cli_binding(
     code = cli.main(["solve", "--in", files[family], "--algo", algo, *extra])
     capsys.readouterr()
     assert code == 0
-    assert [name for name, _ in calls] == [solver]
+    assert [name for name, *_ in calls] == [solver]
 
 
 def test_cases_cover_every_algo():
@@ -148,18 +150,49 @@ def test_exact_k_pads_through_the_cli_binding(files, calls, capsys):
     code = cli.main(["solve", "--in", files["general"], "--algo", "general", "--exact-k"])
     capsys.readouterr()
     assert code == 0
-    assert [name for name, _ in calls] == ["solve_disjoint", "pad_to_k"]
+    assert [name for name, *_ in calls] == ["solve_disjoint", "pad_to_k"]
 
 
-def test_greedy_passes_the_seed_and_auto_ignores_it(files, calls, capsys):
-    for algo in ("greedy", "auto"):
-        code = cli.main(["solve", "--in", files["general"], "--algo", algo,
-                         "--mode", "non_disjoint", "--seed", "5"])
-        assert code == 0
+@pytest.mark.parametrize("family, strategy", [("general", "general"), ("lp-cycle", "lp")])
+def test_auto_names_the_pipeline_strategy(files, calls, capsys, family, strategy):
+    """Neither document is a tree nor has k=2: ``auto`` runs the lp
+    pipeline where there are coordinates and the general one elsewhere."""
+    code = cli.main(["solve", "--in", files[family]])
     capsys.readouterr()
-    assert [name for name, _ in calls] == ["solve_nondisjoint"] * 2
-    assert calls[0][1]["seed"] == 5
-    assert calls[1][1].get("seed") is None
+    assert code == 0
+    [(name, args, _)] = calls
+    assert (name, args[2]) == ("solve_disjoint", strategy)
+
+
+def test_solve_takes_no_seed(files, calls, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--in", files["general"], "--algo", "greedy",
+                  "--mode", "non_disjoint", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: conncluster ")
+    assert captured.err.endswith("error: unrecognized arguments: --seed 3\n")
+    assert calls == []
+
+
+def test_lp_on_a_disconnected_explicit_document_is_refused_before_the_search(
+    tmp_path, calls, capsys
+):
+    """Two components and k=1: the search would find no radius (exit 1),
+    but the missing coordinates are found first (exit 3)."""
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({
+        "n": 4, "k": 1, "metric": {"type": "explicit", "matrix": [
+            [0, 1, 5, 5], [1, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]]},
+        "edges": [[0, 1], [2, 3]],
+    }))
+    code = cli.main(["solve", "--in", str(path), "--algo", "lp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: lp strategy needs an lp metric\n"
+    assert captured.out == ""
+    assert [name for name, *_ in calls] == ["solve_disjoint"]
 
 
 def test_algo_choices_are_the_table_keys():
@@ -177,7 +210,7 @@ def test_bench_runs_table_entries(files, calls, capsys, mode, oracle):
     assert code == 0
     assert len(rows) == 3
     expected = "solve_disjoint" if mode == "disjoint" else "solve_nondisjoint"
-    assert [name for name, _ in calls] == [oracle, expected, "solve_nondisjoint"]
+    assert [name for name, *_ in calls] == [oracle, expected, "solve_nondisjoint"]
 
 
 def test_bench_rejects_unknown_algo_before_solving(files, calls, tmp_path, capsys):

@@ -233,7 +233,7 @@ def test_undecodable_documents_exit_2(data, inst_doc, bad_instance, command):
 VALID_ARGV = [
     ["solve", "--in", "{in}"],
     ["solve", "--in", "{in}", "--objective", "diameter", "--mode", "non_disjoint"],
-    ["solve", "--in", "{in}", "--algo", "greedy", "--mode", "non_disjoint", "--seed", "3"],
+    ["solve", "--in", "{in}", "--algo", "greedy", "--mode", "non_disjoint"],
     ["solve", "--in", "{in}", "--algo", "general", "--dim", "1"],
     ["validate", "--in", "{in}", "--clustering", "{cl}"],
     ["eval", "--in", "{in}", "--clustering", "{cl}", "--objective", "diameter"],

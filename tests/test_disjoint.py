@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conncluster import disjoint
 from conncluster import (
     CENTER,
     DIAMETER,
@@ -166,6 +167,29 @@ def test_solve_disjoint_doubling_strategy():
     assert dist_leq(report.objective, report.bound)
 
 
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ("lp", "lp strategy needs an lp metric"),
+        ("doubling", "doubling strategy needs dim"),
+        ("auto", "unknown partition strategy 'auto'"),
+    ],
+)
+def test_solve_disjoint_refuses_a_strategy_before_the_search(
+    monkeypatch, line6, strategy, message
+):
+    covers = []
+    monkeypatch.setattr(disjoint, "greedy_clustering", lambda *a, **kw: covers.append(a))
+    with pytest.raises(AlgorithmPreconditionError, match=f"^{message}$"):
+        solve_disjoint(line6, CENTER, strategy)
+    assert covers == []
+
+
+def test_solve_disjoint_needs_a_strategy(line6):
+    with pytest.raises(TypeError):
+        solve_disjoint(line6, CENTER)
+
+
 def test_solve_disjoint_diameter_bound():
     for seed in range(6):
         inst = gen_random("general", 8, 3, seed=seed)
@@ -326,7 +350,7 @@ def _assert_ratio_within_partition_factor(inst, strategy, dim=None):
     # (4l-2) + 2*sum(h_i)/r for the center objective and
     # (4l-2) + h_1/r + 2*sum_{i>=2}(h_i)/r for the diameter objective
     from conncluster import binary_search_min_feasible, candidate_radii
-    from conncluster.disjoint import _build_partition
+    from conncluster.disjoint import _partitioner
 
     found = binary_search_min_feasible(
         candidate_radii(inst),
@@ -335,7 +359,7 @@ def _assert_ratio_within_partition_factor(inst, strategy, dim=None):
     r, g = found
     if r == 0.0:
         return
-    p = _build_partition(inst, g.centers, r, strategy, dim)
+    p = _partitioner(inst, strategy, dim)(g.centers, r)
     ell = p.num_layers
     factor_c = (4 * ell - 2) + 2 * sum(p.h) / r
     factor_d = (4 * ell - 2) + p.h[0] / r + 2 * sum(p.h[1:]) / r

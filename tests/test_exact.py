@@ -7,7 +7,6 @@ from conncluster import (
     CENTER,
     DIAMETER,
     AlgorithmPreconditionError,
-    OracleLimits,
     candidate_radii,
     clustering_cost,
     exact_assignment,
@@ -271,7 +270,6 @@ def test_tree_assignment_nonleaf_center_split(trap5):
 
 def test_tree_assignment_consistent_with_oracle():
     rng = random.Random(9)
-    limits = OracleLimits()
     for seed in range(40):
         n = 3 + seed % 6
         inst = gen_random("tree", n, 2, seed=seed)
@@ -287,7 +285,7 @@ def test_tree_assignment_consistent_with_oracle():
                 )
                 assert dist_leq(clustering_cost(inst, mine, CENTER), r)
             else:
-                res = exact_assignment(inst, C, CENTER, limits)
+                res = exact_assignment(inst, C, CENTER)
                 assert res is None or res[0] > r
 
 

@@ -9,7 +9,6 @@ solve must write the same document as with a fresh cache per growth.
 """
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -66,15 +65,9 @@ def test_one_cache_answers_any_radius_sequence(inst, data):
             assert compute_cluster(inst, r, c, cache) == loop_compute_cluster(inst, r, c)
     nonnegative = st.sampled_from([r for r in radii if r >= 0])
     max_centers = st.sampled_from((None, inst.k))
-    for r, seed, limit in data.draw(
-        st.lists(st.tuples(nonnegative, st.one_of(st.none(), st.integers(0, 3)), max_centers),
-                 max_size=8)
-    ):
-        def rng():
-            return random.Random(f"{seed}:{r}") if seed is not None else None
-
-        got = greedy_clustering(inst, r, rng=rng(), max_centers=limit, cache=cache)
-        assert got == loop_greedy_clustering(inst, r, rng=rng(), max_centers=limit)
+    for r, limit in data.draw(st.lists(st.tuples(nonnegative, max_centers), max_size=8)):
+        got = greedy_clustering(inst, r, max_centers=limit, cache=cache)
+        assert got == loop_greedy_clustering(inst, r, max_centers=limit)
     C = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=3, unique=True))
     for r in data.draw(st.lists(nonnegative, max_size=8)):
         assert greedy_with_given_centers(inst, C, r, cache) == loop_given_centers(inst, C, r)
@@ -97,10 +90,7 @@ def _solves(inst):
             yield f"disjoint-{name}-{objective}", lambda o=objective, n=name, d=dim: (
                 solve_disjoint(inst, o, n, dim=d)
             )
-        for seed in (None, 7):
-            yield f"nondisjoint-{seed}-{objective}", lambda o=objective, s=seed: (
-                solve_nondisjoint(inst, o, seed=s)
-            )
+        yield f"nondisjoint-{objective}", lambda o=objective: solve_nondisjoint(inst, o)
         centers = list(range(0, inst.n, inst.n // inst.k))[: inst.k]
         yield f"assign-{objective}", lambda o=objective, C=centers: (
             solve_assignment_given_centers(inst, C, o)
@@ -153,8 +143,8 @@ def test_a_search_keeps_no_cache_after_it_returns():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "compute_cluster", counting)
-        first = solve_disjoint(inst, CENTER)
+        first = solve_disjoint(inst, CENTER, "lp")
         assert grown[0] == 0
         grown.clear()
-        assert solve_disjoint(inst, CENTER) == first
+        assert solve_disjoint(inst, CENTER, "lp") == first
         assert grown[0] == 0

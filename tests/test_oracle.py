@@ -5,7 +5,6 @@ from conncluster import (
     CENTER,
     DIAMETER,
     OracleLimitError,
-    OracleLimits,
     clustering_cost,
     exact_assignment,
     exact_disjoint,
@@ -162,5 +161,5 @@ def test_cross_check_two_independent_center_oracles():
 
 def test_limits_respected():
     inst = gen_random("general", 8, 5, seed=1)
-    with pytest.raises(OracleLimitError):
-        exact_disjoint_center_via_centersets(inst, OracleLimits(max_k_subsets=4))
+    with pytest.raises(OracleLimitError, match="k=5 exceeds subset limit 4"):
+        exact_disjoint_center_via_centersets(inst)

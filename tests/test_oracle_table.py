@@ -34,7 +34,6 @@ from conncluster.model import (
 )
 from conncluster.oracle import (
     OracleLimitError,
-    OracleLimits,
     exact_disjoint,
     exact_nondisjoint_center_with_witness,
     exact_nondisjoint_diameter_with_witness,
@@ -77,7 +76,7 @@ def assert_matches_refs(inst):
         refs.exact_nondisjoint_diameter_with_witness, inst
     )
     got = outcome(exact_nondisjoint_center_with_witness, inst)
-    want = outcome(refs.exact_nondisjoint_center_with_witness, inst, OracleLimits(max_k_subsets=8))
+    want = outcome(refs.exact_nondisjoint_center_with_witness, inst, refs.OracleLimits(max_k_subsets=8))
     assert got[0] == want[0]
     if got[0] != "infeasible":
         assert validate_clustering(inst, got[1]).feasible
@@ -121,10 +120,11 @@ def test_disconnected_beyond_k_is_infeasible():
             exact_disjoint(inst, objective)
 
 
-def test_zero_time_budget_stops_the_dp():
+def test_zero_time_budget_stops_the_dp(monkeypatch):
+    monkeypatch.setattr(conncluster.oracle, "TIME_BUDGET_S", 0)
     inst = gen_random("general", 6, 2, seed=0)
     with pytest.raises(OracleLimitError, match="exceeded time budget"):
-        exact_disjoint(inst, CENTER, OracleLimits(time_budget_s=0))
+        exact_disjoint(inst, CENTER)
 
 
 def test_size_limits_keep_their_messages():

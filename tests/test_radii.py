@@ -232,10 +232,10 @@ def probe_sequences(module, inst, solve):
 
 
 @settings(max_examples=100, deadline=None)
-@given(search_instances(), st.sampled_from([CENTER, DIAMETER]), st.sampled_from([None, 3]))
-def test_probes_receive_the_loop_radii_as_python_floats(inst, objective, seed):
+@given(search_instances(), st.sampled_from([CENTER, DIAMETER]))
+def test_probes_receive_the_loop_radii_as_python_floats(inst, objective):
     solves = [
-        (greedy, lambda: greedy.solve_nondisjoint(inst, objective, seed=seed)),
+        (greedy, lambda: greedy.solve_nondisjoint(inst, objective)),
         (disjoint, lambda: disjoint.solve_disjoint(inst, objective, "general")),
         (disjoint, lambda: disjoint.solve_assignment_given_centers(inst, [0], objective)),
     ]

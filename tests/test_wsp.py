@@ -344,7 +344,7 @@ def test_doubling_bounds_random():
         assert all(dist_leq(h, 2.0 * r) for h in p.h)
 
 
-def test_doubling_local_improvement_triggers():
+def test_doubling_keeps_a_heap_ball_and_singletons_within_4r():
     # 20 co-located points plus a ring of singletons within 4r: the heap
     # is one ball, and the singletons stay their own groups
     pts = np.concatenate([np.zeros(20), np.array([3.9, 4.0, 4.1])])
