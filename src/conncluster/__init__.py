@@ -66,7 +66,6 @@ from .oracle import (
     OracleLimitError,
     exact_assignment,
     exact_disjoint,
-    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_center_with_witness,
     exact_nondisjoint_diameter,

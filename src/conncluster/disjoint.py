@@ -208,6 +208,23 @@ def _partitioner(
     raise AlgorithmPreconditionError(f"unknown partition strategy {strategy!r}")
 
 
+def _transform(
+    inst: Instance,
+    probe: Callable[[float], Optional[Clustering]],
+    partition: Callable[[Sequence[int], float], WellSeparatedPartition],
+    objective: str,
+    algorithm: str,
+) -> tuple[SolveReport, Clustering]:
+    """The smallest candidate radius at which ``probe`` returns a cover,
+    the partition of the cover's centers at it, and the cover made
+    disjoint; the report carries the partition's a-priori cost bound."""
+    r, cover = binary_search_min_feasible(candidate_radii(inst), probe)
+    p = partition(cover.centers, r)
+    result = make_disjoint(inst, cover, p, objective)
+    bound = partition_bound(p, objective)
+    return make_report(inst, result, objective, algorithm=algorithm, bound=bound), result
+
+
 def solve_disjoint(
     inst: Instance,
     objective: str,
@@ -224,27 +241,16 @@ def solve_disjoint(
     bound.
     """
     partition = _partitioner(inst, strategy, dim)
+    if inst.components > inst.k:
+        raise InfeasibleError(
+            "connectivity graph has more components than the cluster budget"
+        )
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 
     def probe(r: float) -> Optional[Clustering]:
         return greedy_clustering(inst, r, max_centers=inst.k, cache=cache)
 
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
-        raise InfeasibleError(
-            "connectivity graph has more components than the cluster budget"
-        )
-    r, cover = found
-    p = partition(cover.centers, r)
-    result = make_disjoint(inst, cover, p, objective)
-    report = make_report(
-        inst,
-        result,
-        objective,
-        algorithm=f"disjoint-{strategy}",
-        bound=partition_bound(p, objective),
-    )
-    return report, result
+    return _transform(inst, probe, partition, objective, f"disjoint-{strategy}")
 
 
 def first_covering_pair(levels: np.ndarray, r: float) -> Optional[Clustering]:
@@ -283,11 +289,10 @@ def solve_two_center_disjoint(inst: Instance) -> tuple[SolveReport, Clustering]:
     """
     if inst.k != 2:
         raise AlgorithmPreconditionError("the two-center algorithm needs k=2")
-    probe = partial(first_covering_pair, bottleneck_levels(inst))
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
+    if inst.components > 2:
         raise InfeasibleError("connectivity graph has more than two components")
-    r, cover = found
+    probe = partial(first_covering_pair, bottleneck_levels(inst))
+    r, cover = binary_search_min_feasible(candidate_radii(inst), probe)
     c1, c2 = cover.centers
     t1, t2 = cover.clusters
     if not (t1 & t2):
@@ -312,29 +317,16 @@ def solve_assignment_given_centers(
     two centers this is a 3-approximation of the best assignment.
     """
     C = center_set(C, inst.n, inst.k)
-
+    if len(bfs_parents(inst, range(inst.n), C)) < inst.n:  # a component has no center
+        raise InfeasibleError("the given centers cannot reach every point")
     cache: dict = {}  # the search's growth cache (greedy.compute_cluster)
 
     def probe(r: float) -> Optional[Clustering]:
         return greedy_with_given_centers(inst, C, r, cache)
 
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
-        raise InfeasibleError("the given centers cannot reach every point")
-    r, cover = found
-    if len(C) <= 2:
-        p = partition_two_centers(inst.dist, C, r)
-    else:
-        p = partition_general_metric(inst.dist, C, r)
-    result = make_disjoint(inst, cover, p, objective)
-    report = make_report(
-        inst,
-        result,
-        objective,
-        algorithm="assign-given-centers",
-        bound=partition_bound(p, objective),
-    )
-    return report, result
+    split = partition_two_centers if len(C) <= 2 else partition_general_metric
+    partition = partial(split, inst.dist)
+    return _transform(inst, probe, partition, objective, "assign-given-centers")
 
 
 def pad_to_k(inst: Instance, c: Clustering) -> Clustering:

@@ -129,11 +129,9 @@ def _solve_line(
     inst: Instance, sweep: Callable, objective: str, algorithm: str
 ) -> tuple[SolveReport, Clustering]:
     order, D = _path_matrix(inst)
-    found = binary_search_min_feasible(
+    r, result = binary_search_min_feasible(
         candidate_radii(inst), lambda r: sweep(order, D, inst.k, r)
     )
-    assert found is not None  # a path is connected, one cluster always works
-    r, result = found
     report = make_report(inst, result, objective, algorithm=algorithm, bound=r)
     return report, result
 
@@ -453,9 +451,7 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
             tables = _tree_tables(ctx, r)
             return tables if tables[2][0] <= inst.k else None
 
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    assert found is not None  # a tree is connected, one cluster always works
-    r, tables = found
+    r, tables = binary_search_min_feasible(candidate_radii(inst), probe)
     I, Fz, Ia, feas = _tree_tables(ctx, r) if path else tables
     assign = _reconstruct(ctx, I, Fz, Ia, feas)
     by_center: dict[int, set[int]] = {}
@@ -594,10 +590,6 @@ def solve_tree_assignment(
     admit a connected disjoint assignment on the tree."""
     forest = _tree_forest(inst, center_set(C, inst.n, inst.k))
     cands = dedup_radii(forest.dist, leq=True)
-    found = binary_search_min_feasible(cands, lambda r: _assign_forest(forest, r))
-    # the tree is connected and has a center, so at the largest candidate,
-    # every point's distance to every center, each component is served
-    assert found is not None, "the largest candidate serves every point"
-    r, result = found
+    r, result = binary_search_min_feasible(cands, lambda r: _assign_forest(forest, r))
     report = make_report(inst, result, CENTER, algorithm="tree-assign", bound=r)
     return report, result

@@ -246,22 +246,21 @@ def solve_nondisjoint(inst: Instance, objective: str) -> tuple[SolveReport, Clus
 
     Searches the smallest candidate r whose greedy cover (growth 2r for
     the center objective, r for diameter) opens at most k centers.
-    Disconnected connectivity graphs are handled implicitly: the greedy
-    cover opens at least one center per component, so the search finds
-    the smallest r whose total count fits the budget.
+    The greedy cover opens at least one center per component, and at the
+    largest candidate exactly one, so a graph with more components than
+    k is refused before the search.
     """
+    if inst.components > inst.k:
+        raise InfeasibleError(
+            "connectivity graph has more components than the cluster budget"
+        )
     factor = 2.0 if objective == CENTER else 1.0
     cache: dict[int, _Walk] = {}
 
     def probe(r: float) -> Optional[Clustering]:
         return greedy_clustering(inst, factor * r, max_centers=inst.k, cache=cache)
 
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
-        raise InfeasibleError(
-            "connectivity graph has more components than the cluster budget"
-        )
-    r, result = found
+    r, result = binary_search_min_feasible(candidate_radii(inst), probe)
     report = make_report(
         inst, result, objective, algorithm="greedy-nondisjoint", bound=2.0 * r
     )

@@ -314,6 +314,21 @@ class Instance:
             walk.append(nb[-1] if len(walk) > 1 and nb[0] == walk[-2] else nb[0])
         return Tree(tuple(order), tuple(parent), tuple(walk))
 
+    @property
+    def components(self) -> int:
+        """The number of connected components of the connectivity graph:
+        one ``bfs_parents`` from the smallest point not yet reached, per
+        component.  Each solver that reads it reads it once, before its
+        radius search, so it is not kept on the instance."""
+        points = range(self.n)
+        reached = bytearray(self.n)
+        count = v = 0
+        while (v := reached.find(0, v)) >= 0:
+            count += 1
+            for u in bfs_parents(self, points, [v]):
+                reached[u] = 1
+        return count
+
 
 _INT64 = np.iinfo(np.int64)
 
@@ -1077,21 +1092,22 @@ T = TypeVar("T")
 def binary_search_min_feasible(
     candidates: Sequence[float] | np.ndarray,
     probe: Callable[[float], Optional[T]],
-) -> Optional[tuple[float, T]]:
+) -> tuple[float, T]:
     """Find the leftmost-true boundary of ``probe`` over sorted candidates.
 
     The probe's success set must contain a suffix of the candidates
     (exact probes are monotone; the greedy probes are guaranteed to
-    succeed from some candidate on).  Each probe receives, and the
-    result carries, the Python float ``float(candidates[i])``.  Returns
-    None iff the probe fails at the maximum candidate.
+    succeed from some candidate on), so the probe must succeed at the
+    largest candidate.  That one is probed last, and only when no
+    smaller candidate succeeded; if it fails too, ``InfeasibleError`` is
+    raised.  Callers refuse infeasible instances before the search.  Each
+    probe receives, and the result carries, the Python float
+    ``float(candidates[i])``.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     lo, hi = 0, len(candidates) - 1
-    best = probe(float(candidates[hi]))
-    if best is None:
-        return None
+    best = None
     while lo < hi:
         mid = (lo + hi) // 2
         res = probe(float(candidates[mid]))
@@ -1100,6 +1116,10 @@ def binary_search_min_feasible(
             hi = mid
         else:
             lo = mid + 1
+    if best is None:  # lo is the largest candidate
+        best = probe(float(candidates[lo]))
+        if best is None:
+            raise InfeasibleError("the probe fails at the largest candidate radius")
     return float(candidates[lo]), best
 
 

@@ -12,7 +12,6 @@ unboundedly.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Optional, Sequence
 
@@ -43,8 +42,6 @@ class OracleLimitError(RuntimeError):
 
 #: Largest n the subset-table oracles enumerate (2^n bitmasks).
 MAX_N_PARTITION = 12
-#: Largest k whose center sets ``exact_disjoint_center_via_centersets`` tries.
-MAX_K_SUBSETS = 4
 #: Seconds one partition DP or one assignment search may run.
 TIME_BUDGET_S = 120.0
 #: Search nodes one fixed-center assignment probe may visit.
@@ -177,6 +174,8 @@ def _nondisjoint(inst: Instance, objective: str) -> tuple[float, Clustering]:
     such a set, so the maximal sets are the maximal grown clusters."""
     if inst.n > MAX_N_PARTITION:
         raise OracleLimitError(f"n={inst.n} exceeds enumeration limit {MAX_N_PARTITION}")
+    if inst.components > inst.k:
+        raise InfeasibleError("more connectivity components than the budget")
     n = inst.n
     full = (1 << n) - 1
     connected, diameter, radius, center = _subset_table(inst)
@@ -203,10 +202,7 @@ def _nondisjoint(inst: Instance, objective: str) -> tuple[float, Clustering]:
         count, chosen = cover(full)
         return list(chosen) if count <= inst.k else None
 
-    found = binary_search_min_feasible(candidate_radii(inst), probe)
-    if found is None:
-        raise InfeasibleError("more connectivity components than the budget")
-    r, chosen = found
+    r, chosen = binary_search_min_feasible(candidate_radii(inst), probe)
     centers = [center[m] for m in chosen] if objective == CENTER else None
     return r, clustering(map(_points, chosen), centers, NON_DISJOINT)
 
@@ -324,30 +320,12 @@ def exact_assignment(
         budget = [MAX_ASSIGNMENT_NODES]
         return _assignment_dfs(inst, C, r, objective, budget, deadline)
 
-    found = binary_search_min_feasible(cands, probe)
     # every component has a center, so at the largest candidate the
     # multi-source BFS assignment is one the search admits
-    assert found is not None, "the largest candidate admits the BFS assignment"
-    r, side = found
+    r, side = binary_search_min_feasible(cands, probe)
     blocks = {c: {c} for c in C}
     for v, c in side.items():
         blocks[c].add(v)
     result = clustering([blocks[c] for c in C], C, DISJOINT)
     return r, result
 
-
-def exact_disjoint_center_via_centersets(inst: Instance) -> float:
-    """Independent disjoint k-center oracle: minimize the assignment
-    optimum over all center sets of size at most k.  Cross-checks the
-    partition enumerator."""
-    if inst.k > MAX_K_SUBSETS:
-        raise OracleLimitError(f"k={inst.k} exceeds subset limit {MAX_K_SUBSETS}")
-    best = float("inf")
-    for size in range(1, inst.k + 1):
-        for C in itertools.combinations(range(inst.n), size):
-            res = exact_assignment(inst, C, CENTER)
-            if res is not None and res[0] < best:
-                best = res[0]
-    if best == float("inf"):
-        raise OracleLimitError("no center set yields a feasible assignment")
-    return best

@@ -8,6 +8,11 @@ non-disjoint center oracle tried every set of at most k centers over the
 clusters grown from them.  They stay here as the references the
 table-driven oracles are checked against: same value, same errors, and
 for the first two the same clustering.
+
+``exact_disjoint_center_via_centersets`` is an independent disjoint
+k-center oracle that only tests call: the best fixed-center assignment
+(``oracle.exact_assignment``) over every set of at most
+``MAX_K_SUBSETS`` centers.
 """
 
 import itertools
@@ -26,19 +31,20 @@ from conncluster.model import (
     Clustering,
     InfeasibleError,
     Instance,
-    binary_search_min_feasible,
     candidate_radii,
     clustering,
     dist_leq,
 )
-from conncluster.oracle import OracleLimitError
+from conncluster.oracle import OracleLimitError, exact_assignment
+
+from _search_refs import binary_search_min_feasible
 
 
 @dataclass(frozen=True)
 class OracleLimits:
     """The limits the package's oracles once took as an argument; their
-    defaults are the package's ``MAX_N_PARTITION``, ``MAX_K_SUBSETS`` and
-    ``TIME_BUDGET_S``."""
+    defaults are the package's ``MAX_N_PARTITION`` and ``TIME_BUDGET_S``,
+    and this module's ``MAX_K_SUBSETS``."""
 
     max_n_partition: int = 12
     max_k_subsets: int = 4
@@ -46,6 +52,9 @@ class OracleLimits:
 
 
 DEFAULT_LIMITS = OracleLimits()
+
+#: Largest k whose center sets ``exact_disjoint_center_via_centersets`` tries.
+MAX_K_SUBSETS = 4
 
 
 def _canonical(clusters: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
@@ -278,3 +287,20 @@ def exact_nondisjoint_center_with_witness(
         [compute_cluster(inst, r, c) for c in combo], list(combo), NON_DISJOINT
     )
     return r, witness
+
+
+def exact_disjoint_center_via_centersets(inst: Instance) -> float:
+    """Independent disjoint k-center oracle: minimize the assignment
+    optimum over all center sets of size at most k.  Cross-checks the
+    partition enumerator."""
+    if inst.k > MAX_K_SUBSETS:
+        raise OracleLimitError(f"k={inst.k} exceeds subset limit {MAX_K_SUBSETS}")
+    best = float("inf")
+    for size in range(1, inst.k + 1):
+        for C in itertools.combinations(range(inst.n), size):
+            res = exact_assignment(inst, C, CENTER)
+            if res is not None and res[0] < best:
+                best = res[0]
+    if best == float("inf"):
+        raise OracleLimitError("no center set yields a feasible assignment")
+    return best

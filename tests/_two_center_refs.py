@@ -20,12 +20,13 @@ from conncluster.model import (
     NON_DISJOINT,
     Clustering,
     InfeasibleError,
-    binary_search_min_feasible,
     candidate_radii,
     clustering,
     dist_leq_arr,
     make_report,
 )
+
+from _search_refs import binary_search_min_feasible
 
 
 def adjacency_matrix(inst) -> np.ndarray:

@@ -18,7 +18,6 @@ from conncluster import (
     clustering_cost,
     exact_assignment,
     exact_disjoint,
-    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_diameter,
     gen_random,
@@ -54,6 +53,7 @@ from conncluster.wsp import (
 
 from _brute import clique_cover_leq, multicut_star_leq, sat_brute, set_cover_leq
 from _gadget_witnesses import worstcase_I_alt_clustering
+from _oracle_refs import exact_disjoint_center_via_centersets
 
 
 def _sizes(seed, max_k):

@@ -439,6 +439,17 @@ def test_out_of_memory_exits_2():
     assert proc.stderr.count("\n") == 1
 
 
+def test_out_of_memory_in_process_exits_2(monkeypatch, capsys):
+    """The same exit in this process: a solver step that cannot allocate
+    (here ``gen_random``, made to raise) exits 2 with the message."""
+    def starved(*args, **kwargs):
+        raise MemoryError("cannot allocate 3.2 GB")
+
+    monkeypatch.setattr(cli.gens, "gen_random", starved)
+    got = run_cli(["gen", "--family", "line", "--n", "20000"], capsys)
+    assert got == (2, "", "error: out of memory: cannot allocate 3.2 GB\n")
+
+
 def test_exit_code_non_finite_distance(tmp_path, capsys):
     inst = {
         "n": 3,

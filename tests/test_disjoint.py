@@ -392,3 +392,9 @@ def test_end_to_end_ratio_within_partition_factor_on_lp_points(strategy, p, dim)
         n = 8 + seed % 3
         inst = gen_random("lp", n, 3, seed=seed + 700, p=p)
         _assert_ratio_within_partition_factor(inst, strategy, dim)
+
+
+def test_pad_needs_a_disjoint_clustering(line6):
+    c = clustering([{0, 1, 2}, {2, 3, 4, 5}], [1, 4], NON_DISJOINT)
+    with pytest.raises(AlgorithmPreconditionError, match="padding needs a disjoint clustering"):
+        pad_to_k(line6, c)

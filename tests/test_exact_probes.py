@@ -54,6 +54,7 @@ from conncluster.model import (
     make_report,
 )
 
+import _search_refs
 from _tree_refs import is_tree, path_order, tree_context
 
 
@@ -268,7 +269,9 @@ def loop_solve_tree_assignment(inst, C):
     if len(C) > inst.k:
         raise AlgorithmPreconditionError(f"{len(C)} centers exceed the budget k={inst.k}")
     cands = dedup_radii(inst.dist[:, C], leq=True)
-    found = binary_search_min_feasible(cands, lambda r: loop_tree_assignment(inst, C, r))
+    found = _search_refs.binary_search_min_feasible(
+        cands, lambda r: loop_tree_assignment(inst, C, r)
+    )
     if found is None:
         raise InfeasibleError("the given centers cannot serve every point")
     r, result = found

@@ -11,7 +11,6 @@ from conncluster import (
     clustering_cost,
     exact_assignment,
     exact_disjoint,
-    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_diameter,
     gen_random,
@@ -35,6 +34,7 @@ from _gadget_witnesses import (
     worstcase_I_alt_clustering,
     worstcase_I_given_center_assignment,
 )
+from _oracle_refs import exact_disjoint_center_via_centersets
 
 
 def connected(inst):
@@ -330,3 +330,26 @@ def test_sat_gadget_skips_variables_that_do_not_occur():
         meta = gen_sat_gadget(formula, "two_center")
         res = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
         assert res[0] == (1.0 if sat_brute(formula) else 3.0)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: s_sequence(0), ValueError, "need at least one term"),
+        (lambda: gen_sat_gadget([[1]], "three_center"), InstanceFormatError,
+         "unknown SAT gadget variant 'three_center'"),
+        (lambda: gen_star_clique_cover(3, [(0, 3)], 1), InstanceFormatError, "bad source edge (0, 3)"),
+        (lambda: gen_star_set_cover(2, [[0, 2]], 1), InstanceFormatError, "element 2 out of range"),
+        (lambda: gen_star_set_cover(2, [[0]], 1), InstanceFormatError,
+         "every element must occur in some set"),
+        (lambda: gen_star_multicut(0, [], 0), InstanceFormatError, "need leaves and 0 <= k < n_leaves"),
+        (lambda: gen_star_multicut(3, [(1, 1)], 1), InstanceFormatError, "bad pair (1, 1)"),
+        (lambda: gen_random("ring", 3, 1, seed=0), InstanceFormatError, "unknown random family 'ring'"),
+    ],
+    ids=["s-sequence", "sat-variant", "clique-edge", "set-element", "set-uncovered",
+         "multicut-leaves", "multicut-pair", "random-family"],
+)
+def test_generator_arguments_are_checked(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

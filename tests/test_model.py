@@ -11,6 +11,7 @@ from conncluster import (
     DIAMETER,
     DISJOINT,
     NON_DISJOINT,
+    InfeasibleError,
     InstanceFormatError,
     binary_search_min_feasible,
     candidate_radii,
@@ -27,7 +28,16 @@ from conncluster import (
     tree_dp_solve,
     validate_clustering,
 )
-from conncluster.model import REL_TOL, dist_eq, dist_leq, dist_leq_arr, instance_to_doc
+from conncluster.model import (
+    REL_TOL,
+    Clustering,
+    clustering_from_doc,
+    dist_eq,
+    dist_leq,
+    dist_leq_arr,
+    instance_from_doc,
+    instance_to_doc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,8 @@ def test_binary_search_suffix():
 
 
 def test_binary_search_infeasible():
-    assert binary_search_min_feasible([0, 1], lambda r: None) is None
+    with pytest.raises(InfeasibleError, match="fails at the largest candidate"):
+        binary_search_min_feasible([0, 1], lambda r: None)
 
 
 @pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "array"])
@@ -231,10 +242,11 @@ def test_binary_search_over_an_array_probes_python_floats():
         return "x" if r >= 2 else None
 
     # one candidate, whose truth value is its own, and several, which have none
-    assert binary_search_min_feasible(np.array([0.0]), probe) is None
+    with pytest.raises(InfeasibleError):
+        binary_search_min_feasible(np.array([0.0]), probe)
     assert binary_search_min_feasible(np.array([0.0, 1.0, 2.0, 5.0]), probe) == (2.0, "x")
     assert type(binary_search_min_feasible(np.array([3.0]), probe)[0]) is float
-    assert probes == [0.0, 5.0, 1.0, 2.0, 3.0]
+    assert probes == [0.0, 1.0, 2.0, 3.0]
     assert all(type(r) is float for r in probes)
 
 
@@ -312,3 +324,33 @@ def test_to_dot_marks_centers(line6):
     assert "peripheries=2" in dot
     assert 'label="a"' in dot
     assert dot.count(" -- ") == 5
+
+
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (lambda: make_instance([[0, 1], [1, 0]], [(0, 1)], 1, labels=["a"]),
+         "labels length must equal n"),
+        (lambda: instance_from_doc({"n": 2, "k": 1, "edges": [[0, 1]],
+                                    "metric": {"type": "lp", "coords": [[0], [1]]}}),
+         'lp metric needs "coords" and "p"'),
+        (lambda: instance_from_doc({"n": 2, "k": 1, "edges": [[0, 1]], "metric": {"type": "graph"}}),
+         'graph metric needs weighted "edges"'),
+        (lambda: clustering_from_doc({"mode": "overlapping", "clusters": [[0]]}),
+         "clustering mode must be one of ('disjoint', 'non_disjoint')"),
+    ],
+    ids=["labels", "lp-without-p", "graph-without-edges", "clustering-mode"],
+)
+def test_documents_missing_a_part_are_refused(load, message):
+    with pytest.raises(InstanceFormatError) as err:
+        load()
+    assert str(err.value) == message
+
+
+def test_a_mode_and_an_objective_outside_their_sets_raise(line6):
+    with pytest.raises(ValueError, match="mode must be one of"):
+        Clustering((frozenset({0}),), None, "overlapping")
+    c = clustering([set(range(6))], [0], DISJOINT)
+    with pytest.raises(ValueError, match="objective must be one of"):
+        clustering_cost(line6, c, "radius")
+

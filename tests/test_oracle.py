@@ -8,7 +8,6 @@ from conncluster import (
     clustering_cost,
     exact_assignment,
     exact_disjoint,
-    exact_disjoint_center_via_centersets,
     exact_nondisjoint_center,
     exact_nondisjoint_diameter,
     gen_random,
@@ -20,6 +19,7 @@ from conncluster import (
 )
 from conncluster.model import dist_leq
 
+from _oracle_refs import exact_disjoint_center_via_centersets
 from conftest import line6_with_k
 
 

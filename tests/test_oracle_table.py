@@ -34,6 +34,7 @@ from conncluster.model import (
 )
 from conncluster.oracle import (
     OracleLimitError,
+    exact_assignment,
     exact_disjoint,
     exact_nondisjoint_center_with_witness,
     exact_nondisjoint_diameter_with_witness,
@@ -125,6 +126,23 @@ def test_zero_time_budget_stops_the_dp(monkeypatch):
     inst = gen_random("general", 6, 2, seed=0)
     with pytest.raises(OracleLimitError, match="exceeded time budget"):
         exact_disjoint(inst, CENTER)
+
+
+@pytest.mark.parametrize(
+    "nodes, seconds, message",
+    [(1, 120.0, "assignment search exceeded node budget"),
+     (4097, -1.0, "assignment search exceeded time budget")],
+    ids=["nodes", "time"],
+)
+def test_budgets_stop_the_assignment_search(monkeypatch, nodes, seconds, message):
+    """The time budget is read every 4096 nodes, first at the first node
+    when the node budget is 4097."""
+    monkeypatch.setattr(conncluster.oracle, "MAX_ASSIGNMENT_NODES", nodes)
+    monkeypatch.setattr(conncluster.oracle, "TIME_BUDGET_S", seconds)
+    inst = gen_random("general", 6, 2, seed=0)
+    with pytest.raises(OracleLimitError) as err:
+        exact_assignment(inst, [0, 1], CENTER)
+    assert str(err.value) == message
 
 
 def test_size_limits_keep_their_messages():

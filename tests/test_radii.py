@@ -180,11 +180,10 @@ def test_fixed_center_candidates_match_loop(inst, data):
 
 
 def list_search(candidates, probe):
-    """The radius search as it ran over a list of Python floats."""
+    """The radius search as it ran over a list of Python floats, with the
+    largest candidate probed last, when no smaller one succeeded."""
     lo, hi = 0, len(candidates) - 1
-    best = probe(candidates[hi])
-    if best is None:
-        return None
+    best = None
     while lo < hi:
         mid = (lo + hi) // 2
         res = probe(candidates[mid])
@@ -192,6 +191,10 @@ def list_search(candidates, probe):
             best, hi = res, mid
         else:
             lo = mid + 1
+    if best is None:
+        best = probe(candidates[lo])
+        if best is None:
+            return None
     return candidates[lo], best
 
 

@@ -480,3 +480,22 @@ def test_constructions_work_on_instance_subsets():
     p2 = partition_lp(inst.coords, inst.p, centers, 0.2)
     assert verify_wsp(inst.dist, centers, p2).feasible
     assert p2.center_set() == set(centers)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda d, xy: partition_general_metric(d, [0, 1], -1.0), "r must be nonnegative"),
+        (lambda d, xy: partition_doubling(d, [0, 1], -1.0, 1), "r must be nonnegative"),
+        (lambda d, xy: partition_lp(xy[:, 0], 2, [0, 1], 1.0), "coords must be a 2-d array"),
+        (lambda d, xy: partition_lp(xy * 1e300, 2, [0, 1], 1e-300),
+         "r is too small for a grid over these coordinates"),
+    ],
+    ids=["general-negative-r", "doubling-negative-r", "lp-flat-coords", "lp-tiny-r"],
+)
+def test_partitions_refuse_their_own_inputs(build, message):
+    xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError) as err:
+        build(d, xy)
+    assert str(err.value) == message
