@@ -230,10 +230,9 @@ def _centers(q: _Query, algo: str) -> list[int]:
 
 def _oracle(inst: Instance, q: _Query) -> Solved:
     if q.centers is not None:
-        res = exact_assignment(inst, center_set(q.centers, inst.n, inst.k), q.objective)
-        if res is None:
-            raise InfeasibleError("no feasible assignment for the given centers")
-        value, result = res
+        value, result = exact_assignment(
+            inst, center_set(q.centers, inst.n, inst.k), q.objective
+        )
         return make_report(inst, result, q.objective, "oracle-assign", bound=value), result
     if q.mode == DISJOINT:
         value, result = exact_disjoint(inst, q.objective)

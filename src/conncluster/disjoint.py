@@ -72,10 +72,11 @@ def make_disjoint(
     clustering.
 
     ``p`` must partition exactly the cover's center set; its radius r is
-    the radius the transform assumes of the cover.  The per-layer
-    induction invariants (the first of which fails for a cover cluster
-    reaching past r) and the final cost bound are verified, and a
-    ``DisjointInvariantError`` is raised on any violation.
+    the radius the transform assumes of the cover.  A merged cluster that
+    must be split but is not connected, a cluster past its layer's radius
+    bound (as a cover cluster reaching past r is at the first layer), a
+    result that does not validate (points the cover left out, say) and a
+    cost past the partition bound each raise ``DisjointInvariantError``.
     """
     if cover.centers is None:
         raise AlgorithmPreconditionError("the transform needs a cover with centers")
@@ -141,10 +142,6 @@ def make_disjoint(
                 touched.add(idx)
                 for v in piece:
                     owner[v] = idx
-        if sum(map(len, clusters)) != len(owner):
-            raise DisjointInvariantError(
-                f"finalized clusters overlap after layer {li + 1}"
-            )
         # the bound never falls from layer to layer, so a cluster this
         # layer left alone still meets it
         bound = (2 * (li + 1) - 1) * r + sum(p.h[: li + 1])
@@ -158,8 +155,6 @@ def make_disjoint(
                 )
 
     result = clustering(clusters, centers, DISJOINT)
-    if result.clusters_used > len(cover.centers):
-        raise DisjointInvariantError("more clusters than centers")
     verdict = validate_clustering(inst, result)
     structural = [
         v for v in verdict.violations if "budget" not in v

@@ -25,6 +25,7 @@ from .model import (
     Clustering,
     Instance,
     SolveReport,
+    bfs_parents,
     binary_search_min_feasible,
     candidate_radii,
     center_set,
@@ -457,8 +458,6 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     by_center: dict[int, set[int]] = {}
     for a, b in assign.items():
         by_center.setdefault(b, set()).add(ctx.nodes[a])
-    if len(by_center) != int(Ia[0]):
-        raise RuntimeError("reconstruction disagrees with the DP count")
     centers = sorted(by_center, key=lambda b: ctx.nodes[b])
     result = clustering(
         [by_center[b] for b in centers], [ctx.nodes[b] for b in centers], DISJOINT
@@ -476,10 +475,11 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
 @dataclass
 class _Forest:
     """The radius-independent part of ``tree_assignment``, built once per
-    solve: the components of the tree minus its centers, each as its DFS
-    pre-order from its smallest point, and each with ``via``, the map from
-    the column of every center it touches to the one point that center
-    hangs from (a center touches a component at most once in a tree).
+    solve: the components of the tree minus its centers, each in the
+    discovery order of ``bfs_parents`` from its smallest point (a top-down
+    order), and each with ``via``, the map from the column of every center
+    it touches to the one point that center hangs from (a center touches
+    a component at most once in a tree).
     Every component touches a center, since the tree is connected.
     """
 
@@ -487,7 +487,7 @@ class _Forest:
     dist: np.ndarray  # inst.dist[:, centers]
     parent: list[int]  # parent inside the component, -1 at its root
     hang: list[list[int]]  # hang[v]: columns of the centers adjacent to v
-    components: list[tuple[list[int], dict[int, int]]]  # (pre-order, via)
+    components: list[tuple[list[int], dict[int, int]]]  # (top-down order, via)
 
 
 def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
@@ -496,29 +496,24 @@ def _tree_forest(inst: Instance, C: Sequence[int]) -> _Forest:
         raise AlgorithmPreconditionError("connectivity graph is not a tree")
 
     col = {c: j for j, c in enumerate(C)}
+    rest = set(range(inst.n)) - col.keys()  # the points no component holds yet
     parent = [-1] * inst.n
     hang: list[list[int]] = [[] for _ in range(inst.n)]
-    seen = [v in col for v in range(inst.n)]
+    for c, j in col.items():
+        for v in inst.adj[c]:
+            hang[v].append(j)
     components: list[tuple[list[int], dict[int, int]]] = []
     for root in range(inst.n):
-        if seen[root]:
+        if root not in rest:
             continue
-        seen[root] = True
-        order: list[int] = []
+        tree = bfs_parents(inst, rest, [root])
+        rest.difference_update(tree)
         via: dict[int, int] = {}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in reversed(inst.adj[v]):  # adjacency lists are ascending
-                if u in col:
-                    hang[v].append(col[u])
-                    via[col[u]] = v
-                elif not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    stack.append(u)
-        components.append((order, via))
+        for v, u in tree.items():
+            parent[v] = u
+            for j in hang[v]:
+                via[j] = v
+        components.append((list(tree), via))
     return _Forest(C, inst.dist[:, C], parent, hang, components)
 
 
@@ -552,8 +547,6 @@ def _assign_forest(forest: _Forest, r: float) -> Optional[Clustering]:
         for v in order:
             if side[v] >= 0:
                 continue
-            if not reach[v]:
-                raise RuntimeError("fold chain left an unassigned vertex")
             j = min(reach[v])
             x = via[j]
             while True:

@@ -879,9 +879,9 @@ def bfs_parents(
     induces: each point reached, in discovery order, mapped to the point it
     was reached from, a root to -1.  Neighbours are scanned in ascending
     order.  The one connectivity search: clusters, the transform's
-    spanning trees, padding and the assignment oracle all ask it.  It
-    stops once every point is reached, so a dense cluster reads a few
-    adjacency lists, not all of them.
+    spanning trees, padding, the tree-assign forest and the assignment
+    oracle all ask it.  It stops once every point is reached, so a dense
+    cluster reads a few adjacency lists, not all of them.
     """
     parent = dict.fromkeys(roots, -1)
     queue = list(parent)

@@ -301,15 +301,15 @@ def exact_assignment(
     inst: Instance,
     C: Sequence[int],
     objective: str,
-) -> Optional[tuple[float, Clustering]]:
+) -> tuple[float, Clustering]:
     """Exact optimum over connected disjoint assignments to fixed centers.
 
-    Returns None when no feasible assignment exists at any radius (some
-    component of the connectivity graph has no center).
+    Raises ``InfeasibleError`` when no feasible assignment exists at any
+    radius (some component of the connectivity graph has no center).
     """
     C = center_set(C, inst.n)
     if len(bfs_parents(inst, range(inst.n), C)) != inst.n:  # a component has no center
-        return None
+        raise InfeasibleError("no feasible assignment for the given centers")
     if objective == CENTER:
         cands = dedup_radii(inst.dist[:, C], leq=True)
     else:

@@ -298,9 +298,11 @@ def exact_disjoint_center_via_centersets(inst: Instance) -> float:
     best = float("inf")
     for size in range(1, inst.k + 1):
         for C in itertools.combinations(range(inst.n), size):
-            res = exact_assignment(inst, C, CENTER)
-            if res is not None and res[0] < best:
-                best = res[0]
+            try:
+                value, _ = exact_assignment(inst, C, CENTER)
+            except InfeasibleError:
+                continue
+            best = min(best, value)
     if best == float("inf"):
         raise OracleLimitError("no center set yields a feasible assignment")
     return best

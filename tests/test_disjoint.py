@@ -23,6 +23,7 @@ from conncluster import (
     make_instance,
     pad_to_k,
     partition_bound,
+    partition_general_metric,
     partition_two_centers,
     solve_assignment_given_centers,
     solve_disjoint,
@@ -126,6 +127,28 @@ def test_make_disjoint_rejects_a_cover_wider_than_the_partition_radius():
     # at the cover's own radius the transform keeps it
     p = partition_two_centers(inst.dist, [0], 2.0)
     assert make_disjoint(inst, g, p, CENTER) == clustering([{0, 1, 2}], [0], DISJOINT)
+
+
+@pytest.mark.parametrize(
+    "clusters, centers, r, message",
+    [
+        # {0, 1, 3}, in the second layer, holds two points the first layer
+        # finalized, so it is split along a spanning tree it does not have
+        ([{0, 1}, {0, 1, 3}], [0, 1], 1.0,
+         "cluster around 1 does not induce a connected subgraph"),
+        ([{0, 1}], [0], 3.0, "points not covered: [2, 3]"),
+    ],
+    ids=["disconnected", "uncovered"],
+)
+def test_make_disjoint_rejects_a_broken_cover(clusters, centers, r, message):
+    # path 0-1-2-3 with d = |i - j|
+    m = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    inst = make_instance(m, [(0, 1), (1, 2), (2, 3)], 3)
+    cover = clustering(clusters, centers, NON_DISJOINT)
+    p = partition_general_metric(inst.dist, centers, r)
+    with pytest.raises(DisjointInvariantError) as info:
+        make_disjoint(inst, cover, p, CENTER)
+    assert str(info.value) == message
 
 
 def test_solve_disjoint_k_equals_n():
@@ -261,9 +284,8 @@ def test_assignment_given_centers_all_points():
 
 def test_assignment_given_centers_line6(line6):
     report, result = solve_assignment_given_centers(line6, [2, 3], CENTER)
-    res = exact_assignment(line6, [2, 3], CENTER)
-    assert res is not None
-    assert dist_leq(report.objective, 3.0 * res[0])
+    value, _ = exact_assignment(line6, [2, 3], CENTER)
+    assert dist_leq(report.objective, 3.0 * value)
 
 
 def test_assignment_factor_on_randoms():
@@ -275,9 +297,8 @@ def test_assignment_factor_on_randoms():
         C = rng.sample(range(8), 2)
         report, result = solve_assignment_given_centers(inst, C, CENTER)
         assert validate_clustering(inst, result).feasible
-        res = exact_assignment(inst, C, CENTER)
-        assert res is not None
-        assert dist_leq(report.objective, 3.0 * res[0])
+        value, _ = exact_assignment(inst, C, CENTER)
+        assert dist_leq(report.objective, 3.0 * value)
 
 
 def test_pad_splits_path_into_singletons():

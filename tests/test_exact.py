@@ -255,9 +255,8 @@ def test_tree_assignment_small_star():
 
 def test_tree_assignment_line6_smallest_radius(line6):
     report, result = solve_tree_assignment(line6, [2, 3])
-    res = exact_assignment(line6, [2, 3], CENTER)
-    assert res is not None
-    assert report.objective == res[0] == 2.0
+    value, _ = exact_assignment(line6, [2, 3], CENTER)
+    assert report.objective == value == 2.0
 
 
 def test_tree_assignment_nonleaf_center_split(trap5):
@@ -285,8 +284,8 @@ def test_tree_assignment_consistent_with_oracle():
                 )
                 assert dist_leq(clustering_cost(inst, mine, CENTER), r)
             else:
-                res = exact_assignment(inst, C, CENTER)
-                assert res is None or res[0] > r
+                value, _ = exact_assignment(inst, C, CENTER)  # a tree is connected
+                assert value > r
 
 
 def test_solve_tree_assignment_matches_oracle():
@@ -296,6 +295,5 @@ def test_solve_tree_assignment_matches_oracle():
         inst = gen_random("tree", n, 2, seed=seed + 500)
         C = rng.sample(range(n), 2)
         report, result = solve_tree_assignment(inst, C)
-        res = exact_assignment(inst, C, CENTER)
-        assert res is not None
-        assert report.objective == res[0]
+        value, _ = exact_assignment(inst, C, CENTER)
+        assert report.objective == value

@@ -71,8 +71,8 @@ def test_worstcase_I3_shape():
 @pytest.mark.parametrize("m", [2, 3])
 def test_worstcase_I_given_center_optimum(m):
     meta = gen_worstcase_I(m)
-    res = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
-    assert res is not None and res[0] == float(2 * m - 1)
+    value, _ = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
+    assert value == float(2 * m - 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -338,6 +338,8 @@ def test_sat_gadget_skips_variables_that_do_not_occur():
         (lambda: s_sequence(0), ValueError, "need at least one term"),
         (lambda: gen_sat_gadget([[1]], "three_center"), InstanceFormatError,
          "unknown SAT gadget variant 'three_center'"),
+        (lambda: gen_star_clique_cover(0, [], 1), InstanceFormatError,
+         "need a nonempty graph and 1 <= k < n_vertices"),
         (lambda: gen_star_clique_cover(3, [(0, 3)], 1), InstanceFormatError, "bad source edge (0, 3)"),
         (lambda: gen_star_set_cover(2, [[0, 2]], 1), InstanceFormatError, "element 2 out of range"),
         (lambda: gen_star_set_cover(2, [[0]], 1), InstanceFormatError,
@@ -346,7 +348,7 @@ def test_sat_gadget_skips_variables_that_do_not_occur():
         (lambda: gen_star_multicut(3, [(1, 1)], 1), InstanceFormatError, "bad pair (1, 1)"),
         (lambda: gen_random("ring", 3, 1, seed=0), InstanceFormatError, "unknown random family 'ring'"),
     ],
-    ids=["s-sequence", "sat-variant", "clique-edge", "set-element", "set-uncovered",
+    ids=["s-sequence", "sat-variant", "clique-empty", "clique-edge", "set-element", "set-uncovered",
          "multicut-leaves", "multicut-pair", "random-family"],
 )
 def test_generator_arguments_are_checked(make, error, message):

@@ -354,3 +354,9 @@ def test_a_mode_and_an_objective_outside_their_sets_raise(line6):
     with pytest.raises(ValueError, match="objective must be one of"):
         clustering_cost(line6, c, "radius")
 
+
+def test_a_center_tuple_of_the_wrong_length_raises():
+    with pytest.raises(ValueError) as err:
+        Clustering((frozenset({0}), frozenset({1})), (0,), DISJOINT)
+    assert str(err.value) == "centers and clusters must have equal length"
+

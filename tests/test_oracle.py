@@ -4,6 +4,7 @@ import pytest
 from conncluster import (
     CENTER,
     DIAMETER,
+    InfeasibleError,
     OracleLimitError,
     clustering_cost,
     exact_assignment,
@@ -79,9 +80,7 @@ def test_exact_nondisjoint_diameter_small_path():
 
 def test_exact_assignment_worstcase_I2():
     meta = gen_worstcase_I(2)
-    res = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
-    assert res is not None
-    value, best = res
+    value, best = exact_assignment(meta.instance, meta.annotations["centers"], CENTER)
     assert value == 3.0
     assert validate_clustering(meta.instance, best).feasible
 
@@ -101,22 +100,22 @@ def test_exact_assignment_sat_gadget():
 def test_exact_assignment_infeasible_component():
     m = [[0, 1, 5, 5], [1, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]]
     inst = make_instance(m, [(0, 1), (2, 3)], 2)
-    assert exact_assignment(inst, [0, 1], CENTER) is None
+    with pytest.raises(InfeasibleError, match="no feasible assignment for the given centers"):
+        exact_assignment(inst, [0, 1], CENTER)
     # three components: centers in two of them leave the third unserved
     m3 = np.full((6, 6), 5.0)
     np.fill_diagonal(m3, 0.0)
     inst3 = make_instance(m3, [(0, 1), (2, 3), (4, 5)], 3)
     for centers in ([0, 2], [1, 5], [3, 4], [0, 1, 2]):
-        assert exact_assignment(inst3, centers, CENTER) is None
+        with pytest.raises(InfeasibleError):
+            exact_assignment(inst3, centers, CENTER)
     value, best = exact_assignment(inst3, [1, 2, 5], CENTER)
     assert value == 5.0
     assert best.clusters == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
 
 
 def test_exact_assignment_diameter(trap5):
-    res = exact_assignment(trap5, [0, 2], DIAMETER)
-    assert res is not None
-    value, best = res
+    value, best = exact_assignment(trap5, [0, 2], DIAMETER)
     assert value == clustering_cost(trap5, best, DIAMETER)
     assert validate_clustering(trap5, best).feasible
 

@@ -1,6 +1,6 @@
 """Line collector: the statements of ``src/conncluster`` that no test runs.
 
-A pytest plugin, run on demand (it is no tier-1 or CI step):
+A pytest plugin, run as its own CI job (not a tier-1 step):
 
     PYTHONPATH=src:tools python -m pytest -q -p linecov
 
@@ -9,12 +9,21 @@ the lines run in the package's files, in the main thread and in every
 thread started meanwhile (``sys.settrace``, ``threading.settrace``).
 After the summary it prints each statement never run as
 ``file:line: source``, then a count, leaving out the statements
-``linecov_allow.txt`` lists as unreachable; the run exits nonzero when
-it printed any.  A statement is a line that starts an ``ast`` statement
-and has bytecode, so a function's docstring is none.  Code run in a
-subprocess is not traced: the tests that run ``python -m conncluster``
-leave ``__main__.py`` unreached.  Tracing about doubles the suite's
-time.  No coverage package is needed.
+``linecov_allow.txt`` lists as unreachable, and then each entry of that
+list that matched no unreached statement; the run exits nonzero when it
+printed any of either.  A statement is a line that starts an ``ast``
+statement and has bytecode, so a function's docstring is none.  The
+statements are read from each file's source as it was when tracing
+started; a file whose source changed during the run is named and the
+run refused, since its traced line numbers may belong to either
+version.  CPython drops a trace function whose call fails, as one
+called at the recursion limit does, so after each test the collector
+restarts tracing if it stopped, and the summary names the tests it
+stopped in: their later lines went unrecorded, so a statement reported
+unreached after such a run may have run.  Code run in a subprocess is
+not traced: the tests that run ``python -m conncluster`` leave
+``__main__.py`` unreached.  Tracing about doubles the suite's time.  No
+coverage package is needed.
 
 Each entry of the allowlist is ``file::scope: source``: the file as
 printed, the qualified name of the function or class around the
@@ -59,10 +68,9 @@ def scopes(tree: ast.Module) -> dict[int, str]:
     return out
 
 
-def statements(path: Path) -> dict[int, str]:
-    """The lines of ``path`` that start a statement and have bytecode,
-    each with its scope (``scopes``)."""
-    source = path.read_text(encoding="utf-8")
+def statements(source: str, path: Path) -> dict[int, str]:
+    """The lines of ``source``, read from ``path``, that start a statement
+    and have bytecode, each with its scope (``scopes``)."""
     starts = scopes(ast.parse(source))
     code_lines: set[int] = set()
     stack = [compile(source, str(path), "exec")]
@@ -97,6 +105,8 @@ class Collector:
         self.prefix = str(package) + os.sep
         self.reached: dict[str, set[int]] = {}  # file name -> lines run
         self.tracers: dict[str, object] = {}  # file name -> line tracer, None outside
+        self.sources: dict[Path, str] = {}  # file -> its source when tracing started
+        self.stopped: list[str] = []  # the tests tracing stopped in
 
     def _trace(self, frame, event, arg):
         filename = frame.f_code.co_filename
@@ -116,6 +126,10 @@ class Collector:
         return trace
 
     def start(self) -> None:
+        self.sources = {
+            path: path.read_text(encoding="utf-8")
+            for path in sorted(self.package.rglob("*.py"))
+        }
         sys.settrace(self._trace)
         threading.settrace(self._trace)
 
@@ -123,31 +137,68 @@ class Collector:
         sys.settrace(None)
         threading.settrace(None)
 
-    def unreached(self, allowed: Counter) -> tuple[list[str], int]:
+    def restart(self, test: str) -> None:
+        """Trace again in this thread if tracing stopped during ``test``."""
+        if sys.gettrace() != self._trace:
+            self.stopped.append(test)
+            sys.settrace(self._trace)
+
+    def changed(self) -> list[Path]:
+        """The files whose source is not what it was when tracing started."""
+        return [
+            path
+            for path, source in self.sources.items()
+            if not path.exists() or path.read_text(encoding="utf-8") != source
+        ]
+
+    def unreached(self, allowed: Counter) -> tuple[list[str], list[str], int]:
         """``file:line: source`` for each statement not run and not in
-        ``allowed``, and the number of statements."""
+        ``allowed``, the entries of ``allowed`` that no such statement
+        used, and the number of statements."""
         left = allowed.copy()
         out, total = [], 0
-        for path in sorted(self.package.rglob("*.py")):
-            lines = statements(path)
+        for path, text in self.sources.items():
+            lines = statements(text, path)
             total += len(lines)
             reached = self.reached.get(str(path), set())
-            text = path.read_text(encoding="utf-8").splitlines()
+            text_lines = text.splitlines()
             name = path.relative_to(ROOT)
             for n, scope in lines.items():
                 if n in reached:
                     continue
-                source = text[n - 1].strip()
+                source = text_lines[n - 1].strip()
                 entry = f"{name}::{scope}: {source}"
                 if left[entry] > 0:
                     left[entry] -= 1
                 else:
                     out.append(f"{name}:{n}: {source}")
-        return out, total
+        return out, sorted(left.elements()), total
+
+
+def report(collector: Collector) -> tuple[list[str], bool]:
+    """The lines of the summary, and whether the run passes."""
+    changed = collector.changed()
+    if changed:
+        return [
+            f"{path.relative_to(ROOT)}: source changed during the run; run again"
+            for path in changed
+        ], False
+    allowed = read_allowlist(ALLOWLIST)
+    missed, unused, total = collector.unreached(allowed)
+    lines = missed + [
+        f"{ALLOWLIST.name}: no unreached statement for {entry}" for entry in unused
+    ]
+    lines += [f"tracing stopped during {test}; restarted after it" for test in collector.stopped]
+    lines.append(
+        f"{len(missed)} of {total} statements in src/conncluster not reached"
+        f" outside the {sum(allowed.values())} entries of {ALLOWLIST.name},"
+        f" {len(unused)} of them unused"
+    )
+    return lines, not missed and not unused
 
 
 _COLLECTOR = pytest.StashKey[Collector]()
-_RESULT = pytest.StashKey[tuple[list[str], int, int]]()  # missed, statements, entries
+_RESULT = pytest.StashKey[list[str]]()  # the lines of the summary
 
 
 @pytest.hookimpl(tryfirst=True)
@@ -156,26 +207,26 @@ def pytest_load_initial_conftests(early_config, parser, args):
     collector.start()
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    yield
+    item.config.stash[_COLLECTOR].restart(item.nodeid)
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
     collector = config.stash[_COLLECTOR]
     collector.stop()
-    allowed = read_allowlist(ALLOWLIST)
-    missed, total = collector.unreached(allowed)
-    config.stash[_RESULT] = missed, total, sum(allowed.values())
-    if missed and session.exitstatus == pytest.ExitCode.OK:
+    lines, passed = report(collector)
+    config.stash[_RESULT] = lines
+    if not passed and session.exitstatus == pytest.ExitCode.OK:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    missed, total, listed = config.stash[_RESULT]
     terminalreporter.section("statements no test reached")
-    for line in missed:
+    for line in config.stash[_RESULT]:
         terminalreporter.write_line(line)
-    terminalreporter.write_line(
-        f"{len(missed)} of {total} statements in src/conncluster not reached"
-        f" outside the {listed} entries of {ALLOWLIST.name}"
-    )
 
 
 def pytest_unconfigure(config):
