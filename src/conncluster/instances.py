@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, InstanceFormatError, make_instance
+from .model import GraphMetric, Instance, InstanceFormatError, LpMetric, make_instance, point_ids
 
 Vector = tuple[int, ...]  # positive entries are plain values, -j encodes the
 # j-th special symbol
@@ -52,8 +52,8 @@ def _vector_instance(m: int, num_specials: int) -> tuple[Instance, dict]:
     distances are 0 (equal), 1 (exactly one side special), 2 (otherwise)
     and sum up.  Edges connect special-free vectors to their first-
     coordinate specializations, and vectors whose identical special
-    symbol slides one coordinate to the right.  The cluster budget is
-    the number of special-free vectors.
+    symbol slides one coordinate to the right.  The special-free vectors
+    come first, and their number is the cluster budget.
     """
     S = s_sequence(m + 1)
     ranges = [list(range(1, S[m + 1 - i - 1] + 1 + 1)) for i in range(1, m + 1)]
@@ -70,21 +70,13 @@ def _vector_instance(m: int, num_specials: int) -> tuple[Instance, dict]:
                 special_vecs.append(tuple(vec))
     points: list[Vector] = plain + special_vecs
     index = {v: i for i, v in enumerate(points)}
-    n = len(points)
 
-    def coord_dist(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        if (a < 0) != (b < 0):
-            return 1
-        return 2
-
-    dist = np.zeros((n, n))
-    for i, a in enumerate(points):
-        for j in range(i + 1, n):
-            b = points[j]
-            val = sum(coord_dist(a[t], b[t]) for t in range(m))
-            dist[i, j] = dist[j, i] = val
+    # each differing coordinate costs 1, and 1 more unless exactly one
+    # side is special; the sums of small integers are exact in float64
+    rows = np.array(points)[:, None]
+    cols = rows.transpose(1, 0, 2)
+    differ = rows != cols
+    dist = differ.sum(2, dtype=float) + (differ & ((rows < 0) == (cols < 0))).sum(2, dtype=float)
 
     edges: set[tuple[int, int]] = set()
     for v in plain:
@@ -118,11 +110,10 @@ def gen_worstcase_I(m: int) -> GadgetMeta:
     if not 1 <= m <= 4:
         raise InstanceFormatError("m must be between 1 and 4")
     inst, ann = _vector_instance(m, 1)
-    points = [tuple(v) for v in ann["points"]]
-    centers = [i for i, v in enumerate(points) if all(x > 0 for x in v)]
+    centers = list(range(inst.k))
     cprime = [
         i
-        for i, v in enumerate(points)
+        for i, v in enumerate(ann["points"])
         if any(v[t] < 0 for t in range(max(m - 1, 1)))
     ]
     ann.update(
@@ -141,21 +132,17 @@ def gen_worstcase_Iprime(m: int) -> GadgetMeta:
     optimum stays 1 while every disjoint solution costs at least 2m-2."""
     if not 2 <= m <= 3:
         raise InstanceFormatError("m must be 2 or 3")
-    S = s_sequence(m + 1)
-    k = S[m + 1 - 1]
+    k = s_sequence(m + 1)[m]  # S(m+1), the number of special-free vectors
     inst, ann = _vector_instance(m, k + 1)
-    points = [tuple(v) for v in ann["points"]]
-    a_set = [i for i, v in enumerate(points) if all(x > 0 for x in v)]
-    v_groups = {
-        j: [i for i, v in enumerate(points) if any(x == -j for x in v)]
-        for j in range(1, k + 2)
-    }
     ann.update(
         {
             "family": "worstcase-Iprime",
             "k": k,
-            "plain_points": a_set,
-            "special_groups": {str(j): ids for j, ids in v_groups.items()},
+            "plain_points": list(range(k)),
+            "special_groups": {
+                str(j): [i for i, v in enumerate(ann["points"]) if -j in v]
+                for j in range(1, k + 2)
+            },
             "nondisjoint_optimum": 1,
             "disjoint_lower_bound": 2 * m - 2,
         }
@@ -176,36 +163,18 @@ def _check_formula(clauses: Sequence[Sequence[int]]) -> list[int]:
         if not cl or len(cl) > 3:
             raise InstanceFormatError("clauses must have 1..3 literals")
         for lit in cl:
-            if not isinstance(lit, int) or lit == 0:
+            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise InstanceFormatError("literals are nonzero integers")
             variables.add(abs(lit))
     return sorted(variables)
 
 
-def _sat_block_edges(
-    t: int, f: int, xs: dict, clauses: Sequence[Sequence[int]], base_b: list[int]
-):
-    """Connectivity and metric-graph edges of one SAT block attached to
-    the hub points t and f."""
-    conn: list[tuple[int, int]] = []
-    metric: list[tuple[int, int]] = []
-    for i in sorted(xs):
-        xi, nxi, ai = xs[i]
-        conn += [(xi, t), (xi, f), (nxi, t), (nxi, f), (xi, ai), (nxi, ai)]
-        metric += [(xi, t), (nxi, t), (xi, f), (nxi, f), (ai, f)]
-    for j, cl in enumerate(clauses):
-        bj = base_b[j]
-        metric.append((bj, t))
-        for lit in set(cl):
-            xi, nxi, _ = xs[abs(lit)]
-            conn.append((xi if lit > 0 else nxi, bj))
-    return conn, metric
-
-
-def _graph_distances(n: int, metric_edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    from .model import GraphMetric
-
-    return GraphMetric(tuple((u, v, 1.0) for u, v in metric_edges)).realize(n)
+#: variant -> hub labels, the (T, F) hub pair of each block, and each
+#: block's infix in its point labels
+_SAT_VARIANTS = {
+    "two_center": (["T", "F"], [(0, 1)], [""]),
+    "four_center": (["h0", "h1", "h2", "h3"], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], "12345"),
+}
 
 
 def gen_sat_gadget(
@@ -218,74 +187,68 @@ def gen_sat_gadget(
     is 1 when the formula is satisfiable and 3 otherwise.  four_center:
     five linked copies sharing four hub points, k=4, with a radius-1
     clustering iff the formula is satisfiable.
+
+    Each block attaches, to its hubs t and f, points x, ~x and a per
+    variable and b per clause, all after the hubs.
     """
     variables = _check_formula(clauses)
-    mc = len(clauses)
-    if variant == "two_center":
-        t, f = 0, 1
+    if variant not in _SAT_VARIANTS:
+        raise InstanceFormatError(f"unknown SAT gadget variant {variant!r}")
+    hubs, hub_pairs, infixes = _SAT_VARIANTS[variant]
+    labels = list(hubs)
+    nid = len(hubs)
+    conn: list[tuple[int, int]] = []
+    metric: list[tuple[int, int]] = []
+    blocks = []
+    for s, (t, f) in zip(infixes, hub_pairs):
         xs = {}
-        nid = 2
-        labels = ["T", "F"]
         for i in variables:
-            xs[i] = (nid, nid + 1, nid + 2)
-            labels += [f"x{i}", f"~x{i}", f"a{i}"]
+            xi, nxi, ai = xs[i] = (nid, nid + 1, nid + 2)
+            labels += [f"x{s}{i}", f"~x{s}{i}", f"a{s}{i}"]
+            conn += [(xi, t), (xi, f), (nxi, t), (nxi, f), (xi, ai), (nxi, ai)]
+            metric += [(xi, t), (nxi, t), (xi, f), (nxi, f), (ai, f)]
             nid += 3
-        base_b = list(range(nid, nid + mc))
-        labels += [f"b{j + 1}" for j in range(mc)]
-        n = nid + mc
-        conn, metric = _sat_block_edges(t, f, xs, clauses, base_b)
-        dist = _graph_distances(n, metric)
-        inst = make_instance(dist, sorted(set(conn)), 2, labels=labels)
-        ann = {
-            "family": "sat-two-center",
-            "centers": [t, f],
-            "variables": {str(i): list(xs[i]) for i in xs},
-            "clause_points": base_b,
-            "clauses": [list(c) for c in clauses],
-        }
-        return GadgetMeta(inst, ann)
-    if variant == "four_center":
-        hubs = [0, 1, 2, 3]
-        hub_pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]  # (T_i, F_i)
-        labels = ["h0", "h1", "h2", "h3"]
-        nid = 4
-        conn: list[tuple[int, int]] = []
-        metric: list[tuple[int, int]] = []
-        subs = []
-        for s, (t, f) in enumerate(hub_pairs, start=1):
-            xs = {}
-            for i in variables:
-                xs[i] = (nid, nid + 1, nid + 2)
-                labels += [f"x{s}{i}", f"~x{s}{i}", f"a{s}{i}"]
-                nid += 3
-            base_b = list(range(nid, nid + mc))
-            labels += [f"b{s}{j + 1}" for j in range(mc)]
-            nid += mc
-            c_e, m_e = _sat_block_edges(t, f, xs, clauses, base_b)
-            conn += c_e
-            metric += m_e
-            subs.append(
-                {
-                    "T": t,
-                    "F": f,
-                    "variables": {str(i): list(xs[i]) for i in xs},
-                    "clause_points": base_b,
-                }
-            )
-        dist = _graph_distances(nid, metric)
-        inst = make_instance(dist, sorted(set(conn)), 4, labels=labels)
-        ann = {
-            "family": "sat-four-center",
-            "centers": hubs,
-            "subinstances": subs,
-            "clauses": [list(c) for c in clauses],
-        }
-        return GadgetMeta(inst, ann)
-    raise InstanceFormatError(f"unknown SAT gadget variant {variant!r}")
+        base_b = list(range(nid, nid + len(clauses)))
+        labels += [f"b{s}{j + 1}" for j in range(len(clauses))]
+        nid += len(clauses)
+        for bj, cl in zip(base_b, clauses):
+            metric.append((bj, t))
+            for lit in set(cl):
+                xi, nxi, _ = xs[abs(lit)]
+                conn.append((xi if lit > 0 else nxi, bj))
+        blocks.append({"variables": {str(i): list(xs[i]) for i in xs}, "clause_points": base_b})
+    dist = GraphMetric(tuple((u, v, 1.0) for u, v in metric)).realize(nid)
+    inst = make_instance(dist, sorted(set(conn)), len(hubs), labels=labels)
+    ann = {"family": "sat-" + variant.replace("_", "-"), "centers": list(range(len(hubs)))}
+    if variant == "two_center":
+        ann.update(blocks[0])
+    else:
+        ann["subinstances"] = [{"T": t, "F": f, **b} for (t, f), b in zip(hub_pairs, blocks)]
+    ann["clauses"] = [list(c) for c in clauses]
+    return GadgetMeta(inst, ann)
 
 
 # ---------------------------------------------------------------------------
 # star gadgets
+
+
+def _id_pairs(pairs: Sequence[tuple[int, int]], n: int, what: str, bad: str) -> list[tuple[int, int]]:
+    """The distinct pairs of distinct ids in 0..n-1, each as (smaller,
+    larger), ascending; each id passes ``point_ids`` as a ``what`` id."""
+    out = set()
+    for pair in pairs:
+        u, v = point_ids(pair, what=what)
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise InstanceFormatError(f"bad {bad} ({u}, {v})")
+        out.add((min(u, v), max(u, v)))
+    return sorted(out)
+
+
+def _star(dist: np.ndarray, k: int, labels: list[str]) -> Instance:
+    """The instance on ``dist``, its diagonal zeroed, whose connectivity
+    graph joins point 0 to every other point."""
+    np.fill_diagonal(dist, 0.0)
+    return make_instance(dist, [(0, i) for i in range(1, len(dist))], k, labels=labels)
 
 
 def gen_star_clique_cover(
@@ -295,24 +258,16 @@ def gen_star_clique_cover(
     graph has a clique cover of size k."""
     if n_vertices < 1 or not 1 <= k < n_vertices:
         raise InstanceFormatError("need a nonempty graph and 1 <= k < n_vertices")
-    edge_set = set()
-    for u, v in graph_edges:
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:
-            raise InstanceFormatError(f"bad source edge ({u}, {v})")
-        edge_set.add((min(u, v), max(u, v)))
-    n = n_vertices + 1
-    dist = np.full((n, n), 2.0)
-    np.fill_diagonal(dist, 0.0)
+    edges = _id_pairs(graph_edges, n_vertices, "vertex", "source edge")
+    dist = np.full((n_vertices + 1, n_vertices + 1), 2.0)
     dist[0, :] = dist[:, 0] = 1.0
-    dist[0, 0] = 0.0
-    for u, v in edge_set:
+    for u, v in edges:
         dist[u + 1, v + 1] = dist[v + 1, u + 1] = 1.0
-    conn = [(0, i) for i in range(1, n)]
-    inst = make_instance(dist, conn, k, labels=["root"] + [f"v{i}" for i in range(n_vertices)])
+    inst = _star(dist, k, ["root"] + [f"v{i}" for i in range(n_vertices)])
     ann = {
         "family": "star-clique-cover",
         "root": 0,
-        "source_edges": sorted(edge_set),
+        "source_edges": edges,
         "n_vertices": n_vertices,
         "target_k": k,
         "objective": "diameter",
@@ -328,40 +283,36 @@ def gen_star_set_cover(
     sets cover all elements."""
     if n_elements < 1 or not sets or not 1 <= k <= len(sets):
         raise InstanceFormatError("need elements, sets and 1 <= k <= #sets")
-    covered = set()
+    checked = []
     for s in sets:
+        s = point_ids(s, what="element")
         for e in s:
             if not 0 <= e < n_elements:
                 raise InstanceFormatError(f"element {e} out of range")
-            covered.add(e)
-    if covered != set(range(n_elements)):
+        checked.append(sorted(set(s)))
+    sets = checked
+    if set().union(*sets) != set(range(n_elements)):
         raise InstanceFormatError("every element must occur in some set")
-    m = len(sets)
-    n = 1 + n_elements + m
+    n = 1 + n_elements + len(sets)
+    set_points = list(range(1 + n_elements, n))
+    # the root and the set points lie at 1 from each other, each element
+    # at 1 from the sets that hold it, and every other pair at 2
     dist = np.full((n, n), 2.0)
-    np.fill_diagonal(dist, 0.0)
-    for j in range(m):
-        w = 1 + n_elements + j
-        dist[0, w] = dist[w, 0] = 1.0
-        for j2 in range(j + 1, m):
-            w2 = 1 + n_elements + j2
-            dist[w, w2] = dist[w2, w] = 1.0
-        for e in sets[j]:
-            dist[1 + e, w] = dist[w, 1 + e] = 1.0
-    conn = [(0, i) for i in range(1, n)]
-    labels = ["z"] + [f"e{i}" for i in range(n_elements)] + [f"S{j}" for j in range(m)]
-    inst = make_instance(dist, conn, k, labels=labels)
+    dist[np.ix_([0] + set_points, [0] + set_points)] = 1.0
+    for w, s in zip(set_points, sets):
+        dist[[1 + e for e in s], w] = dist[w, [1 + e for e in s]] = 1.0
+    labels = ["z"] + [f"e{i}" for i in range(n_elements)] + [f"S{j}" for j in range(len(sets))]
     ann = {
         "family": "star-set-cover",
         "root": 0,
         "elements": list(range(1, 1 + n_elements)),
-        "set_points": list(range(1 + n_elements, n)),
-        "sets": [sorted(set(s)) for s in sets],
+        "set_points": set_points,
+        "sets": sets,
         "target_k": k,
         "objective": "center",
         "mode": "non_disjoint",
     }
-    return GadgetMeta(inst, ann)
+    return GadgetMeta(_star(dist, k, labels), ann)
 
 
 def gen_star_multicut(
@@ -371,24 +322,15 @@ def gen_star_multicut(
     star edges separates all given leaf pairs."""
     if n_leaves < 1 or not 0 <= k < n_leaves:
         raise InstanceFormatError("need leaves and 0 <= k < n_leaves")
-    pair_set = set()
+    pairs = _id_pairs(pairs, n_leaves, "leaf", "pair")
+    dist = np.full((n_leaves + 1, n_leaves + 1), 1.0)
     for u, v in pairs:
-        if not (0 <= u < n_leaves and 0 <= v < n_leaves) or u == v:
-            raise InstanceFormatError(f"bad pair ({u}, {v})")
-        pair_set.add((min(u, v), max(u, v)))
-    n = n_leaves + 1
-    dist = np.full((n, n), 1.0)
-    np.fill_diagonal(dist, 0.0)
-    for u, v in pair_set:
         dist[u + 1, v + 1] = dist[v + 1, u + 1] = 2.0
-    conn = [(0, i) for i in range(1, n)]
-    inst = make_instance(
-        dist, conn, k + 1, labels=["root"] + [f"v{i}" for i in range(n_leaves)]
-    )
+    inst = _star(dist, k + 1, ["root"] + [f"v{i}" for i in range(n_leaves)])
     ann = {
         "family": "star-multicut",
         "root": 0,
-        "pairs": sorted(pair_set),
+        "pairs": pairs,
         "n_leaves": n_leaves,
         "target_k": k,
         "instance_k": k + 1,
@@ -513,29 +455,22 @@ def gen_random(
     if not 1 <= max_distance < 2**32:
         raise InstanceFormatError(f"need 1 <= max_distance <= 2**32 - 1, got {max_distance}")
     rng = random.Random(seed)
-    if family == "line":
-        m = _random_symmetric_matrix(rng, n, max_distance)
-        if metric_repair:
-            _shortest_path_closure(m)
-        return make_instance(m, [(i, i + 1) for i in range(n - 1)], k)
-    if family == "tree":
-        edges = [(rng.randrange(i), i) for i in range(1, n)]
-        m = _random_symmetric_matrix(rng, n, max_distance)
-        if metric_repair:
-            _shortest_path_closure(m)
-        return make_instance(m, edges, k)
-    if family == "general":
-        edges = _general_edges(rng, n)
-        m = _random_symmetric_matrix(rng, n, max_distance)
-        if metric_repair is None or metric_repair:
-            _shortest_path_closure(m)
-        return make_instance(m, edges, k)
     if family == "lp":
         if dim < 0:
             raise InstanceFormatError("need dim >= 0")
         coords = _randoms(rng, n * dim).reshape(n, dim)
-        from .model import LpMetric
-
         dist = LpMetric(coords, p).realize(n)
         return make_instance(dist, _prim_mst(dist), k, coords=coords, p=p)
-    raise InstanceFormatError(f"unknown random family {family!r}")
+    # the edges are drawn before the matrix: a seed's instance depends on that order
+    if family == "line":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif family == "tree":
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+    elif family == "general":
+        edges = _general_edges(rng, n)
+    else:
+        raise InstanceFormatError(f"unknown random family {family!r}")
+    m = _random_symmetric_matrix(rng, n, max_distance)
+    if metric_repair or (metric_repair is None and family == "general"):
+        _shortest_path_closure(m)
+    return make_instance(m, edges, k)

@@ -105,6 +105,52 @@ def test_gen_annotations_go_to_their_path(tmp_path, capsys, to_file):
     assert _sha((tmp_path / "sat.json.ann.json").read_bytes()) == SAT_ANN
 
 
+# The first 16 hex digits of the SHA-256 of the instance document and of
+# the annotations (``{}`` for the random families) that ``gen`` writes
+# for each argument list.
+GEN_DIGESTS = {
+    "--family worstcase-I --m 1": ("dc0acde39af75712", "e26f96cf327b3966"),
+    "--family worstcase-I --m 2": ("0b17de245ca451da", "abc488ed8e144ed2"),
+    "--family worstcase-I --m 3": ("ba474078af44d248", "00ecac3a238e51f3"),
+    "--family worstcase-Iprime --m 2": ("75b638c56ce3c06b", "b3959489e99775fa"),
+    "--family worstcase-Iprime --m 3": ("29c2836ddc3b083b", "0b75655b63490d3f"),
+    "--family sat --variant two_center --formula 1,2;-1,-2": ("fd6eff73fea20a54", "cefd669e6b465450"),
+    "--family sat --variant two_center --formula 1,-2,3;-1;2,3;-3": ("d6535764f0b8386c", "bdcbeebcafdaff16"),
+    "--family sat --variant two_center --formula 200000": ("74ce16e108c699d8", "fa2f6c3e94a8bf12"),
+    "--family sat --variant four_center --formula 1,2;-1,-2": ("a6bdc2d9eb97d35c", "aab99cffdd935db6"),
+    "--family sat --variant four_center --formula 1,-2,3;-1;2,3;-3": ("17d2abac6d47be09", "c886df34ccee9104"),
+    "--family sat --variant four_center --formula 200000": ("0447ad4d0142ffbc", "a7a50fe87cbda3d4"),
+    "--family star-clique-cover --n 5 --k 2 --pairs 0,1;1,2;0,2;3,4": ("82016b3d8f47b805", "7c834a9ace11b7f9"),
+    "--family star-set-cover --n 5 --k 2 --sets 0,1,2;2,3;3,4;1,4": ("38fba5cb1e6b9177", "8d72ded7b97f30a5"),
+    "--family star-multicut --n 5 --k 2 --pairs 0,1;2,3;1,4": ("026971812be905ae", "d485dc2eb67d9d04"),
+    "--family line --n 12 --k 3 --seed 1": ("1ba425487fac96e9", "ca3d163bab055381"),
+    "--family line --n 12 --k 3 --seed 1 --metric-repair": ("8b78ecca2ed78a68", "ca3d163bab055381"),
+    "--family line --n 12 --k 3 --seed 7": ("65eaecd86d0d04d6", "ca3d163bab055381"),
+    "--family line --n 12 --k 3 --seed 7 --metric-repair": ("a874ab9710c8ab4d", "ca3d163bab055381"),
+    "--family tree --n 12 --k 3 --seed 1": ("7b8c388fb90f0e1f", "ca3d163bab055381"),
+    "--family tree --n 12 --k 3 --seed 1 --metric-repair": ("26763c572543bc9b", "ca3d163bab055381"),
+    "--family tree --n 12 --k 3 --seed 7": ("273c3511a469e05f", "ca3d163bab055381"),
+    "--family tree --n 12 --k 3 --seed 7 --metric-repair": ("5e5265d5b038841d", "ca3d163bab055381"),
+    "--family general --n 12 --k 3 --seed 1": ("84732483660e2a74", "ca3d163bab055381"),
+    "--family general --n 12 --k 3 --seed 1 --metric-repair": ("84732483660e2a74", "ca3d163bab055381"),
+    "--family general --n 12 --k 3 --seed 7": ("780a38072db1ec22", "ca3d163bab055381"),
+    "--family general --n 12 --k 3 --seed 7 --metric-repair": ("780a38072db1ec22", "ca3d163bab055381"),
+    "--family lp --n 12 --k 3 --seed 1": ("29bea69ae29a0d47", "ca3d163bab055381"),
+    "--family lp --n 12 --k 3 --seed 1 --metric-repair": ("29bea69ae29a0d47", "ca3d163bab055381"),
+    "--family lp --n 12 --k 3 --seed 7": ("cc31c5a737a85d24", "ca3d163bab055381"),
+    "--family lp --n 12 --k 3 --seed 7 --metric-repair": ("cc31c5a737a85d24", "ca3d163bab055381"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GEN_DIGESTS))
+def test_gen_bytes_are_pinned(tmp_path, capsys, argv):
+    assert {a.split()[1] for a in GEN_DIGESTS} == set(cli.FAMILIES)
+    ann = tmp_path / "ann.json"
+    code, out, err = run_cli(["gen", *argv.split(), "--annotations", str(ann)], capsys)
+    assert (code, err) == (0, "")
+    assert (_sha(out.encode()), _sha(ann.read_bytes())) == GEN_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("family", ["line", "tree", "general", "lp"])
 def test_gen_named_annotations_path_gets_a_file_for_every_family(tmp_path, capsys, family):
     """A family without annotations writes ``{}`` to a named

@@ -347,9 +347,18 @@ def test_sat_gadget_skips_variables_that_do_not_occur():
         (lambda: gen_star_multicut(0, [], 0), InstanceFormatError, "need leaves and 0 <= k < n_leaves"),
         (lambda: gen_star_multicut(3, [(1, 1)], 1), InstanceFormatError, "bad pair (1, 1)"),
         (lambda: gen_random("ring", 3, 1, seed=0), InstanceFormatError, "unknown random family 'ring'"),
+        (lambda: gen_star_clique_cover(3, [(0, 1.5)], 1), InstanceFormatError,
+         "vertex id 1.5 is not an integer"),
+        (lambda: gen_star_set_cover(2, [[0, 1.0]], 1), InstanceFormatError,
+         "element id 1.0 is not an integer"),
+        (lambda: gen_star_multicut(3, [(True, 2)], 1), InstanceFormatError, "leaf id True is not an integer"),
+        (lambda: gen_star_set_cover(2, [[0, 1], [True]], 1), InstanceFormatError,
+         "element id True is not an integer"),
+        (lambda: gen_sat_gadget([[True, 2]]), InstanceFormatError, "literals are nonzero integers"),
     ],
     ids=["s-sequence", "sat-variant", "clique-empty", "clique-edge", "set-element", "set-uncovered",
-         "multicut-leaves", "multicut-pair", "random-family"],
+         "multicut-leaves", "multicut-pair", "random-family", "clique-float-id", "set-float-id",
+         "multicut-bool-id", "set-bool-id", "sat-bool-literal"],
 )
 def test_generator_arguments_are_checked(make, error, message):
     with pytest.raises(error) as err:

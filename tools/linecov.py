@@ -17,10 +17,17 @@ statements are read from each file's source as it was when tracing
 started; a file whose source changed during the run is named and the
 run refused, since its traced line numbers may belong to either
 version.  CPython drops a trace function whose call fails, as one
-called at the recursion limit does, so after each test the collector
-restarts tracing if it stopped, and the summary names the tests it
-stopped in: their later lines went unrecorded, so a statement reported
-unreached after such a run may have run.  Code run in a subprocess is
+called at the recursion limit does.  That happens when a collection of
+the cyclic garbage collector starts deep in C code, as in ``json``'s
+decoder on a document nested past the limit, and calls a Python ``gc``
+callback (hypothesis registers one) one frame short of the limit: the
+trace call for the callback's frame fails.  So the collector registers
+a ``gc`` callback of its own that traces again when tracing stopped in
+its thread, which a later collection, nearer the bottom of the stack,
+runs; after each test it restarts tracing if it is still stopped, and
+the summary names the tests it stopped in: the lines run between the
+stop and the restart went unrecorded, so a statement reported unreached
+after such a run may have run.  Code run in a subprocess is
 not traced: the tests that run ``python -m conncluster`` leave
 ``__main__.py`` unreached.  Tracing about doubles the suite's time.  No
 coverage package is needed.
@@ -36,6 +43,7 @@ scope is listed once per copy.
 from __future__ import annotations
 
 import ast
+import gc
 import os
 import sys
 import threading
@@ -107,6 +115,7 @@ class Collector:
         self.tracers: dict[str, object] = {}  # file name -> line tracer, None outside
         self.sources: dict[Path, str] = {}  # file -> its source when tracing started
         self.stopped: list[str] = []  # the tests tracing stopped in
+        self.regained = False  # whether _regain traced again since the last restart
 
     def _trace(self, frame, event, arg):
         filename = frame.f_code.co_filename
@@ -132,15 +141,25 @@ class Collector:
         }
         sys.settrace(self._trace)
         threading.settrace(self._trace)
+        gc.callbacks.append(self._regain)
 
     def stop(self) -> None:
+        if self._regain in gc.callbacks:
+            gc.callbacks.remove(self._regain)
         sys.settrace(None)
         threading.settrace(None)
 
+    def _regain(self, phase: str, info: dict) -> None:
+        """A ``gc`` callback: trace again if tracing stopped in this thread."""
+        if sys.gettrace() is None:
+            self.regained = True
+            sys.settrace(self._trace)
+
     def restart(self, test: str) -> None:
         """Trace again in this thread if tracing stopped during ``test``."""
-        if sys.gettrace() != self._trace:
+        if self.regained or sys.gettrace() != self._trace:
             self.stopped.append(test)
+            self.regained = False
             sys.settrace(self._trace)
 
     def changed(self) -> list[Path]:
@@ -188,7 +207,7 @@ def report(collector: Collector) -> tuple[list[str], bool]:
     lines = missed + [
         f"{ALLOWLIST.name}: no unreached statement for {entry}" for entry in unused
     ]
-    lines += [f"tracing stopped during {test}; restarted after it" for test in collector.stopped]
+    lines += [f"tracing stopped during {test} and was restarted" for test in collector.stopped]
     lines.append(
         f"{len(missed)} of {total} statements in src/conncluster not reached"
         f" outside the {sum(allowed.values())} entries of {ALLOWLIST.name},"
