@@ -45,6 +45,7 @@ from .model import (
     dist_leq,
     leq_bound,
     make_report,
+    report_of,
     validate_clustering,
 )
 from .wsp import (
@@ -67,9 +68,10 @@ def make_disjoint(
     cover: Clustering,
     p: WellSeparatedPartition,
     objective: str,
-) -> Clustering:
+    algorithm: str,
+) -> tuple[SolveReport, Clustering]:
     """Merge-and-split transform from a non-disjoint cover to a disjoint
-    clustering.
+    clustering, with its report under ``algorithm``'s name.
 
     ``p`` must partition exactly the cover's center set; its radius r is
     the radius the transform assumes of the cover.  A merged cluster that
@@ -77,6 +79,8 @@ def make_disjoint(
     bound (as a cover cluster reaching past r is at the first layer), a
     result that does not validate (points the cover left out, say) and a
     cost past the partition bound each raise ``DisjointInvariantError``.
+    The report is built from that validation and that cost, so it equals
+    ``make_report``'s, and carries the partition bound (``partition_bound``).
     """
     if cover.centers is None:
         raise AlgorithmPreconditionError("the transform needs a cover with centers")
@@ -167,7 +171,7 @@ def make_disjoint(
         raise DisjointInvariantError(
             f"{objective} cost {cost} exceeds the partition bound {limit}"
         )
-    return result
+    return report_of(result, cost, verdict.feasible, algorithm, limit), result
 
 
 def partition_bound(p: WellSeparatedPartition, objective: str) -> float:
@@ -214,10 +218,7 @@ def _transform(
     the partition of the cover's centers at it, and the cover made
     disjoint; the report carries the partition's a-priori cost bound."""
     r, cover = binary_search_min_feasible(candidate_radii(inst), probe)
-    p = partition(cover.centers, r)
-    result = make_disjoint(inst, cover, p, objective)
-    bound = partition_bound(p, objective)
-    return make_report(inst, result, objective, algorithm=algorithm, bound=bound), result
+    return make_disjoint(inst, cover, partition(cover.centers, r), objective, algorithm)
 
 
 def solve_disjoint(

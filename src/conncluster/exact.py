@@ -36,7 +36,8 @@ from .model import (
     dist_leq_arr,
     leq_bound,
     make_report,
-    validate_clustering,  # unused here; perfbench/tracer.py wraps it in each solver module
+    report_of,
+    validate_clustering,
 )
 
 # ---------------------------------------------------------------------------
@@ -462,10 +463,9 @@ def tree_dp_solve(inst: Instance) -> tuple[SolveReport, Clustering]:
     result = clustering(
         [by_center[b] for b in centers], [ctx.nodes[b] for b in centers], DISJOINT
     )
-    report = make_report(
-        inst, result, CENTER, "tree-dp", bound=clustering_cost(inst, result, CENTER)
-    )
-    return report, result
+    cost = clustering_cost(inst, result, CENTER)
+    feasible = validate_clustering(inst, result).feasible
+    return report_of(result, cost, feasible, "tree-dp", bound=cost), result
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ def dist_leq(a: float, b: float) -> bool:
     return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
 
 
+@functools.lru_cache(maxsize=32)
 def leq_bound(r: float) -> float:
     """The largest float x with ``dist_leq(x, r)``, or inf.
 
@@ -70,6 +71,10 @@ def leq_bound(r: float) -> float:
     ``r + REL_TOL * max(1, |r|)`` always passes; a step or two up finds
     the last float that does.  The steps stop at inf, where the start
     lands when it overflows near the top of the float range.
+
+    The few latest answers are kept: a greedy probe asks once per seed
+    at one radius.  Arguments that compare equal (0.0 and -0.0, 1 and
+    1.0) have equal answers, as the first step is ``float(r)``.
     """
     r = float(r)  # Python floats overflow to inf without a warning
     x = r + REL_TOL * max(1.0, abs(r))
@@ -121,7 +126,8 @@ class LpMetric:
         # terms NumPy's sum is the running sum over one coordinate at a
         # time, bit for bit.
         tensor = c.shape[1] >= 8 and p != math.inf
-        out = np.empty((n, n))
+        # with no coordinates no term writes the blocks: every distance is 0
+        out = np.empty((n, n)) if c.shape[1] else np.zeros((n, n))
         diff = None if tensor else np.empty((min(n, _LP_BLOCK_ROWS), n))
         # overflowing or infinite coordinates give non-finite distances,
         # which make_instance rejects
@@ -135,15 +141,20 @@ class LpMetric:
                     cube **= p
                     cube.sum(axis=2, out=block)
                 else:
-                    block.fill(0.0)
-                    part = diff[: len(rows)]
-                    for row_col, col in zip(rows.T, c.T):
+                    # the first coordinate's term is written to the block
+                    # itself, with no zero fill before it: 0 + x and
+                    # max(0, x) are x, bit for bit
+                    for j, (row_col, col) in enumerate(zip(rows.T, c.T)):
+                        part = diff[: len(rows)] if j else block
                         np.subtract(row_col[:, None], col[None, :], out=part)
-                        np.abs(part, out=part)
+                        np.abs(part, out=part)  # a power alone keeps an inf - inf NaN's sign
+                        if p != math.inf:
+                            part **= p
+                        if j == 0:
+                            continue
                         if p == math.inf:
                             np.maximum(block, part, out=block)
                         else:
-                            part **= p
                             block += part
                 if p == 2:
                     np.sqrt(block, out=block)
@@ -431,10 +442,15 @@ def _make_instance(
     labels: Optional[Sequence[str]],
     coords: Optional[np.ndarray],
     p: Optional[float],
+    *,
+    symmetric: bool = False,
 ) -> Instance:
     """``make_instance`` on float64 arrays ``m`` and ``coords`` that no
     one else holds: the instance may keep them.  Every instance, from a
-    document or from a caller, passes here."""
+    document or from a caller, passes here.  ``symmetric`` says that
+    ``m`` equals its transpose bit for bit, as ``LpMetric.realize``
+    makes it (|a - b| is |b - a|, summed in the same order), so the
+    test is not run again."""
     pairs, ids = _read_edges(edges)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InstanceFormatError("distance matrix must be square")
@@ -448,7 +464,9 @@ def _make_instance(
     # and none is 2**1023 or more (inf and NaN included).  On such an
     # exactly symmetric matrix (m + m.T) / 2 is m, bit for bit, and of the
     # matrix checks below only the diagonal's can fail.
-    kept = bool(m.view(np.uint64).max() < _SIGN_OR_HUGE) and np.array_equal(m, m.T)
+    kept = bool(m.view(np.uint64).max() < _SIGN_OR_HUGE) and (
+        symmetric or np.array_equal(m, m.T)
+    )
     if not kept:
         # an entry above half the float range overflows to inf here: rejected
         with np.errstate(over="ignore"):
@@ -685,7 +703,9 @@ def instance_from_doc(doc: dict, *, bools: bool = True) -> Instance:
     # JSON array, not an object or a string, which iterate too
     if not isinstance(doc["edges"], list):
         raise InstanceFormatError("connectivity edges must be [u, v] pairs")
-    return _make_instance(m, doc["edges"], doc["k"], labels, coords, p)
+    return _make_instance(
+        m, doc["edges"], doc["k"], labels, coords, p, symmetric=coords is not None
+    )
 
 
 #: What ``json`` raises on a malformed document: ``ValueError`` also
@@ -998,19 +1018,32 @@ def make_report(
     algorithm: str,
     bound: Optional[float] = None,
 ) -> SolveReport:
-    """Build a report whose objective is the recomputed cost of ``c``.
+    """Build a report whose objective is the recomputed cost of ``c``
+    and whose feasibility is ``validate_clustering``'s (see ``report_of``)."""
+    cost = clustering_cost(inst, c, objective)
+    return report_of(c, cost, validate_clustering(inst, c).feasible, algorithm, bound)
 
-    A ``bound`` below that objective is dropped (reported as None): the
+
+def report_of(
+    c: Clustering,
+    cost: float,
+    feasible: bool,
+    algorithm: str,
+    bound: Optional[float] = None,
+) -> SolveReport:
+    """The report of ``c`` from the cost and feasibility its solver has
+    already computed, so neither is computed twice.
+
+    A ``bound`` below the cost is dropped (reported as None): the
     a-priori bounds assume the triangle inequality, which an explicit
     matrix need not satisfy, and a bound that does not hold claims nothing.
     """
-    cost = clustering_cost(inst, c, objective)
     return SolveReport(
         objective=cost,
         clusters_used=c.clusters_used,
         algorithm=algorithm,
         bound=bound if bound is None or dist_leq(cost, bound) else None,
-        feasible=validate_clustering(inst, c).feasible,
+        feasible=feasible,
     )
 
 
@@ -1076,13 +1109,12 @@ def candidate_radii(inst: Instance) -> np.ndarray:
     ``dedup_radii`` into a new float64 array: each distance is dropped
     when ``dist_eq`` holds between it and the last distance kept (not
     its predecessor)."""
-    n, d = inst.n, inst.dist
+    n = inst.n
     v = np.empty(n * (n - 1) // 2 + 1)
     v[0] = 0.0
-    end = 1
-    for i in range(n - 1):  # the strict upper triangle, row by row
-        start, end = end, end + n - 1 - i
-        v[start:end] = d[i, i + 1 :]
+    # the strict upper triangle, row by row, in one masked gather; np.tri
+    # compares the smallest integers that hold n, so the mask is cheap
+    v[1:] = inst.dist[~np.tri(n, dtype=bool)]
     return _dedup_sorted(v, leq=False)
 
 

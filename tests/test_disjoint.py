@@ -31,7 +31,7 @@ from conncluster import (
     validate_clustering,
 )
 from conncluster.disjoint import DisjointInvariantError
-from conncluster.model import dist_leq
+from conncluster.model import dist_leq, make_report
 from conncluster.wsp import WellSeparatedPartition
 
 from conftest import line6_with_k
@@ -43,7 +43,7 @@ def test_make_disjoint_identity_when_already_disjoint(trap5):
     p = WellSeparatedPartition(
         1.0, ((frozenset({0}), frozenset({2})),), (0.0,)
     )
-    out = make_disjoint(trap5, g, p, CENTER)
+    _, out = make_disjoint(trap5, g, p, CENTER, "transform")
     assert sorted(sorted(c) for c in out.clusters) == [[0, 1], [2, 3, 4]]
 
 
@@ -52,11 +52,14 @@ def test_make_disjoint_merges_one_group(line6):
     assert g is not None  # the two grown clusters cover everything
     p = partition_two_centers(line6.dist, [2, 3], 1.0)
     assert p.layers[0] == (frozenset({2, 3}),)
-    out = make_disjoint(line6, g, p, CENTER)
+    report, out = make_disjoint(line6, g, p, CENTER, "transform")
     assert out.clusters == (frozenset(range(6)),)
     cost = clustering_cost(line6, out, CENTER)
     assert cost == 2.0
-    assert dist_leq(cost, partition_bound(p, CENTER))  # (2l-1)r + sum h = 3
+    bound = partition_bound(p, CENTER)
+    assert dist_leq(cost, bound)  # (2l-1)r + sum h = 3
+    # the report reuses the transform's validation and cost
+    assert report == make_report(line6, out, CENTER, "transform", bound=bound)
 
 
 def test_make_disjoint_splits_tree_between_owners():
@@ -92,7 +95,7 @@ def test_make_disjoint_splits_tree_between_owners():
         ),
         h=(0.0, 0.0),
     )
-    out = make_disjoint(inst, g, p, CENTER)
+    _, out = make_disjoint(inst, g, p, CENTER, "transform")
     assert sorted(sorted(c) for c in out.clusters) == [[0, 1], [2, 3, 4], [5, 6]]
     assert validate_clustering(inst, out).feasible
 
@@ -101,13 +104,14 @@ def test_make_disjoint_rejects_center_mismatch(line6):
     g = greedy_with_given_centers(line6, [2, 3], 1.0)
     p = partition_two_centers(line6.dist, [2, 4], 1.0)
     with pytest.raises(AlgorithmPreconditionError, match="center set"):
-        make_disjoint(line6, g, p, CENTER)
+        make_disjoint(line6, g, p, CENTER, "transform")
 
 
 def test_make_disjoint_rejects_a_cover_without_centers(line6):
     p = partition_two_centers(line6.dist, [2, 3], 1.0)
     with pytest.raises(AlgorithmPreconditionError) as info:
-        make_disjoint(line6, clustering([range(6)], None, NON_DISJOINT), p, CENTER)
+        cover = clustering([range(6)], None, NON_DISJOINT)
+        make_disjoint(line6, cover, p, CENTER, "transform")
     assert str(info.value) == "the transform needs a cover with centers"
 
 
@@ -120,13 +124,14 @@ def test_make_disjoint_rejects_a_cover_wider_than_the_partition_radius():
     assert g == Clustering((frozenset({0, 1, 2}),), (0,), NON_DISJOINT)
     p = partition_two_centers(inst.dist, [0], 1.0)
     with pytest.raises(DisjointInvariantError) as info:
-        make_disjoint(inst, g, p, CENTER)
+        make_disjoint(inst, g, p, CENTER, "transform")
     assert str(info.value) == (
         "after layer 1: cluster of center 0 has radius 2.0 > 1r + h_1..h_1 = 1.0"
     )
     # at the cover's own radius the transform keeps it
     p = partition_two_centers(inst.dist, [0], 2.0)
-    assert make_disjoint(inst, g, p, CENTER) == clustering([{0, 1, 2}], [0], DISJOINT)
+    _, out = make_disjoint(inst, g, p, CENTER, "transform")
+    assert out == clustering([{0, 1, 2}], [0], DISJOINT)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +152,7 @@ def test_make_disjoint_rejects_a_broken_cover(clusters, centers, r, message):
     cover = clustering(clusters, centers, NON_DISJOINT)
     p = partition_general_metric(inst.dist, centers, r)
     with pytest.raises(DisjointInvariantError) as info:
-        make_disjoint(inst, cover, p, CENTER)
+        make_disjoint(inst, cover, p, CENTER, "transform")
     assert str(info.value) == message
 
 

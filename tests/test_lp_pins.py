@@ -9,11 +9,12 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _lp_refs
-from conncluster.model import InstanceFormatError, LpMetric
+from conncluster.model import InstanceFormatError, LpMetric, make_instance
 
 SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 0.0]
 
@@ -56,6 +57,43 @@ def test_blocked_realize_matches_the_n_by_n_kernel(case):
     c, p = case
     n = len(c)
     assert _outcome(_blocked, c, p, n) == _outcome(_lp_refs.realize, c, p, n)
+
+
+#: Coordinates the loader's trust in a symmetric realization must hold
+#: for: signed zeros, huge values whose differences overflow, and
+#: infinities, whose differences are NaN
+EXTREMES = st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e300, math.inf, -math.inf])
+
+
+@st.composite
+def lp_coords(draw):
+    """n rows of d = 0..12 coordinates, across the block edge at 32 rows
+    and the running sum's change to a pairwise one at 8 coordinates."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-5, 5))
+    for _ in range(draw(st.integers(0, 6)) if c.size else 0):
+        c[rng.integers(n), rng.integers(d)] = draw(EXTREMES)
+    return c, draw(st.sampled_from([1, 2, 3, math.inf]))
+
+
+@settings(max_examples=300)
+@given(lp_coords())
+def test_realize_is_its_own_transpose_bit_for_bit(case):
+    """The loader skips the symmetry test on the matrices it realizes."""
+    c, p = case
+    m = LpMetric(c, p).realize(len(c))
+    assert np.array_equal(m.view(np.uint64), m.T.view(np.uint64))
+
+
+def test_make_instance_with_coords_still_tests_symmetry():
+    """A caller's matrix is tested, even beside coordinates."""
+    c = np.array([[0.0], [1.0], [3.0]])
+    m = LpMetric(c, 1).realize(3)
+    m[0, 1] += 0.5
+    with pytest.raises(InstanceFormatError, match="not symmetric"):
+        make_instance(m, [(0, 1), (1, 2)], 1, coords=c, p=1)
 
 
 def test_bad_coordinates_and_exponents_keep_their_messages():

@@ -10,7 +10,9 @@ with the same message, so that every report and every CLI byte stays
 the same.  It took the cover with its clusters keyed by center, beside
 the radius they were grown at; ``old_make_disjoint_of_cover`` hands it a
 ``Clustering`` cover in that form, at the partition's radius, which is
-the radius ``make_disjoint`` reads.
+the radius ``make_disjoint`` reads, and reports the result as the
+pipeline did, by ``make_report`` with the partition bound: the report
+``make_disjoint`` builds from its own validation and cost must equal it.
 
 ``_bfs_tree``, ``old_validate_clustering`` (with ``_is_connected_subset``)
 and ``old_pad_to_k`` are the spanning trees, the connectivity test and
@@ -46,6 +48,7 @@ from conncluster.model import (
     DISJOINT,
     MODES,
     AlgorithmPreconditionError,
+    Clustering,
     InfeasibleError,
     Verdict,
     cluster_radius,
@@ -55,6 +58,7 @@ from conncluster.model import (
     dist_leq,
     load_instance,
     make_instance,
+    make_report,
     validate_clustering,
 )
 from conncluster.wsp import (
@@ -287,13 +291,16 @@ def old_make_disjoint(inst, g, p, objective):
     return result
 
 
-def old_make_disjoint_of_cover(inst, cover, p, objective):
+def old_make_disjoint_of_cover(inst, cover, p, objective, algorithm):
     """``old_make_disjoint`` on a ``Clustering`` cover, as ``make_disjoint``
-    takes it: the clusters keyed by center, grown at ``p.r``."""
+    takes it: the clusters keyed by center, grown at ``p.r``; with the
+    report the pipeline built for its result."""
     g = SimpleNamespace(
         centers=cover.centers, clusters=dict(zip(cover.centers, cover.clusters)), radius_used=p.r
     )
-    return old_make_disjoint(inst, g, p, objective)
+    result = old_make_disjoint(inst, g, p, objective)
+    bound = partition_bound(p, objective)
+    return make_report(inst, result, objective, algorithm, bound=bound), result
 
 
 def outcome(fn, *args):
@@ -306,11 +313,11 @@ def outcome(fn, *args):
 
 
 def assert_same(*args):
-    got = outcome(make_disjoint, *args)
-    want = outcome(old_make_disjoint_of_cover, *args)
+    got = outcome(make_disjoint, *args, "transform")
+    want = outcome(old_make_disjoint_of_cover, *args, "transform")
     assert got == want
-    if not isinstance(got, tuple):  # a Clustering: equal, in the same order
-        assert got.clusters == want.clusters and got.centers == want.centers
+    if isinstance(got[1], Clustering):  # a report and a Clustering: equal, in the same order
+        assert got[1].clusters == want[1].clusters and got[1].centers == want[1].centers
 
 
 WEIGHTS = (0.0, 1.0, 2.0, 3.0, 5.0)
